@@ -6,6 +6,19 @@ arithmetic, activations, masked softmax, layer norm, a depthwise 3x3
 convolution, gather/concat/reshape plumbing, and a finite-difference
 gradient checker.
 
+Two fused ops carry the model's positional encoder and attention pooling,
+each one graph node with a hand-written backward:
+
+- ``grid_positional`` runs the depthwise 3x3 filter channels-last. The
+  (n, D) instance rows already are a row-major (g, g, D) grid, so no
+  transposes, pad concatenation or row scatter are needed.
+- ``query_attention`` pools the tokens with a single query row. With one
+  query the K and V projections regroup: per head h,
+  ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
+  ``out_h = (A_h @ tokens) W_v,h + b_v,h`` since the weights A_h sum to 1.
+  That costs n x D x heads instead of the n x D x D of projecting every
+  token.
+
 Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
 a backward closure), so there is no global tape and read-only tensors are
@@ -14,7 +27,8 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+import math
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,8 +169,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _result(out, (a, b), backward)
 
@@ -218,11 +234,10 @@ def scale(a: Tensor, c: Scalar) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(0, x); subgradient at 0 is 0."""
-    keep = a.data > 0
-    out = np.where(keep, a.data, 0).astype(a.data.dtype)
+    out = np.maximum(a.data, 0)
 
     def backward(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * (out > 0))
 
     return _result(out, (a,), backward)
 
@@ -262,13 +277,12 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     """Softmax over the last axis; masked entries get exactly zero weight.
 
     Masking excludes entries from both the max shift and the normalizer,
     which is equivalent to -inf logits without non-finite arithmetic.
     """
-    x = a.data
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.shape != (x.shape[-1],):
@@ -284,7 +298,12 @@ def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     else:
         hi = x.max(axis=-1, keepdims=True)
         e = np.exp(x - hi)
-    out = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax over the last axis; masked entries get exactly zero weight."""
+    out = _masked_softmax(a.data, mask)
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -357,6 +376,163 @@ def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             _accumulate(a, gp[:, :, 1:H + 1, 1:W + 1])
 
     return _result(out, (a, w, bias), backward)
+
+
+def _tap_range(k: int, g: int) -> Tuple[slice, slice]:
+    """(output, input) index ranges of kernel offset k - 1 along a side of g."""
+    o = k - 1
+    return slice(max(0, -o), g - max(0, o)), slice(max(0, o), g - max(0, -o))
+
+
+# ---------------------------------------------------------------------------
+# fused model ops
+
+
+def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
+                    conv_b: Tensor, residual: bool) -> Tensor:
+    """Depthwise 3x3 filter over the unmasked rows of h laid out on a grid.
+
+    The n unmasked rows of h (n_rows, D), in order, fill a g x g grid
+    row-major with g = ceil(sqrt(n)) and zero trailing cells. Each channel
+    is filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
+    plus conv_b (D,) and, when residual, the grid itself. The first n cells
+    go back to the unmasked rows; masked rows of the output are zero.
+
+    Equal to ``depthwise_conv2d_3x3`` over the transposed grid, computed
+    channels-last: a (g, g, D) grid is a reshape of the rows, and each tap
+    multiplies the overlapping window into one shared buffer.
+    """
+    x = h.data
+    m = np.asarray(mask, dtype=bool)
+    if x.ndim != 2 or m.shape != (x.shape[0],):
+        raise ShapeError(f"grid_positional expects (n, D) rows and an (n,) "
+                         f"mask, got {x.shape} and {m.shape}")
+    n_rows, d = x.shape
+    if conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,):
+        raise ShapeError(f"conv parameters {conv_w.data.shape} and "
+                         f"{conv_b.data.shape} do not match {d} channels")
+    real = None if m.all() else np.flatnonzero(m)
+    n = n_rows if real is None else len(real)
+    if n == 0:
+        raise MaskError("empty bag: no unmasked instances")
+    g = math.isqrt(n)
+    if g * g < n:
+        g += 1
+
+    def to_grid(rows: np.ndarray) -> np.ndarray:
+        """The unmasked rows in grid order, trailing cells zero."""
+        if real is None and g * g == n:
+            return rows.reshape(g, g, d)
+        cells = np.zeros((g, g, d), dtype=x.dtype)
+        cells.reshape(g * g, d)[:n] = rows if real is None else rows[real]
+        return cells
+
+    grid = to_grid(x)
+    taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
+    ranges = [(dy, dx, _tap_range(dy, g), _tap_range(dx, g))
+              for dy in range(3) for dx in range(3)]
+    out = np.empty_like(grid)
+    out[...] = conv_b.data
+    buf = np.empty_like(grid)
+    for dy, dx, (oy, iy), (ox, ix) in ranges:
+        prod = np.multiply(taps[dy, dx], grid[iy, ix], out=buf[oy, ox])
+        out[oy, ox] += prod
+    if residual:
+        out += grid
+    cells = out.reshape(g * g, d)[:n]
+    if real is None:
+        rows = cells
+    else:
+        rows = np.zeros_like(x)
+        rows[real] = cells
+
+    def backward(grad):
+        gg = to_grid(grad)
+        _accumulate(conv_b, gg.sum(axis=(0, 1)))
+        if conv_w.requires_grad:
+            gw = np.zeros((3, 3, d), dtype=x.dtype)
+            for dy, dx, (oy, iy), (ox, ix) in ranges:
+                gw[dy, dx] = np.einsum("yxc,yxc->c", gg[oy, ox], grid[iy, ix])
+            _accumulate(conv_w, gw.transpose(2, 0, 1))
+        if h.requires_grad:
+            tmp = np.empty_like(grid)
+            gx = gg.copy() if residual else np.zeros_like(grid)
+            for dy, dx, (oy, iy), (ox, ix) in ranges:
+                gx[iy, ix] += np.multiply(taps[dy, dx], gg[oy, ox],
+                                          out=tmp[oy, ox])
+            gcells = gx.reshape(g * g, d)[:n]
+            if real is None:
+                _accumulate(h, gcells)
+            else:
+                if h.grad is None:
+                    h.grad = np.zeros_like(x)
+                h.grad[real] += gcells
+
+    return _result(rows, (h, conv_w, conv_b), backward)
+
+
+def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
+                    v_w: Tensor, v_b: Tensor, mask: np.ndarray,
+                    heads: int) -> Tuple[Tensor, np.ndarray]:
+    """Multi-head attention of one query row over the tokens.
+
+    With K = tokens @ k_w + k_b and V = tokens @ v_w + v_b, head h of
+    width dh = D / heads computes softmax(q_h K_h^T / sqrt(dh)) V_h with
+    masked tokens at exactly zero weight, and the heads are joined along
+    the columns. The projections of the n tokens are never formed: with a
+    single query row, logits_h = tokens @ (k_w,h q_h^T) + k_b,h . q_h and
+    out_h = (A_h @ tokens) @ v_w,h + v_b,h, because each row of weights A_h
+    sums to 1.
+
+    q: (1, D), tokens: (n, D), k_w and v_w: (D, D), k_b and v_b: (D,),
+    mask: (n,). Returns the (1, D) output and the (heads, 1, n) weights,
+    detached. A mask with no valid token raises MaskError.
+    """
+    x = tokens.data
+    if x.ndim != 2:
+        raise ShapeError(f"attention tokens must be (n, D), got {x.shape}")
+    n, d = x.shape
+    shapes = (q.data.shape, k_w.data.shape, k_b.data.shape, v_w.data.shape,
+              v_b.data.shape)
+    if shapes != ((1, d), (d, d), (d,), (d, d), (d,)):
+        raise ShapeError(f"attention operand shapes {shapes} do not match "
+                         f"D = {d}")
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"feature dim {d} is not divisible by {heads} heads")
+    dh = d // heads
+    inv_sqrt = 1.0 / math.sqrt(dh)
+    qh = q.data.reshape(heads, dh)
+    kw = k_w.data.reshape(d, heads, dh)
+    vw = v_w.data.reshape(d, heads, dh)
+    kb = k_b.data.reshape(heads, dh)
+    u = np.einsum("dhc,hc->dh", kw, qh)                  # (D, heads)
+    logits = ((x @ u).T + np.einsum("hc,hc->h", kb, qh)[:, None]) * inv_sqrt
+    attn = _masked_softmax(logits, mask)                # (heads, n)
+    pooled = attn @ x                                    # (heads, D)
+    out = np.einsum("hd,dhc->hc", pooled, vw).reshape(1, d) + v_b.data
+
+    def backward(g):
+        gh = g.reshape(heads, dh)
+        _accumulate(v_b, g.reshape(d))
+        if v_w.requires_grad:
+            _accumulate(v_w, np.einsum("hd,hc->dhc", pooled, gh).reshape(d, d))
+        g_pooled = np.einsum("hc,dhc->hd", gh, vw)          # (heads, D)
+        g_attn = (x @ g_pooled.T).T                           # (heads, n)
+        dot = (g_attn * attn).sum(axis=1, keepdims=True)
+        g_logits = attn * (g_attn - dot) * inv_sqrt           # (heads, n)
+        if tokens.requires_grad:
+            _accumulate(tokens, attn.T @ g_pooled + g_logits.T @ u.T)
+        g_u = x.T @ g_logits.T                                # (D, heads)
+        g_c = g_logits.sum(axis=1)[:, None]                   # (heads, 1)
+        if k_w.requires_grad:
+            _accumulate(k_w, np.einsum("dh,hc->dhc", g_u, qh).reshape(d, d))
+        _accumulate(k_b, (g_c * qh).reshape(d))
+        if q.requires_grad:
+            g_q = np.einsum("dhc,dh->hc", kw, g_u) + g_c * kb
+            _accumulate(q, g_q.reshape(1, d))
+
+    result = _result(out, (q, tokens, k_w, k_b, v_w, v_b), backward)
+    return result, attn[:, None, :].copy()
 
 
 # ---------------------------------------------------------------------------

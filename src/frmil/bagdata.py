@@ -41,12 +41,26 @@ class StoreValueError(StoreError):
     """Feature data contains non-finite values."""
 
 
+class StoreManifestError(StoreError):
+    """The manifest lacks a required field or has the wrong layout."""
+
+
 class SingleClassError(ValueError):
     """An operation needing both labels was given bags of only one class."""
 
 
 class SplitError(ValueError):
-    """A requested split cannot give every class at least one bag."""
+    """A requested split names a bag the store lacks, or cannot give every
+    class at least one bag."""
+
+
+def require_fields(obj, names: Sequence[str], where: str, error: type) -> None:
+    """Raise ``error`` unless obj is a JSON object holding every name."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    missing = [k for k in names if k not in obj]
+    if missing:
+        raise error(f"{where} lacks {', '.join(missing)}")
 
 
 @dataclass
@@ -126,11 +140,15 @@ class BagStore:
         return list(self.bags.keys())
 
     def bag(self, bag_id: str) -> InstanceBag:
-        return self.bags[bag_id]
+        try:
+            return self.bags[bag_id]
+        except KeyError:
+            raise SplitError(f"bag {bag_id!r} is not in the store at "
+                             f"{self.root}") from None
 
     def labels(self, ids: Iterable[str] | None = None) -> List[Tuple[str, int]]:
         ids = self.ids() if ids is None else list(ids)
-        return [(i, self.bags[i].label) for i in ids]
+        return [(i, self.bag(i).label) for i in ids]
 
     def __len__(self) -> int:
         return len(self.bags)
@@ -165,9 +183,15 @@ def read_store(root) -> BagStore:
     if not manifest_path.exists():
         raise StoreMissingFileError(f"no manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    require_fields(manifest, ("dim", "bags"), str(manifest_path),
+                   StoreManifestError)
+    if not isinstance(manifest["bags"], list):
+        raise StoreManifestError(f"{manifest_path}: bags is not a list")
     dim = int(manifest["dim"])
     store = BagStore(root=root, dim=dim)
-    for entry in manifest["bags"]:
+    for i, entry in enumerate(manifest["bags"]):
+        require_fields(entry, ("id", "label", "n", "path"),
+                       f"{manifest_path} bags[{i}]", StoreManifestError)
         bag_id = entry["id"]
         path = root / entry["path"]
         n = int(entry["n"])

@@ -168,35 +168,9 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
     back, and cut to the first n rows. Padding rows of the input stay
     zero. Output is (n_rows + 1, D) with the class token at row 0.
     """
-    mask = np.asarray(mask, dtype=bool)
-    n_rows = h_recal.shape[0]
-    real = np.flatnonzero(mask)
-    n = len(real)
-    if n == 0:
-        raise MaskError("empty bag: no unmasked instances")
-    d = params.dim
-    g = math.isqrt(n)
-    if g * g < n:
-        g += 1
-    rows = ad.take_rows(h_recal, real)
-    if g * g > n:
-        pad = Tensor(np.zeros((g * g - n, d), dtype=h_recal.dtype))
-        rows = ad.concat_rows([rows, pad])
-    grid = ad.reshape(ad.transpose2d(rows), (1, d, g, g))
-    conv = ad.depthwise_conv2d_3x3(grid, params.conv_w, params.conv_b)
-    if residual:
-        conv = ad.add(conv, grid)
-    flat = ad.transpose2d(ad.reshape(conv, (d, g * g)))
-    restored = ad.take_rows(flat, np.arange(n))
-    if n < n_rows:
-        # route each original row either to its restored value or to a
-        # shared zero row, keeping padding rows exactly zero
-        zero_row = Tensor(np.zeros((1, d), dtype=h_recal.dtype))
-        stacked = ad.concat_rows([restored, zero_row])
-        route = np.full(n_rows, n, dtype=np.intp)
-        route[real] = np.arange(n)
-        restored = ad.take_rows(stacked, route)
-    tokens = ad.concat_rows([params.class_token, restored])
+    positional = ad.grid_positional(h_recal, mask, params.conv_w,
+                                    params.conv_b, residual=residual)
+    tokens = ad.concat_rows([params.class_token, positional])
     if training and dropout > 0.0:
         tokens = ad.dropout(tokens, dropout, training=True, rng=rng)
     return tokens
@@ -213,31 +187,16 @@ def pmsa_forward(h_q: Tensor, tokens: Tensor, token_mask: np.ndarray,
     the output passes a rectified feed-forward with layer norm:
     z = LN(phi_hat + ReLU(f_o(phi_hat))).
     """
-    token_mask = np.asarray(token_mask, dtype=bool)
-    if not token_mask.any():
-        raise MaskError("attention over zero unmasked tokens")
     q = _linear(h_q, params.q_w, params.q_b)          # (1, D)
-    k = _linear(tokens, params.k_w, params.k_b)       # (n+1, D)
-    v = _linear(tokens, params.v_w, params.v_b)
-    dh = params.head_dim
-    pooled = []
-    weights = []
-    for head in range(params.heads):
-        lo, hi = head * dh, (head + 1) * dh
-        qi = ad.slice_cols(q, lo, hi)
-        ki = ad.slice_cols(k, lo, hi)
-        vi = ad.slice_cols(v, lo, hi)
-        logits = ad.scale(ad.matmul(qi, ad.transpose2d(ki)), 1.0 / math.sqrt(dh))
-        attn = ad.softmax_lastdim(logits, mask=token_mask)  # (1, n+1)
-        pooled.append(ad.matmul(attn, vi))
-        weights.append(attn.data.copy())
-    phi = ad.concat_cols(pooled)                      # (1, D)
+    phi, weights = ad.query_attention(q, tokens, params.k_w, params.k_b,
+                                      params.v_w, params.v_b, token_mask,
+                                      params.heads)
     phi_hat = ad.add(phi, q)
     ff_in = ad.dropout(phi_hat, dropout, training=training, rng=rng) \
         if training and dropout > 0.0 else phi_hat
     ff = ad.relu(_linear(ff_in, params.o_w, params.o_b))
     z = ad.layer_norm(ad.add(phi_hat, ff), params.ln_gain, params.ln_bias)
-    return z, np.stack(weights)
+    return z, weights
 
 
 def bag_forward(bag: InstanceBag, params: ModelParams,

@@ -127,6 +127,35 @@ def gradient_checks() -> List[CheckResult]:
         return f, [a, w, b]
     results.append(_check("depthwise_conv2d_3x3", b_conv))
 
+    def b_grid_positional(rng):
+        n, d = dims(rng)
+        n_rows = n + int(rng.integers(0, 3))  # trailing and scattered padding
+        mask = np.zeros(n_rows, bool)
+        mask[rng.choice(n_rows, size=n, replace=False)] = True
+        a = _t(rng, (n_rows, d))
+        w = _t(rng, (d, 3, 3))
+        b = _t(rng, (d,))
+        residual = bool(rng.integers(0, 2))
+        return (lambda: _scalarize(ad.grid_positional(a, mask, w, b, residual)),
+                [a, w, b])
+    results.append(_check("grid_positional (masked)", b_grid_positional))
+
+    def b_query_attention(rng):
+        heads = int(rng.integers(1, 4))
+        d = heads * int(rng.integers(1, 4))
+        n = int(rng.integers(2, 7))
+        mask = rng.random(n) < 0.7
+        mask[0] = True
+        q, tokens = _t(rng, (1, d)), _t(rng, (n, d))
+        k_w, v_w = _t(rng, (d, d)), _t(rng, (d, d))
+        k_b, v_b = _t(rng, (d,)), _t(rng, (d,))
+        def f():
+            out, _ = ad.query_attention(q, tokens, k_w, k_b, v_w, v_b,
+                                        mask, heads)
+            return _scalarize(out)
+        return f, [q, tokens, k_w, k_b, v_w, v_b]
+    results.append(_check("query_attention (masked)", b_query_attention))
+
     def b_masked_reduce(rng):
         n, d = dims(rng)
         a = _t(rng, (n, d))

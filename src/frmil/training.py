@@ -24,7 +24,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .bagdata import BagStore, SingleClassError, balanced_batches
+from .bagdata import (
+    BagStore,
+    SingleClassError,
+    balanced_batches,
+    require_fields,
+)
 from .model import (
     ComparatorParams,
     ModelParams,
@@ -69,6 +74,10 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointValueError(CheckpointError):
     pass
+
+
+class CheckpointHeaderError(CheckpointError):
+    """The JSON header lacks a required field or has the wrong layout."""
 
 
 @dataclass
@@ -495,6 +504,8 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     if len(data) < 9 + header_len:
         raise CheckpointTruncatedError(f"{path}: truncated header")
     header = json.loads(data[9:9 + header_len].decode("utf-8"))
+    require_fields(header, ("config", "dim", "heads", "params"),
+                   f"{path}: header", CheckpointHeaderError)
     blob = data[9 + header_len:]
     config = TrainConfig.from_dict(header["config"])
     dim = int(header["dim"])
@@ -502,7 +513,11 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     reference = init_params(dim, heads, seed=0)
     expected_shapes = {k: t.data.shape for k, t in reference.named().items()}
     loaded: Dict[str, Tensor] = {}
-    for entry in header["params"]:
+    if not isinstance(header["params"], list):
+        raise CheckpointHeaderError(f"{path}: header params is not a list")
+    for i, entry in enumerate(header["params"]):
+        require_fields(entry, ("name", "shape", "offset", "nbytes"),
+                       f"{path}: header params[{i}]", CheckpointHeaderError)
         name = entry["name"]
         shape = tuple(int(s) for s in entry["shape"])
         off, nbytes = int(entry["offset"]), int(entry["nbytes"])

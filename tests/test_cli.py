@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -241,6 +243,63 @@ class TestAblate:
         assert len(lines) == 7
         assert lines[-2].startswith("mean_pool")
         assert lines[-1].startswith("max_pool")
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with edit() applied to its JSON header."""
+    data = src.read_bytes()
+    (length,) = struct.unpack("<I", data[5:9])
+    header = json.loads(data[9:9 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw
+                    + data[9 + length:])
+
+
+class TestMalformedInputs:
+    """Malformed stores, splits and checkpoints exit 3 without a traceback."""
+
+    @pytest.mark.parametrize("key", ["config", "dim", "heads", "params"])
+    def test_checkpoint_header_without_key_exits_3(self, store_dir, run_dir,
+                                                   tmp_path, capsys, key):
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt, lambda h: h.pop(key))
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["name", "shape", "offset", "nbytes"])
+    def test_checkpoint_param_without_field_exits_3(self, store_dir, run_dir,
+                                                    tmp_path, capsys, field):
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt,
+                        lambda h: h["params"][0].pop(field))
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_manifest_without_dim_exits_3(self, store_dir, tmp_path, capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        del manifest["dim"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("tau", "--data", str(root)) == 3
+        err = capsys.readouterr().err
+        assert "dim" in err and "Traceback" not in err
+
+    def test_split_id_missing_from_store_exits_3(self, store_dir, tmp_path,
+                                                 capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        split = read_split(root / "splits.json")
+        split["train"].append("ghost")
+        (root / "splits.json").write_text(json.dumps(split))
+        assert run_cli("tau", "--data", str(root)) == 3
+        err = capsys.readouterr().err
+        assert "ghost" in err and "Traceback" not in err
 
 
 class TestSelftestCommand:

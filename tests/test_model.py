@@ -21,6 +21,7 @@ from frmil.model import (
     select_max_instance,
 )
 from frmil.objectives import LossWeights, total_loss
+from oracles import pem_composite, pmsa_composite
 
 
 def random_bag(rng, n=12, dim=8, label=1):
@@ -218,6 +219,86 @@ class TestPmsaForward:
         _, attn = pmsa_forward(h_q, tokens, mask, params)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
         assert (attn[:, :, 5:8] == 0).all()
+
+
+def _float64_params(rng, dim, heads, seed):
+    """Parameters in float64 with non-zero biases, so every term counts."""
+    params = init_params(dim, heads, seed=seed, dtype=np.float64)
+    for t in (params.conv_b, params.q_b, params.k_b, params.v_b, params.o_b):
+        t.data[:] = rng.normal(size=t.shape)
+    return params
+
+
+def _random_mask(rng, n):
+    """Scattered padding rows on some draws, none on others."""
+    mask = rng.random(n) < 0.7 if rng.random() < 0.7 else np.ones(n, bool)
+    if not mask.any():
+        mask[int(rng.integers(n))] = True
+    return mask
+
+
+def _grads_of(out, weights, tensors):
+    """Gradients of sum(out * weights) with respect to tensors."""
+    for t in tensors:
+        t.grad = None
+    flat = ad.reshape(ad.mul(out, Tensor(weights)), (out.data.size,))
+    backward(ad.masked_reduce("sum", flat, np.ones(out.data.size, bool)))
+    return [t.grad.copy() for t in tensors]
+
+
+class TestFusedOpsMatchComposite:
+    """The fused PEM and PMSA ops against their composite references."""
+
+    def test_pem_forward_equals_composite_exactly(self):
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            d = int(rng.choice([1, 2, 4, 6]))
+            params = _float64_params(rng, d, 1, seed=trial)
+            n_rows = int(rng.integers(1, 40))
+            mask = _random_mask(rng, n_rows)
+            h = Tensor(rng.normal(size=(n_rows, d)) * mask[:, None],
+                       requires_grad=True, dtype=np.float64)
+            for residual in (True, False):
+                fused = pem_forward(h, mask, params, residual=residual)
+                ref = pem_composite(h, mask, params, residual=residual)
+                np.testing.assert_array_equal(fused.data, ref.data)
+                weights = rng.normal(size=fused.shape)
+                wrt = [h, params.conv_w, params.conv_b, params.class_token]
+                for a, b in zip(_grads_of(fused, weights, wrt),
+                                _grads_of(ref, weights, wrt)):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_pmsa_forward_matches_composite(self):
+        rng = np.random.default_rng(24)
+        for trial in range(40):
+            heads = int(rng.integers(1, 5))
+            d = heads * int(rng.integers(2, 4))  # layer norm needs D >= 2
+            params = _float64_params(rng, d, heads, seed=trial)
+            n = int(rng.integers(1, 30))
+            token_mask = np.concatenate([[True], _random_mask(rng, n)])
+            h_q = Tensor(rng.normal(size=(1, d)), requires_grad=True,
+                         dtype=np.float64)
+            tokens = Tensor(rng.normal(size=(n + 1, d)), requires_grad=True,
+                            dtype=np.float64)
+            z, attn = pmsa_forward(h_q, tokens, token_mask, params)
+            z_ref, attn_ref = pmsa_composite(h_q, tokens, token_mask, params)
+            assert np.abs(z.data - z_ref.data).max() <= 1e-12
+            assert np.abs(attn - attn_ref).max() <= 1e-12
+            assert (attn[:, :, ~token_mask] == 0).all()
+            weights = rng.normal(size=(1, d))
+            wrt = [h_q, tokens, params.q_w, params.q_b, params.k_w,
+                   params.k_b, params.v_w, params.v_b, params.o_w, params.o_b,
+                   params.ln_gain, params.ln_bias]
+            for a, b in zip(_grads_of(z, weights, wrt),
+                            _grads_of(z_ref, weights, wrt)):
+                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_fully_masked_attention_raises(self):
+        params = init_params(4, 2, seed=0)
+        tokens = Tensor(np.ones((3, 4), dtype=np.float32))
+        h_q = Tensor(np.ones((1, 4), dtype=np.float32))
+        with pytest.raises(MaskError):
+            pmsa_forward(h_q, tokens, np.zeros(3, bool), params)
 
 
 class TestBagForward:
