@@ -50,8 +50,8 @@ class SingleClassError(ValueError):
 
 
 class SplitError(ValueError):
-    """A requested split names a bag the store lacks, or cannot give every
-    class at least one bag."""
+    """A split file is malformed or puts one bag in two splits, a split
+    names a bag the store lacks, or cannot give every class a bag."""
 
 
 def require_fields(obj, names: Sequence[str], where: str, error: type) -> None:
@@ -187,14 +187,21 @@ def read_store(root) -> BagStore:
                    StoreManifestError)
     if not isinstance(manifest["bags"], list):
         raise StoreManifestError(f"{manifest_path}: bags is not a list")
-    dim = int(manifest["dim"])
+    dim = manifest["dim"]
+    if type(dim) is not int or dim < 0:
+        raise StoreManifestError(f"{manifest_path}: dim must be a "
+                                 f"non-negative integer, got {dim!r}")
     store = BagStore(root=root, dim=dim)
     for i, entry in enumerate(manifest["bags"]):
-        require_fields(entry, ("id", "label", "n", "path"),
-                       f"{manifest_path} bags[{i}]", StoreManifestError)
-        bag_id = entry["id"]
-        path = root / entry["path"]
-        n = int(entry["n"])
+        where = f"{manifest_path} bags[{i}]"
+        require_fields(entry, ("id", "label", "n", "path"), where,
+                       StoreManifestError)
+        bag_id, label, n, rel = (entry[k] for k in ("id", "label", "n", "path"))
+        if not (isinstance(bag_id, str) and isinstance(rel, str)
+                and type(label) is int and type(n) is int):
+            raise StoreManifestError(f"{where}: id and path must be strings, "
+                                     f"label and n integers")
+        path = root / rel
         if not path.exists():
             raise StoreMissingFileError(f"bag {bag_id}: missing feature file {path}")
         expected = n * dim * 4
@@ -205,7 +212,7 @@ def read_store(root) -> BagStore:
         data = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(n, dim)
         if not np.isfinite(data).all():
             raise StoreValueError(f"bag {bag_id}: non-finite feature values")
-        store.bags[bag_id] = make_bag(bag_id, int(entry["label"]), data)
+        store.bags[bag_id] = make_bag(bag_id, label, data)
     return store
 
 
@@ -367,7 +374,19 @@ def read_split(path) -> Dict[str, List[str]]:
     if not path.exists():
         raise StoreMissingFileError(f"no split file at {path}")
     data = json.loads(path.read_text())
-    return {name: list(data.get(name, [])) for name in ("train", "val", "test")}
+    if not isinstance(data, dict):
+        raise SplitError(f"{path} is not a JSON object")
+    split: Dict[str, List[str]] = {}
+    owner: Dict[str, str] = {}
+    for name in ("train", "val", "test"):
+        ids = split[name] = data.get(name, [])
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise SplitError(f"{path}: {name} is not a list of bag ids")
+        for bag_id in ids:
+            if owner.setdefault(bag_id, name) != name:
+                raise SplitError(f"{path}: bag {bag_id!r} is in both "
+                                 f"{owner[bag_id]} and {name}")
+    return split
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -37,6 +38,7 @@ from .baseline import (
     estimate_tau,
     write_density_csv,
 )
+from .model import COMPARATOR_KINDS
 from .objectives import BalancedBatchError
 from .selftest import run_selftest
 from .training import (
@@ -45,11 +47,9 @@ from .training import (
     TrainConfig,
     TrainingError,
     evaluate,
-    evaluate_comparator,
     load_checkpoint,
     save_checkpoint,
     train,
-    train_comparator,
     write_metrics_csv,
     write_scores_csv,
 )
@@ -85,10 +85,6 @@ def _parse_fracs(text: str):
     return tuple(parts)
 
 
-def _load_store(path):
-    return read_store(Path(path))
-
-
 def _split_bag_ids(store, data_dir, split_name):
     if split_name == "all":
         return store.ids()
@@ -99,18 +95,20 @@ def _split_bag_ids(store, data_dir, split_name):
     return ids
 
 
+def _read_json_file(path: Path, what: str):
+    """The parsed contents of a JSON file named by a flag."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+
+
 def _resolve_config(args) -> TrainConfig:
     """Config file first, then flag overrides; flags win."""
     data = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"no config file at {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    config = TrainConfig.from_dict(data) if data else TrainConfig()
+        data = _read_json_file(Path(args.config), "config file")
+    config = TrainConfig.from_dict(data)
     if data.get("seed") is None:
         config.seed = _default_seed()
     overrides = {
@@ -158,7 +156,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    store = _load_store(args.data)
+    store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     stats = MagnitudeStats.from_bags([store.bag(i) for i in ids],
                                      squared=not args.unsquared,
@@ -174,7 +172,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    store = _load_store(args.data)
+    store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     bags = [store.bag(i) for i in ids]
     train_ids = _split_bag_ids(store, args.data, "train")
@@ -184,9 +182,12 @@ def cmd_baseline(args) -> int:
     if args.tau is not None:
         taus[args.recalibrate] = args.tau
     elif args.tau_file:
-        loaded = json.loads(Path(args.tau_file).read_text())
-        taus[bool(loaded.get("recalibrated", args.recalibrate))] = \
-            float(loaded["tau"])
+        loaded = _read_json_file(Path(args.tau_file), "tau file")
+        tau = loaded.get("tau") if isinstance(loaded, dict) else None
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ConfigError(f"tau file {args.tau_file} has no numeric "
+                              f"\"tau\" value")
+        taus[bool(loaded.get("recalibrated", args.recalibrate))] = float(tau)
     for recal in (False, True):
         if recal not in taus:
             taus[recal] = estimate_tau(train_records, recalibrated=recal).tau
@@ -207,7 +208,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_density(args) -> int:
-    store = _load_store(args.data)
+    store = read_store(args.data)
     records = compute_magnitudes([store.bag(i) for i in store.ids()],
                                  squared=not args.unsquared)
     write_density_csv(records, args.out)
@@ -215,34 +216,51 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    store = _load_store(args.data)
-    split = read_split(Path(args.data) / "splits.json")
-    config = _resolve_config(args)
-    run_dir = Path(args.out)
-    _echo_config(config, run_dir)
-    result = train(store, split, config)
-    write_metrics_csv(result.history, run_dir / "metrics.csv")
-    save_checkpoint(result.params, config, run_dir / "final.ckpt")
-    if result.best_params is not None:
-        save_checkpoint(result.best_params, config, run_dir / "best.ckpt")
-        print(f"best val AUC {result.best_val_auc:.4f} at epoch "
-              f"{result.best_epoch} -> best.ckpt")
-    last_train = [r for r in result.history if r["split"] == "train"][-1]
-    auc_text = f"{last_train['auc']:.4f}" if last_train["auc"] is not None else "nan"
-    print(f"final train acc {last_train['acc']:.4f} auc {auc_text}")
-    if split.get("test"):
+def _auc_text(area, digits=4) -> str:
+    return "nan" if area is None else f"{area:.{digits}f}"
+
+
+def _train_run(store, split, config: TrainConfig, run_dir=None,
+               kind="frmil"):
+    """Train one config, fill run_dir (config, metrics, final and best
+    checkpoints) when given, and score the test split if it has bags.
+    Checkpoints hold only the full model, so pooling heads get no run_dir."""
+    if run_dir is not None:
+        _echo_config(config, run_dir)
+    result = train(store, split, config, kind)
+    if run_dir is not None:
+        write_metrics_csv(result.history, run_dir / "metrics.csv")
+        save_checkpoint(result.params, config, run_dir / "final.ckpt")
+        if result.best_params is not None:
+            save_checkpoint(result.best_params, config, run_dir / "best.ckpt")
+    report = None
+    if split["test"]:
         report = evaluate(store, split["test"], result.params,
                           threshold=config.threshold,
                           pem_residual=config.pem_residual, split="test")
-        auc_text = f"{report.auc:.4f}" if report.auc is not None else "nan"
-        print(f"test acc {report.accuracy:.4f} auc {auc_text}")
+    return result, report
+
+
+def cmd_train(args) -> int:
+    store = read_store(args.data)
+    split = read_split(Path(args.data) / "splits.json")
+    config = _resolve_config(args)
+    run_dir = Path(args.out)
+    result, report = _train_run(store, split, config, run_dir)
+    if result.best_params is not None:
+        print(f"best val AUC {result.best_val_auc:.4f} at epoch "
+              f"{result.best_epoch} -> best.ckpt")
+    last_train = [r for r in result.history if r["split"] == "train"][-1]
+    print(f"final train acc {last_train['acc']:.4f} "
+          f"auc {_auc_text(last_train['auc'])}")
+    if report is not None:
+        print(f"test acc {report.accuracy:.4f} auc {_auc_text(report.auc)}")
     print(f"run artifacts in {run_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    store = _load_store(args.data)
+    store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     ckpt = Path(args.ckpt)
     if not ckpt.exists():
@@ -250,8 +268,8 @@ def cmd_eval(args) -> int:
     params, config = load_checkpoint(ckpt)
     report = evaluate(store, ids, params, threshold=config.threshold,
                       pem_residual=config.pem_residual, split=args.split)
-    auc_text = f"{report.auc:.4f}" if report.auc is not None else "nan"
-    print(f"split {args.split}: acc {report.accuracy:.4f} auc {auc_text}")
+    print(f"split {args.split}: acc {report.accuracy:.4f} "
+          f"auc {_auc_text(report.auc)}")
     if args.out:
         write_scores_csv(report, args.out)
         print(f"per-bag scores in {args.out}")
@@ -262,40 +280,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    store = _load_store(args.data)
+    store = read_store(args.data)
     split = read_split(Path(args.data) / "splits.json")
+    if not split["test"]:
+        raise SplitError("split 'test' is empty")
     config = _resolve_config(args)
     run_dir = Path(args.out)
     _echo_config(config, run_dir)
-    rows = []
-    for name, use_max, use_fm in ABLATION_ROWS:
-        cfg = TrainConfig.from_dict(config.to_dict())
-        cfg.use_max_loss = use_max
-        cfg.use_fm_loss = use_fm
-        sub_dir = run_dir / name.replace("+", "_")
-        _echo_config(cfg, sub_dir)
-        result = train(store, split, cfg)
-        write_metrics_csv(result.history, sub_dir / "metrics.csv")
-        save_checkpoint(result.params, cfg, sub_dir / "final.ckpt")
-        report = evaluate(store, split["test"], result.params,
-                          threshold=cfg.threshold,
-                          pem_residual=cfg.pem_residual, split="test")
-        rows.append((name, report.accuracy, report.auc))
-        auc_text = f"{report.auc:.4f}" if report.auc is not None else "nan"
-        print(f"{name:<12s} acc {report.accuracy:.4f} auc {auc_text}")
+    runs = [(name, replace(config, use_max_loss=use_max, use_fm_loss=use_fm),
+             run_dir / name.replace("+", "_"), "frmil")
+            for name, use_max, use_fm in ABLATION_ROWS]
     if args.comparators:
-        for kind in ("mean_pool", "max_pool"):
-            result = train_comparator(store, split, config, kind)
-            report = evaluate_comparator(store, split["test"], result.params,
-                                         threshold=config.threshold,
-                                         split="test")
-            rows.append((kind, report.accuracy, report.auc))
-            auc_text = f"{report.auc:.4f}" if report.auc is not None else "nan"
-            print(f"{kind:<12s} acc {report.accuracy:.4f} auc {auc_text}")
+        runs += [(kind, config, None, kind) for kind in COMPARATOR_KINDS]
     lines = ["config,acc,auc"]
-    for name, acc, area in rows:
-        area_text = f"{area:.6f}" if area is not None else "nan"
-        lines.append(f"{name},{acc:.6f},{area_text}")
+    for name, cfg, sub_dir, kind in runs:
+        _, report = _train_run(store, split, cfg, sub_dir, kind)
+        print(f"{name:<12s} acc {report.accuracy:.4f} "
+              f"auc {_auc_text(report.auc)}")
+        lines.append(f"{name},{report.accuracy:.6f},{_auc_text(report.auc, 6)}")
     (run_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
     print(f"results table in {run_dir / 'ablation.csv'}")
     return EXIT_OK

@@ -5,6 +5,7 @@ h = 1e-5 against a 1e-4 relative-error budget."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List
@@ -276,6 +277,20 @@ def oracle_checks() -> List[CheckResult]:
             Tensor(b, dtype=np.float64)).data
         worst = max(worst, float(np.abs(fast - _naive_conv(x, w, b)).max()))
     results.append(CheckResult("conv vs naive 9-term loop (exact)", worst, 0.0))
+
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for k in range(60):  # n from 1 to 29, square and not, both residuals
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        x, w, b = (rng.normal(size=s) for s in ((n, d), (d, 3, 3), (d,)))
+        fast = ad.grid_positional(Tensor(x), np.ones(n, bool), Tensor(w),
+                                  Tensor(b), residual=k % 2 == 1).data
+        g = math.isqrt(n - 1) + 1
+        grid = np.vstack([x, np.zeros((g * g - n, d))]).T.reshape(1, d, g, g)
+        naive = (_naive_conv(grid, w, b) + grid * (k % 2)).reshape(d, g * g)
+        worst = max(worst, float(np.abs(fast - naive.T[:n]).max()))
+    results.append(CheckResult("grid_positional vs naive conv (exact)",
+                               worst, 0.0))
 
     rng = np.random.default_rng(1)
     worst = 0.0

@@ -1,8 +1,9 @@
 """Training loop, Adam optimizer, evaluation metrics, and checkpoints.
 
-Training iterates balanced (one positive, one negative) bag pairs,
-backpropagates the weighted objective, and applies bias-corrected Adam
-updates. Runs are bitwise deterministic given the store bytes, the
+One loop trains the full model and the mean-/max-pooling heads on
+balanced (one positive, one negative) bag pairs with bias-corrected Adam,
+evaluating train and val after every epoch; one ``evaluate`` scores
+either. Runs are bitwise deterministic given the store bytes, the
 config, and the seed.
 
 Checkpoint format: magic "FRML", one version byte, a little-endian uint32
@@ -15,6 +16,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import numbers
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -100,6 +102,7 @@ class TrainConfig:
     threshold: float = 0.5
 
     def validate(self) -> None:
+        self._check_types()
         if self.tau <= 0 or not np.isfinite(self.tau):
             raise ConfigError(f"tau must be finite and positive, got {self.tau}")
         if len(self.gammas) != 3 or any(g < 0 for g in self.gammas):
@@ -120,6 +123,25 @@ class TrainConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
 
+    def _check_types(self) -> None:
+        """Reject a value of the wrong type before any range check."""
+        def number(v, kind=numbers.Real):
+            return isinstance(v, kind) and not isinstance(v, bool)
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "gammas":
+                ok = isinstance(value, (list, tuple)) and all(map(number, value))
+            elif isinstance(f.default, bool):
+                ok = isinstance(value, bool)
+            elif isinstance(f.default, float):
+                ok = number(value)
+            else:  # an int; dim may also be None
+                ok = (number(value, numbers.Integral)
+                      or (f.name == "dim" and value is None))
+            if not ok:
+                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
+
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["gammas"] = list(self.gammas)
@@ -127,15 +149,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "gammas" in kwargs:
-            kwargs["gammas"] = tuple(float(g) for g in kwargs["gammas"])
-        cfg = cls(**kwargs)
+        cfg = cls(**data)
         cfg.validate()
+        cfg.gammas = tuple(float(g) for g in cfg.gammas)
         return cfg
 
     def loss_weights(self) -> LossWeights:
@@ -235,9 +257,18 @@ class EvalReport:
     mean_bce: float
 
 
-def evaluate(store: BagStore, ids: Sequence[str], params: ModelParams,
-             threshold: float = 0.5, pem_residual: bool = True,
-             split: str = "") -> EvalReport:
+def _bag_prob(bag, params: ModelParams | ComparatorParams,
+              pem_residual: bool) -> float:
+    """Eval-mode probability of one bag under the model or a pooling head."""
+    if isinstance(params, ComparatorParams):
+        return comparator_forward(params, bag).item()
+    return bag_forward(bag, params, training=False,
+                       pem_residual=pem_residual).bag_prob.item()
+
+
+def evaluate(store: BagStore, ids: Sequence[str],
+             params: ModelParams | ComparatorParams, threshold: float = 0.5,
+             pem_residual: bool = True, split: str = "") -> EvalReport:
     """Evaluation-mode forwards over the given bags."""
     if not ids:
         raise ValueError("evaluate needs at least one bag id")
@@ -245,17 +276,12 @@ def evaluate(store: BagStore, ids: Sequence[str], params: ModelParams,
     bces = []
     for bag_id in ids:
         bag = store.bag(bag_id)
-        trace = bag_forward(bag, params, training=False,
-                            pem_residual=pem_residual)
-        p = trace.bag_prob.item()
+        p = _bag_prob(bag, params, pem_residual)
         rows.append((bag_id, bag.label, p))
         bces.append(bce_loss(p, bag.label).item())
-    labels = [r[1] for r in rows]
-    probs = [r[2] for r in rows]
-    correct = sum(int((p >= threshold) == (lab == 1))
-                  for _, lab, p in rows)
+    correct = sum(int((p >= threshold) == (lab == 1)) for _, lab, p in rows)
     try:
-        area = auc(probs, labels)
+        area = auc([r[2] for r in rows], [r[1] for r in rows])
     except SingleClassError:
         area = None
     return EvalReport(split=split, accuracy=correct / len(rows), auc=area,
@@ -268,19 +294,16 @@ def _metric_cell(value) -> str:
     return f"{value:.6f}"
 
 
+METRIC_COLUMNS = ("loss", "loss_bag", "loss_max", "loss_fm", "acc", "auc")
+
+
 def write_metrics_csv(history: Sequence[dict], path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "loss", "loss_bag", "loss_max",
-                         "loss_fm", "acc", "auc"])
+        writer.writerow(["epoch", "split", *METRIC_COLUMNS])
         for row in history:
-            writer.writerow([row["epoch"], row["split"],
-                             _metric_cell(row["loss"]),
-                             _metric_cell(row["loss_bag"]),
-                             _metric_cell(row["loss_max"]),
-                             _metric_cell(row["loss_fm"]),
-                             _metric_cell(row["acc"]),
-                             _metric_cell(row["auc"])])
+            writer.writerow([row["epoch"], row["split"]]
+                            + [_metric_cell(row[k]) for k in METRIC_COLUMNS])
 
 
 def write_scores_csv(report: EvalReport, path) -> None:
@@ -297,21 +320,11 @@ def write_scores_csv(report: EvalReport, path) -> None:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
+    params: ModelParams | ComparatorParams
     history: List[dict] = field(default_factory=list)
-    best_params: Optional[ModelParams] = None
+    best_params: Optional[ModelParams | ComparatorParams] = None
     best_val_auc: Optional[float] = None
     best_epoch: Optional[int] = None
-
-
-def _resolve_dim(store: BagStore, config: TrainConfig) -> int:
-    dim = store.dim if config.dim is None else config.dim
-    if config.dim is not None and config.dim != store.dim:
-        raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
-    if dim % config.heads != 0:
-        raise ConfigError(f"store dim {dim} not divisible by "
-                          f"{config.heads} heads")
-    return dim
 
 
 def _epoch_rows(epoch, parts_mean, weights, train_report, val_report):
@@ -335,45 +348,59 @@ def _epoch_rows(epoch, parts_mean, weights, train_report, val_report):
     return rows
 
 
-def _collect_grads(named: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for k, t in named.items()}
-
-
-def train(store: BagStore, split: Dict[str, List[str]],
-          config: TrainConfig) -> TrainResult:
-    """Train the full model on the train split, tracking val each epoch."""
+def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
+          kind: str = "frmil") -> TrainResult:
+    """Train on the train split, tracking val each epoch. kind "frmil" is
+    the full model on the weighted objective; "mean_pool" and "max_pool"
+    are pooling heads on plain bag cross-entropy."""
     config.validate()
-    dim = _resolve_dim(store, config)
+    if config.dim is not None and config.dim != store.dim:
+        raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
+    if store.dim % config.heads != 0:
+        raise ConfigError(f"store dim {store.dim} not divisible by "
+                          f"{config.heads} heads")
     train_ids = split["train"]
     val_ids = split.get("val", [])
     labeled = store.labels(train_ids)
-    params = init_params(dim, config.heads, config.seed)
-    state = AdamState.for_params(params.named())
-    drop_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
-    weights = config.loss_weights()
+    if kind == "frmil":
+        params = init_params(store.dim, config.heads, config.seed)
+        weights = config.loss_weights()
+        drop_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
+
+        def pair_loss(pos, neg):
+            tp, tn = (bag_forward(bag, params, training=True, rng=drop_rng,
+                                  dropout=config.dropout,
+                                  pem_residual=config.pem_residual)
+                      for bag in (pos, neg))
+            return total_loss(tp, tn, (1, 0), weights,
+                              fm_squared=config.fm_squared)
+    else:
+        params = init_comparator(kind, store.dim, config.seed)
+        weights = LossWeights(1.0, 0.0, 0.0)
+
+        def pair_loss(pos, neg):
+            loss = ad.scale(ad.add(bce_loss(comparator_forward(params, pos), 1),
+                                   bce_loss(comparator_forward(params, neg), 0)),
+                            0.5)
+            value = loss.item()
+            return loss, {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
+    named = params.named()
+    state = AdamState.for_params(named)
     result = TrainResult(params=params)
     for epoch in range(config.epochs):
         sums = {"bag": 0.0, "max": 0.0, "fm": 0.0}
         pairs = balanced_batches(labeled, config.seed, epoch)
         for pos_id, neg_id in pairs:
-            tp = bag_forward(store.bag(pos_id), params, training=True,
-                             rng=drop_rng, dropout=config.dropout,
-                             pem_residual=config.pem_residual)
-            tn = bag_forward(store.bag(neg_id), params, training=True,
-                             rng=drop_rng, dropout=config.dropout,
-                             pem_residual=config.pem_residual)
-            loss, parts = total_loss(tp, tn, (1, 0), weights,
-                                     fm_squared=config.fm_squared)
+            loss, parts = pair_loss(store.bag(pos_id), store.bag(neg_id))
             if not np.isfinite(parts["total"]):
                 raise TrainingError(f"non-finite loss at epoch {epoch} on "
                                     f"batch ({pos_id}, {neg_id})")
-            for t in params.named().values():
+            for t in named.values():
                 t.grad = None
             backward(loss)
-            adam_step(params.named(), _collect_grads(params.named()),
-                      state, config.lr)
+            adam_step(named, {k: t.grad for k, t in named.items()}, state,
+                      config.lr)
             for key in sums:
                 sums[key] += parts[key]
         parts_mean = {k: v / len(pairs) for k, v in sums.items()}
@@ -393,71 +420,6 @@ def train(store: BagStore, split: Dict[str, List[str]],
                 result.best_params = copy.deepcopy(params)
         result.history.extend(
             _epoch_rows(epoch, parts_mean, weights, train_report, val_report))
-    return result
-
-
-@dataclass
-class ComparatorResult:
-    params: ComparatorParams
-    history: List[dict] = field(default_factory=list)
-
-
-def evaluate_comparator(store: BagStore, ids: Sequence[str],
-                        cparams: ComparatorParams, threshold: float = 0.5,
-                        split: str = "") -> EvalReport:
-    if not ids:
-        raise ValueError("evaluate needs at least one bag id")
-    rows = []
-    bces = []
-    for bag_id in ids:
-        bag = store.bag(bag_id)
-        p = comparator_forward(cparams, bag).item()
-        rows.append((bag_id, bag.label, p))
-        bces.append(bce_loss(p, bag.label).item())
-    labels = [r[1] for r in rows]
-    probs = [r[2] for r in rows]
-    correct = sum(int((p >= threshold) == (lab == 1)) for _, lab, p in rows)
-    try:
-        area = auc(probs, labels)
-    except SingleClassError:
-        area = None
-    return EvalReport(split=split, accuracy=correct / len(rows), auc=area,
-                      rows=rows, mean_bce=float(np.mean(bces)))
-
-
-def train_comparator(store: BagStore, split: Dict[str, List[str]],
-                     config: TrainConfig, kind: str) -> ComparatorResult:
-    """Train a mean- or max-pooling head with plain bag cross-entropy."""
-    config.validate()
-    dim = _resolve_dim(store, config)
-    labeled = store.labels(split["train"])
-    cparams = init_comparator(kind, dim, config.seed)
-    state = AdamState.for_params(cparams.named())
-    result = ComparatorResult(params=cparams)
-    for epoch in range(config.epochs):
-        total = 0.0
-        pairs = balanced_batches(labeled, config.seed, epoch)
-        for pos_id, neg_id in pairs:
-            p_pos = comparator_forward(cparams, store.bag(pos_id))
-            p_neg = comparator_forward(cparams, store.bag(neg_id))
-            loss = ad.scale(ad.add(bce_loss(p_pos, 1), bce_loss(p_neg, 0)), 0.5)
-            if not np.isfinite(loss.item()):
-                raise TrainingError(f"non-finite comparator loss at epoch "
-                                    f"{epoch} on batch ({pos_id}, {neg_id})")
-            for t in cparams.named().values():
-                t.grad = None
-            backward(loss)
-            adam_step(cparams.named(), _collect_grads(cparams.named()),
-                      state, config.lr)
-            total += loss.item()
-        report = evaluate_comparator(store, split["train"], cparams,
-                                     threshold=config.threshold, split="train")
-        result.history.append({
-            "epoch": epoch, "split": "train",
-            "loss": total / len(pairs), "loss_bag": total / len(pairs),
-            "loss_max": 0.0, "loss_fm": 0.0,
-            "acc": report.accuracy, "auc": report.auc,
-        })
     return result
 
 

@@ -41,11 +41,9 @@ from frmil.training import (
     TrainConfig,
     auc,
     evaluate,
-    evaluate_comparator,
     load_checkpoint,
     save_checkpoint,
     train,
-    train_comparator,
     write_metrics_csv,
 )
 
@@ -229,9 +227,9 @@ def test_criterion_5_end_to_end_learning(store_and_split, estimated_tau):
     report = evaluate(store, split["test"], result.params,
                       threshold=config.threshold,
                       pem_residual=config.pem_residual, split="test")
-    comparator = train_comparator(store, split, config, "mean_pool")
-    comp_report = evaluate_comparator(store, split["test"], comparator.params,
-                                      threshold=config.threshold, split="test")
+    comparator = train(store, split, config, "mean_pool")
+    comp_report = evaluate(store, split["test"], comparator.params,
+                           threshold=config.threshold, split="test")
     elapsed = time.monotonic() - t0
     ok = (report.auc is not None and report.auc >= 0.90
           and comp_report.auc is not None and report.auc > comp_report.auc

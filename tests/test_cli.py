@@ -244,6 +244,15 @@ class TestAblate:
         assert lines[-2].startswith("mean_pool")
         assert lines[-1].startswith("max_pool")
 
+    def test_full_row_matches_train_run(self, store_dir, tmp_path):
+        flags = ["--data", str(store_dir), "--epochs", "3", "--heads", "2",
+                 "--tau", "30"]
+        assert run_cli("train", "--out", str(tmp_path / "run"), *flags) == 0
+        assert run_cli("ablate", "--out", str(tmp_path / "abl"), *flags) == 0
+        for name in ("config.json", "metrics.csv", "final.ckpt", "best.ckpt"):
+            assert (tmp_path / "abl" / "bag_max_fm" / name).read_bytes() \
+                == (tmp_path / "run" / name).read_bytes(), name
+
 
 def _rewrite_header(src, dst, edit):
     """Copy a checkpoint with edit() applied to its JSON header."""
@@ -290,6 +299,47 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "dim" in err and "Traceback" not in err
 
+    def test_manifest_null_dim_exits_3(self, store_dir, tmp_path, capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["dim"] = None
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("tau", "--data", str(root)) == 3
+        err = capsys.readouterr().err
+        assert "dim" in err and "Traceback" not in err
+
+    def test_overlapping_splits_exit_3(self, store_dir, tmp_path, capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        split = read_split(root / "splits.json")
+        split["test"].append(split["train"][0])
+        (root / "splits.json").write_text(json.dumps(split))
+        assert run_cli("train", "--data", str(root), "--out",
+                       str(tmp_path / "run"), "--epochs", "1", "--heads", "2",
+                       "--tau", "30") == 3
+        err = capsys.readouterr().err
+        assert split["train"][0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [{"epochs": "2"}, {"gammas": "abc"},
+                                        {"use_fm_loss": None}, []])
+    def test_config_of_wrong_type_exits_2(self, store_dir, tmp_path, capsys,
+                                          config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("train", "--data", str(store_dir),
+                       "--out", str(tmp_path / "r"),
+                       "--config", str(cfg_path)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_tau_file_without_tau_exits_2(self, store_dir, tmp_path, capsys):
+        tau_path = tmp_path / "tau.json"
+        tau_path.write_text(json.dumps({"method": "density crossing"}))
+        assert run_cli("baseline", "--data", str(store_dir),
+                       "--tau-file", str(tau_path)) == 2
+        err = capsys.readouterr().err
+        assert "tau" in err and "Traceback" not in err
+
     def test_split_id_missing_from_store_exits_3(self, store_dir, tmp_path,
                                                  capsys):
         root = tmp_path / "store"
@@ -307,4 +357,5 @@ class TestSelftestCommand:
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out
         assert "total_loss end-to-end" in out
+        assert "grid_positional vs naive conv" in out
         assert "PASS" in out

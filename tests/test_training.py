@@ -28,7 +28,6 @@ from frmil.training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    train_comparator,
     write_metrics_csv,
 )
 
@@ -196,9 +195,9 @@ class TestTrainLoop:
     def test_comparator_training_runs(self, tiny_store):
         store, split = tiny_store
         for kind in ("mean_pool", "max_pool"):
-            result = train_comparator(store, split, tiny_config(epochs=2), kind)
+            result = train(store, split, tiny_config(epochs=2), kind)
             assert result.params.all_finite()
-            assert len(result.history) == 2
+            assert [r["split"] for r in result.history] == ["train", "val"] * 2
 
 
 class TestEvaluate:
