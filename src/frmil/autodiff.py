@@ -11,7 +11,8 @@ each one graph node with a hand-written backward:
 
 - ``grid_positional`` runs the depthwise 3x3 filter channels-last. The
   (n, D) instance rows already are a row-major (g, g, D) grid, so no
-  transposes, pad concatenation or row scatter are needed.
+  transposes, pad concatenation or row scatter are needed. The forward
+  filters L2-sized bands of grid rows.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -119,8 +120,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # 0 + g in one pass: the same cast, broadcast and -0.0 -> +0.0 as
+        # zeros_like followed by +=, and never an alias of g
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _as_array(b, dtype) -> np.ndarray:
@@ -378,6 +382,13 @@ def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _result(out, (a, w, bias), backward)
 
 
+# Grid rows the PEM forward filters at a time. A band, its product buffer
+# and the input rows it reads stay in a 2 MB L2 cache, where the whole
+# (g, g, D) grid of a 1000-instance D=512 bag would be streamed through
+# memory once per tap.
+_PEM_BAND_BYTES = 256 * 1024
+
+
 def _tap_range(k: int, g: int) -> Tuple[slice, slice]:
     """(output, input) index ranges of kernel offset k - 1 along a side of g."""
     o = k - 1
@@ -400,7 +411,11 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     Equal to ``depthwise_conv2d_3x3`` over the transposed grid, computed
     channels-last: a (g, g, D) grid is a reshape of the rows, and each tap
-    multiplies the overlapping window into one shared buffer.
+    multiplies the overlapping window into one shared buffer. The forward
+    runs one band of ``_PEM_BAND_BYTES`` of output rows at a time: bias,
+    the nine taps in order, then the residual. Every element gets the
+    same operations in the same order as in one whole-grid pass, so the
+    bytes do not depend on the band size.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -432,13 +447,27 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     ranges = [(dy, dx, _tap_range(dy, g), _tap_range(dx, g))
               for dy in range(3) for dx in range(3)]
     out = np.empty_like(grid)
-    out[...] = conv_b.data
-    buf = np.empty_like(grid)
-    for dy, dx, (oy, iy), (ox, ix) in ranges:
-        prod = np.multiply(taps[dy, dx], grid[iy, ix], out=buf[oy, ox])
-        out[oy, ox] += prod
-    if residual:
-        out += grid
+    band = min(g, max(1, _PEM_BAND_BYTES // (g * d * grid.itemsize or 1)))
+    buf = np.empty_like(grid[:band])
+    for lo in range(0, g, band):
+        hi = min(lo + band, g)
+        block = out[lo:hi]
+        block[...] = conv_b.data
+        for dy, dx, (oy, iy), (ox, ix) in ranges:
+            by = oy
+            if band < g:
+                # the tap's output rows y0..y1 in this band read input rows
+                # y0+dy-1..y1+dy-1 and use buffer rows 0..y1-y0
+                y0, y1 = max(lo, oy.start), min(hi, oy.stop)
+                if y0 >= y1:
+                    continue
+                oy, iy = slice(y0, y1), slice(y0 + dy - 1, y1 + dy - 1)
+                by = slice(0, y1 - y0)
+            dst = out[oy, ox]
+            prod = np.multiply(taps[dy, dx], grid[iy, ix], out=buf[by, ox])
+            np.add(dst, prod, out=dst)
+        if residual:
+            block += grid[lo:hi]
     cells = out.reshape(g * g, d)[:n]
     if real is None:
         rows = cells

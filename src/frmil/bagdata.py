@@ -201,6 +201,9 @@ def read_store(root) -> BagStore:
                 and type(label) is int and type(n) is int):
             raise StoreManifestError(f"{where}: id and path must be strings, "
                                      f"label and n integers")
+        if bag_id in store.bags:
+            raise StoreManifestError(f"{where}: bag id {bag_id!r} is listed "
+                                     f"twice")
         path = root / rel
         if not path.exists():
             raise StoreMissingFileError(f"bag {bag_id}: missing feature file {path}")
@@ -383,9 +386,11 @@ def read_split(path) -> Dict[str, List[str]]:
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise SplitError(f"{path}: {name} is not a list of bag ids")
         for bag_id in ids:
-            if owner.setdefault(bag_id, name) != name:
-                raise SplitError(f"{path}: bag {bag_id!r} is in both "
-                                 f"{owner[bag_id]} and {name}")
+            if bag_id in owner:
+                where = (f"twice in {name}" if owner[bag_id] == name
+                         else f"in both {owner[bag_id]} and {name}")
+                raise SplitError(f"{path}: bag {bag_id!r} is {where}")
+            owner[bag_id] = name
     return split
 
 

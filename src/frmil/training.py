@@ -193,6 +193,10 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
+    Parameters and moments change in place, through two scratch arrays
+    per parameter, rounding in the order of ``m += (1 - b1) g``,
+    ``v += ((1 - b2) g) g`` and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
+
     Aborts on any non-finite gradient or resulting parameter, naming the
     offender.
     """
@@ -201,24 +205,32 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, tensor in named.items():
+        p = tensor.data
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(tensor.data)
-        if g.shape != tensor.data.shape:
+            g = np.zeros_like(p)
+        if g.shape != p.shape:
             raise TrainingError(f"gradient shape {g.shape} != parameter "
-                                f"{name} shape {tensor.data.shape}")
+                                f"{name} shape {p.shape}")
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name} "
                                 f"at step {t}")
         m = state.m[name]
         v = state.v[name]
+        update = np.empty_like(p)
+        denom = np.empty_like(p)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=update)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        tensor.data = tensor.data - update.astype(tensor.data.dtype)
-        if not np.isfinite(tensor.data).all():
+        np.multiply(1.0 - state.beta2, g, out=update)
+        v += np.multiply(update, g, out=update)
+        np.divide(m, bc1, out=update)
+        np.multiply(lr, update, out=update)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        p -= np.divide(update, denom, out=update)
+        if not np.isfinite(p).all():
             raise TrainingError(f"non-finite parameter {name} after step {t}")
 
 
@@ -469,7 +481,10 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     require_fields(header, ("config", "dim", "heads", "params"),
                    f"{path}: header", CheckpointHeaderError)
     blob = data[9 + header_len:]
-    config = TrainConfig.from_dict(header["config"])
+    try:
+        config = TrainConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise CheckpointHeaderError(f"{path}: header config: {exc}") from exc
     dim = int(header["dim"])
     heads = int(header["heads"])
     reference = init_params(dim, heads, seed=0)

@@ -6,6 +6,9 @@ depthwise conv, per-head slices, softmax, concat), projecting every token
 through the full K and V matrices. They are the eval-mode forwards of
 ``model.pem_forward`` and ``model.pmsa_forward`` before those moved onto
 ``autodiff.grid_positional`` and ``autodiff.query_attention``.
+
+``adam_step_reference`` is ``training.adam_step`` as it was before it
+moved onto in-place ufuncs, one temporary array per operation.
 """
 
 import math
@@ -69,3 +72,23 @@ def pmsa_composite(h_q, tokens, token_mask, params):
     ff = ad.relu(ad.add(ad.matmul(phi_hat, params.o_w), params.o_b))
     z = ad.layer_norm(ad.add(phi_hat, ff), params.ln_gain, params.ln_bias)
     return z, np.stack(weights)
+
+
+def adam_step_reference(named, grads, state, lr):
+    """One bias-corrected Adam update, allocating every intermediate."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, tensor in named.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(tensor.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        tensor.data = tensor.data - update.astype(tensor.data.dtype)

@@ -120,6 +120,19 @@ class TestElementwise:
         np.testing.assert_allclose(row.grad, numeric_grad(f, row.data), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(x.grad, numeric_grad(f, x.data), rtol=1e-6, atol=1e-8)
 
+    def test_first_gradient_write_copies_upstream(self):
+        # add(x, x) writes g into x.grad, then adds g again: the first
+        # write must not alias g, or the second would double g itself.
+        # Grads start from zero, so a -0.0 in g accumulates to +0.0.
+        g = np.random.default_rng(2).normal(size=(3, 4)).astype(np.float32)
+        g[0, 0] = -0.0
+        before = g.tobytes()
+        x = Tensor(np.ones((3, 4), np.float32), requires_grad=True)
+        add(x, x)._backward(g)
+        assert x.grad.tobytes() == ((0.0 + g) + g).tobytes()
+        assert not np.shares_memory(x.grad, g)
+        assert g.tobytes() == before
+
 
 class TestRelu:
     def test_nonnegative_unchanged(self):

@@ -2,12 +2,17 @@
 
 import filecmp
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frmil
 from frmil.baseline import baseline_classify, compute_magnitudes, estimate_tau
 from frmil.bagdata import read_store, read_split
 from frmil.cli import main
@@ -340,6 +345,40 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "tau" in err and "Traceback" not in err
 
+    def test_id_repeated_in_one_split_exits_3(self, store_dir, tmp_path,
+                                              capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        split = read_split(root / "splits.json")
+        split["train"].append(split["train"][0])
+        (root / "splits.json").write_text(json.dumps(split))
+        assert run_cli("train", "--data", str(root), "--out",
+                       str(tmp_path / "run"), "--epochs", "1", "--heads", "2",
+                       "--tau", "30") == 3
+        err = capsys.readouterr().err
+        assert split["train"][0] in err and "Traceback" not in err
+
+    def test_manifest_repeated_id_exits_3(self, store_dir, tmp_path, capsys):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        twin = dict(manifest["bags"][1], id=manifest["bags"][0]["id"])
+        manifest["bags"].append(twin)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("tau", "--data", str(root)) == 3
+        err = capsys.readouterr().err
+        assert twin["id"] in err and "Traceback" not in err
+
+    def test_checkpoint_config_of_wrong_type_exits_3(self, store_dir, run_dir,
+                                                     tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt,
+                        lambda h: h["config"].update(epochs="2"))
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "epochs" in err and "Traceback" not in err
+
     def test_split_id_missing_from_store_exits_3(self, store_dir, tmp_path,
                                                  capsys):
         root = tmp_path / "store"
@@ -350,6 +389,31 @@ class TestMalformedInputs:
         assert run_cli("tau", "--data", str(root)) == 3
         err = capsys.readouterr().err
         assert "ghost" in err and "Traceback" not in err
+
+
+class TestBlasThreads:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_train_checkpoint_independent_of_blas_env(self, tmp_path):
+        # at D=512 a two-thread BLAS rounds products differently, so an
+        # unset thread count must end up pinned to one
+        store = tmp_path / "store"
+        assert run_cli("gen", "--out", str(store), "--bags", "12", "--dim",
+                       "512", "--bag-min", "900", "--bag-max", "1100",
+                       "--seed", "3") == 0
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env["PYTHONPATH"] = str(Path(frmil.__file__).resolve().parents[1])
+        ckpts = []
+        for name, pinned in (("unset", {}),
+                             ("one", dict.fromkeys(self.BLAS_VARS, "1"))):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "frmil.cli", "train",
+                            "--data", str(store), "--out", str(out),
+                            "--epochs", "2", "--tau", "30"],
+                           env={**env, **pinned}, check=True,
+                           capture_output=True, timeout=300)
+            ckpts.append((out / "final.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
 
 
 class TestSelftestCommand:

@@ -301,6 +301,46 @@ class TestFusedOpsMatchComposite:
             pmsa_forward(h_q, tokens, np.zeros(3, bool), params)
 
 
+def _grid_positional_bytes(rng, n_rows, d, dtype, residual, mask=None):
+    """A closure running grid_positional on one random case, giving bytes."""
+    x = rng.normal(size=(n_rows, d)).astype(dtype)
+    x[rng.random(x.shape) < 0.05] = -0.0
+    w = rng.normal(size=(d, 3, 3)).astype(dtype)
+    b = rng.normal(size=d).astype(dtype)
+    mask = np.ones(n_rows, bool) if mask is None else mask
+
+    def run():
+        return ad.grid_positional(Tensor(x), mask, Tensor(w), Tensor(b),
+                                  residual).data.tobytes()
+    return run
+
+
+class TestGridPositionalBands:
+    """The banded PEM forward gives the bytes of one whole-grid band."""
+
+    @pytest.mark.parametrize("band_bytes", [1, 100, 4096])
+    def test_any_band_size_matches_one_band(self, monkeypatch, band_bytes):
+        rng = np.random.default_rng(band_bytes)
+        for trial in range(24):
+            n_rows = int(rng.integers(1, 120))
+            run = _grid_positional_bytes(
+                rng, n_rows, int(rng.integers(1, 24)),
+                (np.float32, np.float64)[trial % 2], bool(trial % 4 // 2),
+                _random_mask(rng, n_rows))
+            monkeypatch.setattr(ad, "_PEM_BAND_BYTES", 1 << 60)
+            whole = run()
+            monkeypatch.setattr(ad, "_PEM_BAND_BYTES", band_bytes)
+            assert run() == whole
+
+    def test_wsi_bag_matches_one_band(self, monkeypatch):
+        # 4096 x 512 float32: a 64 x 64 grid in bands of 2 rows
+        run = _grid_positional_bytes(np.random.default_rng(5), 4096, 512,
+                                     np.float32, True)
+        banded = run()
+        monkeypatch.setattr(ad, "_PEM_BAND_BYTES", 1 << 60)
+        assert banded == run()
+
+
 class TestBagForward:
     def test_eval_mode_deterministic(self):
         rng = np.random.default_rng(13)

@@ -30,6 +30,7 @@ from frmil.training import (
     train,
     write_metrics_csv,
 )
+from oracles import adam_step_reference
 
 
 class TestAdam:
@@ -68,6 +69,28 @@ class TestAdam:
             theta -= lr * (m / (1 - b1 ** step)) / (math.sqrt(v / (1 - b2 ** step)) + eps)
             assert t.data[0] == pytest.approx(theta, abs=1e-12)
         assert abs(t.data[0]) < 0.05
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_allocating_reference(self, dtype):
+        rng = np.random.default_rng(9)
+        shapes = {"w": (16, 8), "b": (8,), "unused": (3,)}
+        named = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                 for k, s in shapes.items()}
+        state = AdamState.for_params(named)
+        ref_named = {k: Tensor(t.data.copy(), requires_grad=True)
+                     for k, t in named.items()}
+        ref_state = AdamState.for_params(ref_named)
+        for _ in range(8):
+            # magnitudes from 1e-6 to 1e3, signed zeros, and a missing grad
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 4, s))
+                     .astype(dtype) for k, s in shapes.items() if k != "unused"}
+            grads["w"][0, :2] = (0.0, -0.0)
+            adam_step(named, grads, state, lr=1e-3)
+            adam_step_reference(ref_named, grads, ref_state, lr=1e-3)
+            for k in shapes:
+                assert named[k].data.tobytes() == ref_named[k].data.tobytes()
+                assert state.m[k].tobytes() == ref_state.m[k].tobytes()
+                assert state.v[k].tobytes() == ref_state.v[k].tobytes()
 
     def test_non_finite_gradient_aborts_with_name(self):
         t = Tensor(np.ones(2, np.float32), requires_grad=True)
