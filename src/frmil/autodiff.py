@@ -2,9 +2,9 @@
 
 Just enough machinery to express the model forward pass and get exact
 gradients for every parameter: 2-D matmul, broadcast-aware elementwise
-arithmetic, activations, masked softmax, layer norm, a depthwise 3x3
-convolution, gather/concat/reshape plumbing, and a finite-difference
-gradient checker.
+arithmetic (add, sub, mul, scale), relu, sigmoid, log, clamp, layer norm,
+masked reductions and row norms, row concat/gather/reshape, dropout, the
+two fused ops below, and a finite-difference gradient checker.
 
 Two fused ops carry the model's positional encoder and attention pooling,
 each one graph node with a hand-written backward:
@@ -305,17 +305,6 @@ def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Softmax over the last axis; masked entries get exactly zero weight."""
-    out = _masked_softmax(a.data, mask)
-
-    def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(a, out * (g - dot))
-
-    return _result(out, (a,), backward)
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization followed by an affine map."""
     x = a.data
@@ -341,45 +330,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 # ---------------------------------------------------------------------------
-# convolution
-
-
-def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel 3x3 convolution with one ring of zero padding.
-
-    a: (B, C, H, W), w: (C, 3, 3), bias: (C,). Groups equal the channel
-    count, so each channel is filtered independently and the spatial size
-    is preserved.
-    """
-    x = a.data
-    if x.ndim != 4:
-        raise ShapeError(f"conv input must be (B, C, H, W), got {x.shape}")
-    if w.data.shape != (x.shape[1], 3, 3):
-        raise ShapeError(f"conv weight shape {w.data.shape} does not match "
-                         f"{x.shape[1]} input channels")
-    B, C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.broadcast_to(bias.data[None, :, None, None], x.shape).astype(x.dtype).copy()
-    for dy in range(3):
-        for dx in range(3):
-            out += w.data[:, dy, dx][None, :, None, None] * xp[:, :, dy:dy + H, dx:dx + W]
-
-    def backward(g):
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for dy in range(3):
-                for dx in range(3):
-                    gw[:, dy, dx] = (g * xp[:, :, dy:dy + H, dx:dx + W]).sum(axis=(0, 2, 3))
-            _accumulate(w, gw)
-        if a.requires_grad:
-            gp = np.zeros_like(xp)
-            for dy in range(3):
-                for dx in range(3):
-                    gp[:, :, dy:dy + H, dx:dx + W] += w.data[:, dy, dx][None, :, None, None] * g
-            _accumulate(a, gp[:, :, 1:H + 1, 1:W + 1])
-
-    return _result(out, (a, w, bias), backward)
+# fused model ops
 
 
 # Grid rows the PEM forward filters at a time. A band, its product buffer
@@ -395,10 +346,6 @@ def _tap_range(k: int, g: int) -> Tuple[slice, slice]:
     return slice(max(0, -o), g - max(0, o)), slice(max(0, o), g - max(0, -o))
 
 
-# ---------------------------------------------------------------------------
-# fused model ops
-
-
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
                     conv_b: Tensor, residual: bool) -> Tensor:
     """Depthwise 3x3 filter over the unmasked rows of h laid out on a grid.
@@ -409,9 +356,10 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     plus conv_b (D,) and, when residual, the grid itself. The first n cells
     go back to the unmasked rows; masked rows of the output are zero.
 
-    Equal to ``depthwise_conv2d_3x3`` over the transposed grid, computed
-    channels-last: a (g, g, D) grid is a reshape of the rows, and each tap
-    multiplies the overlapping window into one shared buffer. The forward
+    Equal to ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over the
+    transposed grid, computed channels-last: a (g, g, D) grid is a reshape
+    of the rows, and each tap multiplies the overlapping window into one
+    shared buffer. The forward
     runs one band of ``_PEM_BAND_BYTES`` of output rows at a time: bias,
     the nine taps in order, then the residual. Every element gets the
     same operations in the same order as in one whole-grid pass, so the
@@ -568,7 +516,7 @@ def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
 # reductions and norms
 
 
-def masked_reduce(op: str, a: Tensor, mask: np.ndarray, axis: int = 0) -> Tensor:
+def masked_reduce(op: str, a: Tensor, mask: np.ndarray) -> Tensor:
     """Sum or mean over axis 0 counting only unmasked rows.
 
     For a 1-D input the result is a scalar; for (n, D) it is a (1, D) row.
@@ -577,8 +525,6 @@ def masked_reduce(op: str, a: Tensor, mask: np.ndarray, axis: int = 0) -> Tensor
     """
     if op not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {op!r}")
-    if axis != 0:
-        raise ShapeError("masked_reduce supports axis=0 only")
     m = np.asarray(mask, dtype=bool)
     if m.shape != (a.data.shape[0],):
         raise ShapeError(f"mask shape {m.shape} does not match axis extent "
@@ -652,11 +598,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _concat(parts, axis=0)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack along the trailing (feature) axis; used to rejoin heads."""
-    return _concat(parts, axis=1)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
@@ -666,17 +607,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def backward(g):
         _accumulate(a, g.reshape(a.data.shape))
-
-    return _result(out, (a,), backward)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose2d expects 2-D input, got {a.data.shape}")
-    out = np.ascontiguousarray(a.data.T)
-
-    def backward(g):
-        _accumulate(a, g.T)
 
     return _result(out, (a,), backward)
 
@@ -691,20 +621,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             np.add.at(a.grad, idx, g)
-
-    return _result(out, (a,), backward)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= lo < hi <= a.data.shape[1]):
-        raise ShapeError(f"invalid column slice [{lo}:{hi}] of {a.data.shape}")
-    out = np.ascontiguousarray(a.data[:, lo:hi])
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, lo:hi] += g
 
     return _result(out, (a,), backward)
 

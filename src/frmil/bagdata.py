@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -42,7 +43,8 @@ class StoreValueError(StoreError):
 
 
 class StoreManifestError(StoreError):
-    """The manifest lacks a required field or has the wrong layout."""
+    """The manifest lacks a required field, has the wrong layout, or names
+    a feature file outside the store."""
 
 
 class SingleClassError(ValueError):
@@ -204,6 +206,10 @@ def read_store(root) -> BagStore:
         if bag_id in store.bags:
             raise StoreManifestError(f"{where}: bag id {bag_id!r} is listed "
                                      f"twice")
+        norm = os.path.normpath(rel)
+        if os.path.isabs(norm) or norm.split(os.sep)[0] == "..":
+            raise StoreManifestError(f"{where}: path {rel!r} is outside the "
+                                     f"store at {root}")
         path = root / rel
         if not path.exists():
             raise StoreMissingFileError(f"bag {bag_id}: missing feature file {path}")

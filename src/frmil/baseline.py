@@ -29,26 +29,6 @@ class MagnitudeRecord:
 
 
 @dataclass
-class MagnitudeStats:
-    """Per-bag magnitudes plus the margin estimated from them."""
-
-    records: List[MagnitudeRecord]
-    tau: float
-    norm_squared: bool = True
-    method: str = "density-crossing"
-
-    @classmethod
-    def from_bags(cls, bags: Sequence[InstanceBag], squared: bool = True,
-                  recalibrated: bool = True, bins: int = 256,
-                  bandwidth: float | None = None) -> "MagnitudeStats":
-        records = compute_magnitudes(bags, squared=squared)
-        est = estimate_tau(records, bins=bins, bandwidth=bandwidth,
-                           recalibrated=recalibrated)
-        return cls(records=records, tau=est.tau, norm_squared=squared,
-                   method=est.method)
-
-
-@dataclass
 class TauEstimate:
     tau: float
     method: str  # "density-crossing" or "midpoint-fallback"
@@ -63,21 +43,16 @@ def mean_magnitude(features: np.ndarray, squared: bool = True) -> float:
     return float(np.mean(sq if squared else np.sqrt(sq)))
 
 
-def recalibrate_by_norm_max(features: np.ndarray,
-                            apply_relu: bool = False) -> np.ndarray:
+def recalibrate_by_norm_max(features: np.ndarray) -> np.ndarray:
     """Subtract the largest-norm row from every row (ties: lowest index).
 
-    The baseline variant has no ReLU; apply_relu exists for ablation.
+    Unlike the model's re-calibration, the baseline applies no ReLU.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError("recalibrate_by_norm_max needs a non-empty (n, D) array")
     norms = (feats ** 2).sum(axis=1)
-    anchor = feats[int(np.argmax(norms))]
-    out = feats - anchor
-    if apply_relu:
-        out = np.maximum(out, 0.0)
-    return out
+    return feats - feats[int(np.argmax(norms))]
 
 
 def bag_probability(mu: float, tau: float) -> float:
@@ -88,14 +63,13 @@ def bag_probability(mu: float, tau: float) -> float:
 
 
 def compute_magnitudes(bags: Sequence[InstanceBag],
-                       squared: bool = True,
-                       apply_relu: bool = False) -> List[MagnitudeRecord]:
+                       squared: bool = True) -> List[MagnitudeRecord]:
     """Raw and recalibrated magnitudes per bag (real instances only)."""
     records = []
     for bag in bags:
         feats = bag.real_features()
         mu_raw = mean_magnitude(feats, squared=squared)
-        mu_recal = mean_magnitude(recalibrate_by_norm_max(feats, apply_relu),
+        mu_recal = mean_magnitude(recalibrate_by_norm_max(feats),
                                   squared=squared)
         records.append(MagnitudeRecord(bag.bag_id, bag.label, mu_raw, mu_recal))
     return records
@@ -120,7 +94,6 @@ def _kde(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
 
 def estimate_tau(records: Sequence[MagnitudeRecord],
                  bins: int = 256,
-                 bandwidth: float | None = None,
                  recalibrated: bool = True) -> TauEstimate:
     """Margin from the first genuine crossing of the class densities.
 
@@ -146,10 +119,8 @@ def estimate_tau(records: Sequence[MagnitudeRecord],
     pos = np.asarray(mus[1], dtype=np.float64)
     top = float(max(neg.max(), pos.max()))
     grid = np.linspace(0.0, top * 1.05 if top > 0 else 1.0, bins)
-    bw_neg = bandwidth if bandwidth else _silverman_bandwidth(neg, top)
-    bw_pos = bandwidth if bandwidth else _silverman_bandwidth(pos, top)
-    d_neg = _kde(neg, grid, bw_neg)
-    d_pos = _kde(pos, grid, bw_pos)
+    d_neg = _kde(neg, grid, _silverman_bandwidth(neg, top))
+    d_pos = _kde(pos, grid, _silverman_bandwidth(pos, top))
     mode = int(np.argmax(d_neg))
     was_below = False
     for i in range(mode + 1, bins):
@@ -171,10 +142,9 @@ class BaselineReport:
 
 
 def baseline_classify(bags: Sequence[InstanceBag], tau: float,
-                      recalibrate: bool, threshold: float = 0.5,
-                      squared: bool = True,
-                      apply_relu: bool = False) -> BaselineReport:
-    """Classify each bag by its margin-clipped magnitude probability."""
+                      recalibrate: bool) -> BaselineReport:
+    """Classify each bag by its margin-clipped squared-magnitude
+    probability; a probability of 0.5 or more predicts positive."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     rows = []
@@ -182,10 +152,10 @@ def baseline_classify(bags: Sequence[InstanceBag], tau: float,
     for bag in bags:
         feats = bag.real_features()
         if recalibrate:
-            feats = recalibrate_by_norm_max(feats, apply_relu)
-        mu = mean_magnitude(feats, squared=squared)
+            feats = recalibrate_by_norm_max(feats)
+        mu = mean_magnitude(feats)
         prob = bag_probability(mu, tau)
-        pred = 1 if prob >= threshold else 0
+        pred = 1 if prob >= 0.5 else 0
         correct += int(pred == bag.label)
         rows.append((bag.bag_id, bag.label, mu, prob, pred))
     accuracy = correct / len(bags) if bags else 0.0

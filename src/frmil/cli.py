@@ -32,7 +32,6 @@ from .bagdata import (
     write_store,
 )
 from .baseline import (
-    MagnitudeStats,
     baseline_classify,
     compute_magnitudes,
     estimate_tau,
@@ -158,11 +157,10 @@ def cmd_gen(args) -> int:
 def cmd_tau(args) -> int:
     store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
-    stats = MagnitudeStats.from_bags([store.bag(i) for i in ids],
-                                     squared=not args.unsquared,
-                                     recalibrated=args.recalibrate,
-                                     bins=args.bins)
-    payload = {"tau": stats.tau, "method": stats.method,
+    records = compute_magnitudes([store.bag(i) for i in ids],
+                                 squared=not args.unsquared)
+    est = estimate_tau(records, bins=args.bins, recalibrated=args.recalibrate)
+    payload = {"tau": est.tau, "method": est.method,
                "recalibrated": bool(args.recalibrate)}
     text = json.dumps(payload, indent=1)
     if args.out:

@@ -79,7 +79,8 @@ class CheckpointValueError(CheckpointError):
 
 
 class CheckpointHeaderError(CheckpointError):
-    """The JSON header lacks a required field or has the wrong layout."""
+    """The JSON header lacks a required field, holds a field of the wrong
+    type, or points two parameters at overlapping bytes."""
 
 
 @dataclass
@@ -485,19 +486,34 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
         config = TrainConfig.from_dict(header["config"])
     except ConfigError as exc:
         raise CheckpointHeaderError(f"{path}: header config: {exc}") from exc
-    dim = int(header["dim"])
-    heads = int(header["heads"])
+    for key in ("dim", "heads"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise CheckpointHeaderError(f"{path}: header {key} must be a "
+                                        f"positive integer, got {header[key]!r}")
+    dim, heads = header["dim"], header["heads"]
     reference = init_params(dim, heads, seed=0)
     expected_shapes = {k: t.data.shape for k, t in reference.named().items()}
     loaded: Dict[str, Tensor] = {}
+    spans = []
     if not isinstance(header["params"], list):
         raise CheckpointHeaderError(f"{path}: header params is not a list")
     for i, entry in enumerate(header["params"]):
-        require_fields(entry, ("name", "shape", "offset", "nbytes"),
-                       f"{path}: header params[{i}]", CheckpointHeaderError)
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
-        off, nbytes = int(entry["offset"]), int(entry["nbytes"])
+        where = f"{path}: header params[{i}]"
+        require_fields(entry, ("name", "shape", "offset", "nbytes"), where,
+                       CheckpointHeaderError)
+        name, shape, off, nbytes = (entry[k] for k in
+                                    ("name", "shape", "offset", "nbytes"))
+        if not isinstance(name, str):
+            raise CheckpointHeaderError(f"{where}: name must be a string, "
+                                        f"got {name!r}")
+        if not isinstance(shape, list) or any(type(s) is not int for s in shape):
+            raise CheckpointHeaderError(f"{where}: shape must be a list of "
+                                        f"integers, got {shape!r}")
+        for key, value in (("offset", off), ("nbytes", nbytes)):
+            if type(value) is not int or value < 0:
+                raise CheckpointHeaderError(f"{where}: {key} must be a "
+                                            f"non-negative integer, got {value!r}")
+        shape = tuple(shape)
         if name not in expected_shapes:
             raise CheckpointShapeError(f"{path}: unexpected parameter {name!r}")
         if shape != expected_shapes[name]:
@@ -511,6 +527,12 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
         if not np.isfinite(arr).all():
             raise CheckpointValueError(f"{path}: non-finite values in {name}")
         loaded[name] = Tensor(arr.copy(), requires_grad=True)
+        spans.append((off, off + nbytes, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise CheckpointHeaderError(f"{path}: header params {first} and "
+                                        f"{second} overlap in the blob")
     missing = set(expected_shapes) - set(loaded)
     if missing:
         raise CheckpointShapeError(f"{path}: missing parameters {sorted(missing)}")

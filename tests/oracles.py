@@ -1,22 +1,123 @@
-"""Reference implementations that the fused model ops are tested against.
+"""Reference implementations that the product code is tested against.
+
+General autodiff ops that no product path uses, built on
+``autodiff._result`` and ``autodiff._accumulate`` like the product ops:
+``softmax_lastdim``, ``depthwise_conv2d_3x3``, ``concat_cols``,
+``transpose2d`` and ``slice_cols``.
 
 ``pem_composite`` and ``pmsa_composite`` build the positional encoder and
-the attention pooling from the general autodiff ops (gather, transpose,
+the attention pooling from those general ops (gather, transpose,
 depthwise conv, per-head slices, softmax, concat), projecting every token
 through the full K and V matrices. They are the eval-mode forwards of
 ``model.pem_forward`` and ``model.pmsa_forward`` before those moved onto
 ``autodiff.grid_positional`` and ``autodiff.query_attention``.
+
+``reference_op_checks`` runs the finite-difference checks of the general
+ops above, in the format of ``selftest.gradient_checks``.
+
+``pairwise_auc`` is the Mann-Whitney statistic as a double loop over
+(positive, negative) pairs, and ``brute_force_baseline`` the magnitude
+baseline's predictions as plain per-bag Python loops.
 
 ``adam_step_reference`` is ``training.adam_step`` as it was before it
 moved onto in-place ufuncs, one temporary array per operation.
 """
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 from frmil import autodiff as ad
-from frmil.autodiff import MaskError, Tensor
+from frmil.autodiff import (
+    MaskError,
+    ShapeError,
+    Tensor,
+    _accumulate,
+    _concat,
+    _masked_softmax,
+    _result,
+)
+from frmil.selftest import _check, _dims, _scalarize, _t
+
+
+def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax over the last axis; masked entries get exactly zero weight."""
+    out = _masked_softmax(a.data, mask)
+
+    def backward(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        _accumulate(a, out * (g - dot))
+
+    return _result(out, (a,), backward)
+
+
+def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel 3x3 convolution with one ring of zero padding.
+
+    a: (B, C, H, W), w: (C, 3, 3), bias: (C,). Groups equal the channel
+    count, so each channel is filtered independently and the spatial size
+    is preserved.
+    """
+    x = a.data
+    if x.ndim != 4:
+        raise ShapeError(f"conv input must be (B, C, H, W), got {x.shape}")
+    if w.data.shape != (x.shape[1], 3, 3):
+        raise ShapeError(f"conv weight shape {w.data.shape} does not match "
+                         f"{x.shape[1]} input channels")
+    B, C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.broadcast_to(bias.data[None, :, None, None], x.shape).astype(x.dtype).copy()
+    for dy in range(3):
+        for dx in range(3):
+            out += w.data[:, dy, dx][None, :, None, None] * xp[:, :, dy:dy + H, dx:dx + W]
+
+    def backward(g):
+        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            gw = np.empty_like(w.data)
+            for dy in range(3):
+                for dx in range(3):
+                    gw[:, dy, dx] = (g * xp[:, :, dy:dy + H, dx:dx + W]).sum(axis=(0, 2, 3))
+            _accumulate(w, gw)
+        if a.requires_grad:
+            gp = np.zeros_like(xp)
+            for dy in range(3):
+                for dx in range(3):
+                    gp[:, :, dy:dy + H, dx:dx + W] += w.data[:, dy, dx][None, :, None, None] * g
+            _accumulate(a, gp[:, :, 1:H + 1, 1:W + 1])
+
+    return _result(out, (a, w, bias), backward)
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Stack along the trailing (feature) axis; used to rejoin heads."""
+    return _concat(parts, axis=1)
+
+
+def transpose2d(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose2d expects 2-D input, got {a.data.shape}")
+    out = np.ascontiguousarray(a.data.T)
+
+    def backward(g):
+        _accumulate(a, g.T)
+
+    return _result(out, (a,), backward)
+
+
+def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
+    if a.data.ndim != 2 or not (0 <= lo < hi <= a.data.shape[1]):
+        raise ShapeError(f"invalid column slice [{lo}:{hi}] of {a.data.shape}")
+    out = np.ascontiguousarray(a.data[:, lo:hi])
+
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[:, lo:hi] += g
+
+    return _result(out, (a,), backward)
 
 
 def pem_composite(h_recal, mask, params, residual=True):
@@ -35,11 +136,11 @@ def pem_composite(h_recal, mask, params, residual=True):
     if g * g > n:
         pad = Tensor(np.zeros((g * g - n, d), dtype=h_recal.dtype))
         rows = ad.concat_rows([rows, pad])
-    grid = ad.reshape(ad.transpose2d(rows), (1, d, g, g))
-    conv = ad.depthwise_conv2d_3x3(grid, params.conv_w, params.conv_b)
+    grid = ad.reshape(transpose2d(rows), (1, d, g, g))
+    conv = depthwise_conv2d_3x3(grid, params.conv_w, params.conv_b)
     if residual:
         conv = ad.add(conv, grid)
-    flat = ad.transpose2d(ad.reshape(conv, (d, g * g)))
+    flat = transpose2d(ad.reshape(conv, (d, g * g)))
     restored = ad.take_rows(flat, np.arange(n))
     if n < n_rows:
         zero_row = Tensor(np.zeros((1, d), dtype=h_recal.dtype))
@@ -61,17 +162,75 @@ def pmsa_composite(h_q, tokens, token_mask, params):
     weights = []
     for head in range(params.heads):
         lo, hi = head * dh, (head + 1) * dh
-        qi = ad.slice_cols(q, lo, hi)
-        ki = ad.slice_cols(k, lo, hi)
-        vi = ad.slice_cols(v, lo, hi)
-        logits = ad.scale(ad.matmul(qi, ad.transpose2d(ki)), 1.0 / math.sqrt(dh))
-        attn = ad.softmax_lastdim(logits, mask=token_mask)
+        qi = slice_cols(q, lo, hi)
+        ki = slice_cols(k, lo, hi)
+        vi = slice_cols(v, lo, hi)
+        logits = ad.scale(ad.matmul(qi, transpose2d(ki)), 1.0 / math.sqrt(dh))
+        attn = softmax_lastdim(logits, mask=token_mask)
         pooled.append(ad.matmul(attn, vi))
         weights.append(attn.data.copy())
-    phi_hat = ad.add(ad.concat_cols(pooled), q)
+    phi_hat = ad.add(concat_cols(pooled), q)
     ff = ad.relu(ad.add(ad.matmul(phi_hat, params.o_w), params.o_b))
     z = ad.layer_norm(ad.add(phi_hat, ff), params.ln_gain, params.ln_bias)
     return z, np.stack(weights)
+
+
+def reference_op_checks():
+    """Finite-difference checks of the general ops above, seeds 0-3 each."""
+
+    def b_softmax(rng):
+        n, d = _dims(rng)
+        a = _t(rng, (n, d + 1))
+        mask = rng.random(d + 1) < 0.7
+        mask[0] = True
+        return lambda: _scalarize(softmax_lastdim(a, mask=mask)), [a]
+
+    def b_conv(rng):
+        c = int(rng.integers(1, 4))
+        h = int(rng.integers(1, 4))
+        a = _t(rng, (1, c, h, h))
+        w = _t(rng, (c, 3, 3))
+        b = _t(rng, (c,))
+        def f():
+            out = depthwise_conv2d_3x3(a, w, b)
+            return _scalarize(ad.reshape(out, (c, h * h)))
+        return f, [a, w, b]
+
+    def b_structural(rng):
+        n, d = _dims(rng)
+        a, b = _t(rng, (n, d)), _t(rng, (n, d))
+        idx = rng.integers(0, 2 * n, size=n + 1)
+        def f():
+            cat = ad.concat_rows([a, b])
+            picked = ad.take_rows(cat, idx)
+            wide = concat_cols([picked, ad.scale(picked, 0.5)])
+            cols = slice_cols(wide, 1, d + 1)
+            back = transpose2d(ad.reshape(cols, (d, n + 1)))
+            return _scalarize(back)
+        return f, [a, b]
+
+    return [_check("softmax_lastdim (masked)", b_softmax),
+            _check("depthwise_conv2d_3x3", b_conv),
+            _check("concat/reshape/transpose/gather", b_structural)]
+
+
+def pairwise_auc(scores, labels):
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def brute_force_baseline(bags, tau, recalibrate):
+    preds = []
+    for bag in bags:
+        h = bag.features[bag.mask].astype(np.float64)
+        if recalibrate:
+            norms = [float(sum(v * v for v in row)) for row in h]
+            h = h - h[norms.index(max(norms))].copy()
+        mu = sum(float(sum(v * v for v in row)) for row in h) / len(h)
+        preds.append(1 if min(tau, mu) / tau >= 0.5 else 0)
+    return preds
 
 
 def adam_step_reference(named, grads, state, lr):

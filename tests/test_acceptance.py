@@ -31,12 +31,7 @@ from frmil.baseline import (
 from frmil.cli import main as cli_main
 from frmil.model import bag_forward, init_params, pmsa_forward, recalibrate
 from frmil.objectives import feature_magnitude_loss
-from frmil.selftest import (
-    _brute_force_baseline,
-    _naive_conv,
-    _pairwise_auc,
-    gradient_checks,
-)
+from frmil.selftest import _naive_conv, gradient_checks
 from frmil.training import (
     TrainConfig,
     auc,
@@ -45,6 +40,12 @@ from frmil.training import (
     save_checkpoint,
     train,
     write_metrics_csv,
+)
+from oracles import (
+    brute_force_baseline,
+    depthwise_conv2d_3x3,
+    pairwise_auc,
+    reference_op_checks,
 )
 
 STORE_SEED = 42
@@ -81,7 +82,7 @@ def test_criterion_1_gradient_integrity():
     """Finite differences (64-bit, h=1e-5) over every differentiable op and
     the end-to-end objective on a small balanced batch, within 1e-4."""
     t0 = time.monotonic()
-    results = gradient_checks()
+    results = gradient_checks() + reference_op_checks()
     elapsed = time.monotonic() - t0
     worst = max(r.max_err for r in results)
     names = {r.name for r in results}
@@ -168,7 +169,7 @@ def test_criterion_3_oracle_equivalence():
         report = baseline_classify(bags, tau=80.0, recalibrate=recal)
         got = [row[4] for row in report.rows]
         mismatches += sum(int(a != b) for a, b in
-                          zip(got, _brute_force_baseline(bags, 80.0, recal)))
+                          zip(got, brute_force_baseline(bags, 80.0, recal)))
 
     # (b) rank AUC vs pairwise concordance on 100 random score sets
     rng = np.random.default_rng(4)
@@ -179,7 +180,7 @@ def test_criterion_3_oracle_equivalence():
         labels = (rng.random(n) < 0.5).astype(int)
         labels[0], labels[-1] = 1, 0
         auc_diff = max(auc_diff,
-                       abs(auc(scores, labels) - _pairwise_auc(scores, labels)))
+                       abs(auc(scores, labels) - pairwise_auc(scores, labels)))
 
     # (c) depthwise convolution vs the direct 9-term loop
     conv_diff = 0.0
@@ -188,9 +189,9 @@ def test_criterion_3_oracle_equivalence():
                              int(rng.integers(1, 8)), int(rng.integers(1, 8))))
         w = rng.normal(size=(x.shape[1], 3, 3))
         b = rng.normal(size=x.shape[1])
-        fast = ad.depthwise_conv2d_3x3(Tensor(x, dtype=np.float64),
-                                       Tensor(w, dtype=np.float64),
-                                       Tensor(b, dtype=np.float64)).data
+        fast = depthwise_conv2d_3x3(Tensor(x, dtype=np.float64),
+                                    Tensor(w, dtype=np.float64),
+                                    Tensor(b, dtype=np.float64)).data
         conv_diff = max(conv_diff, float(np.abs(fast - _naive_conv(x, w, b)).max()))
     ok = mismatches == 0 and auc_diff == 0.0 and conv_diff == 0.0
     verdict(ok, f"criterion 3 oracle equivalence: baseline mismatches "

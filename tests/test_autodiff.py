@@ -16,9 +16,7 @@ from frmil.autodiff import (
     add,
     backward,
     clamp,
-    concat_cols,
     concat_rows,
-    depthwise_conv2d_3x3,
     dropout,
     grad_check,
     l2_norm_rows,
@@ -31,10 +29,15 @@ from frmil.autodiff import (
     reshape,
     scale,
     sigmoid,
-    slice_cols,
-    softmax_lastdim,
     sub,
     take_rows,
+)
+from frmil.selftest import _naive_conv
+from oracles import (
+    concat_cols,
+    depthwise_conv2d_3x3,
+    slice_cols,
+    softmax_lastdim,
     transpose2d,
 )
 
@@ -221,24 +224,6 @@ class TestLayerNorm:
 
 
 class TestDepthwiseConv:
-    @staticmethod
-    def naive_conv(x, w, b):
-        """Direct 9-term loop; the oracle the fast path must match."""
-        B, C, H, W = x.shape
-        out = np.zeros_like(x)
-        for bi in range(B):
-            for c in range(C):
-                for y in range(H):
-                    for xx in range(W):
-                        acc = b[c]
-                        for dy in (-1, 0, 1):
-                            for dx in (-1, 0, 1):
-                                yy, xc = y + dy, xx + dx
-                                if 0 <= yy < H and 0 <= xc < W:
-                                    acc += w[c, dy + 1, dx + 1] * x[bi, c, yy, xc]
-                        out[bi, c, y, xx] = acc
-        return out
-
     def test_identity_kernel(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(1, 3, 4, 5))
@@ -258,7 +243,7 @@ class TestDepthwiseConv:
         w = np.ones((1, 3, 3))
         b = np.zeros(1)
         out = depthwise_conv2d_3x3(t64(x), t64(w), t64(b)).data
-        np.testing.assert_array_equal(out, self.naive_conv(x, w, b))
+        np.testing.assert_array_equal(out, _naive_conv(x, w, b))
 
     def test_matches_naive_loop_on_random_inputs(self):
         rng = np.random.default_rng(9)
@@ -271,7 +256,7 @@ class TestDepthwiseConv:
             w = rng.normal(size=(C, 3, 3))
             b = rng.normal(size=C)
             fast = depthwise_conv2d_3x3(t64(x), t64(w), t64(b)).data
-            np.testing.assert_array_equal(fast, self.naive_conv(x, w, b))
+            np.testing.assert_array_equal(fast, _naive_conv(x, w, b))
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):

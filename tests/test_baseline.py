@@ -5,7 +5,6 @@ import pytest
 
 from frmil.bagdata import SingleClassError, SyntheticSpec, generate_synthetic, make_bag
 from frmil.baseline import (
-    MagnitudeStats,
     MagnitudeRecord,
     bag_probability,
     baseline_classify,
@@ -15,6 +14,7 @@ from frmil.baseline import (
     recalibrate_by_norm_max,
     write_density_csv,
 )
+from oracles import brute_force_baseline
 
 
 class TestMeanMagnitude:
@@ -65,11 +65,6 @@ class TestRecalibrateByNormMax:
         shift = rng.normal(size=4) * 10
         np.testing.assert_allclose(recalibrate_by_norm_max(h + shift),
                                    recalibrate_by_norm_max(h), atol=1e-9)
-
-    def test_relu_variant_nonnegative(self):
-        rng = np.random.default_rng(3)
-        out = recalibrate_by_norm_max(rng.normal(size=(5, 4)), apply_relu=True)
-        assert (out >= 0).all()
 
 
 class TestBagProbability:
@@ -151,31 +146,13 @@ class TestEstimateTau:
 
 
 class TestBaselineClassify:
-    def brute_force(self, bags, tau, recalibrate, squared=True):
-        """Independent per-bag loop reimplementation."""
-        preds = []
-        for bag in bags:
-            h = bag.features[bag.mask].astype(np.float64)
-            if recalibrate:
-                norms = [float(sum(v * v for v in row)) for row in h]
-                anchor = h[norms.index(max(norms))].copy()
-                h = h - anchor
-            vals = []
-            for row in h:
-                s = float(sum(v * v for v in row))
-                vals.append(s if squared else s ** 0.5)
-            mu = sum(vals) / len(vals)
-            prob = min(tau, mu) / tau
-            preds.append(1 if prob >= 0.5 else 0)
-        return preds
-
     def test_matches_brute_force_on_synthetic_bags(self):
         spec = SyntheticSpec(n_bags=50, dim=12, bag_min=2, bag_max=9, seed=21)
         bags = generate_synthetic(spec)
         for recal in (False, True):
             report = baseline_classify(bags, tau=80.0, recalibrate=recal)
             got = [row[4] for row in report.rows]
-            assert got == self.brute_force(bags, 80.0, recal)
+            assert got == brute_force_baseline(bags, 80.0, recal)
             acc = np.mean([int(p == b.label) for p, b in zip(got, bags)])
             assert report.accuracy == pytest.approx(acc)
 
@@ -199,17 +176,6 @@ class TestBaselineClassify:
         shuf = baseline_classify(shuffled, tau=50.0, recalibrate=True)
         for a, b in zip(sorted(fwd.rows), sorted(shuf.rows)):
             assert a[3] == pytest.approx(b[3], abs=1e-9)
-
-
-class TestMagnitudeStats:
-    def test_from_bags_bundles_records_and_margin(self):
-        spec = SyntheticSpec(n_bags=40, dim=8, separation=2.0, seed=8)
-        bags = generate_synthetic(spec)
-        stats = MagnitudeStats.from_bags(bags, recalibrated=True)
-        assert len(stats.records) == 40
-        assert stats.tau > 0 and stats.norm_squared
-        est = estimate_tau(stats.records, recalibrated=True)
-        assert stats.tau == est.tau and stats.method == est.method
 
 
 class TestDensityCsv:

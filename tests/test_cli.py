@@ -379,6 +379,52 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "epochs" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", "abc"), ("heads", 0), ("name", 5), ("shape", ["8", 1]),
+        ("offset", -4), ("nbytes", "32")])
+    def test_checkpoint_field_of_wrong_type_exits_3(self, store_dir, run_dir,
+                                                    tmp_path, capsys, field,
+                                                    value):
+        def edit(header):
+            entry = header if field in ("dim", "heads") else header["params"][0]
+            entry[field] = value
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_checkpoint_overlapping_blobs_exit_3(self, store_dir, run_dir,
+                                                 tmp_path, capsys):
+        def edit(header):
+            entries = {e["name"]: e for e in header["params"]}
+            assert entries["conv_b"]["nbytes"] == entries["scorer_w"]["nbytes"]
+            entries["conv_b"]["offset"] = entries["scorer_w"]["offset"]
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "overlap" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("outside", ["../other/features/x.f32", "absolute"])
+    def test_manifest_path_outside_store_exits_3(self, store_dir, tmp_path,
+                                                 capsys, outside):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        target = tmp_path / "other" / "features" / "x.f32"
+        target.parent.mkdir(parents=True)
+        shutil.copy(root / manifest["bags"][0]["path"], target)
+        rel = str(target) if outside == "absolute" else outside
+        manifest["bags"][0]["path"] = rel
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("density", "--data", str(root),
+                       "--out", str(tmp_path / "density.csv")) == 3
+        err = capsys.readouterr().err
+        assert "outside" in err and rel in err and "Traceback" not in err
+
     def test_split_id_missing_from_store_exits_3(self, store_dir, tmp_path,
                                                  capsys):
         root = tmp_path / "store"
