@@ -11,8 +11,9 @@ each one graph node with a hand-written backward:
 
 - ``grid_positional`` runs the depthwise 3x3 filter channels-last. The
   (n, D) instance rows already are a row-major (g, g, D) grid, so no
-  transposes, pad concatenation or row scatter are needed. The forward
-  filters L2-sized bands of grid rows.
+  transposes or pad concatenation are needed. The forward and the input
+  gradient run one filter over L2-sized bands of grid rows, the gradient
+  with the taps flipped.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -29,12 +30,10 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-
-Scalar = Union[int, float]
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -82,28 +81,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # convenience operators used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
@@ -221,7 +201,7 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(out, (a, b) if isinstance(b, Tensor) else (a,), backward)
 
 
-def scale(a: Tensor, c: Scalar) -> Tensor:
+def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a plain python scalar."""
     c = float(c)
     out = a.data * np.asarray(c, dtype=a.data.dtype)
@@ -281,27 +261,23 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; masked entries get exactly zero weight.
 
     Masking excludes entries from both the max shift and the normalizer,
     which is equivalent to -inf logits without non-finite arithmetic.
     """
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (x.shape[-1],):
-            raise ShapeError(f"mask shape {m.shape} does not match last "
-                             f"dimension of {x.shape}")
-        if not m.any():
-            raise MaskError("softmax mask excludes every entry")
-        neg_inf = np.asarray(-np.inf, dtype=x.dtype)
-        shifted = np.where(m, x, neg_inf)
-        hi = shifted.max(axis=-1, keepdims=True)
-        # exp(-inf) is exactly 0, so masked entries never overflow
-        e = np.exp(np.where(m, x - hi, neg_inf))
-    else:
-        hi = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - hi)
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != (x.shape[-1],):
+        raise ShapeError(f"mask shape {m.shape} does not match last "
+                         f"dimension of {x.shape}")
+    if not m.any():
+        raise MaskError("softmax mask excludes every entry")
+    neg_inf = np.asarray(-np.inf, dtype=x.dtype)
+    shifted = np.where(m, x, neg_inf)
+    hi = shifted.max(axis=-1, keepdims=True)
+    # exp(-inf) is exactly 0, so masked entries never overflow
+    e = np.exp(np.where(m, x - hi, neg_inf))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -333,17 +309,47 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # fused model ops
 
 
-# Grid rows the PEM forward filters at a time. A band, its product buffer
-# and the input rows it reads stay in a 2 MB L2 cache, where the whole
-# (g, g, D) grid of a 1000-instance D=512 bag would be streamed through
-# memory once per tap.
+# Grid rows _filter computes at a time. A band, its product buffer and the
+# input rows it reads stay in a 2 MB L2 cache, where the whole (g, g, D)
+# grid of a 1000-instance D=512 bag would be streamed through memory once
+# per tap.
 _PEM_BAND_BYTES = 256 * 1024
 
 
-def _tap_range(k: int, g: int) -> Tuple[slice, slice]:
-    """(output, input) index ranges of kernel offset k - 1 along a side of g."""
-    o = k - 1
-    return slice(max(0, -o), g - max(0, o)), slice(max(0, o), g - max(0, -o))
+@lru_cache(maxsize=None)  # one entry per grid side; a build takes tens of us
+def _tap_ranges(g: int) -> tuple:
+    """(dy, dx, rows, cols) per 3x3 tap; rows and cols are (output, input) slices."""
+    span = [(slice(max(0, 1 - k), g - max(0, k - 1)),
+             slice(max(0, k - 1), g - max(0, 1 - k))) for k in range(3)]
+    return tuple((dy, dx, span[dy], span[dx]) for dy in range(3) for dx in range(3))
+
+
+def _filter(grid: np.ndarray, taps: np.ndarray, bias, residual: bool) -> np.ndarray:
+    """bias + taps (3, 3, D) over a zero-padded (g, g, D) grid (+ the grid
+    when residual), one band of ``_PEM_BAND_BYTES`` of output rows at a time:
+    bias, the nine taps in order, then the residual. Every element gets the
+    same operations in the same order as in one whole-grid band, so the
+    bytes do not depend on the band size."""
+    g, _, d = grid.shape
+    out = np.empty_like(grid)
+    band = min(g, max(1, _PEM_BAND_BYTES // (g * d * grid.itemsize or 1)))
+    buf = np.empty_like(grid[:band])
+    for lo in range(0, g, band):
+        hi = min(lo + band, g)
+        out[lo:hi] = bias
+        for dy, dx, (oy, _), (ox, ix) in _tap_ranges(g):
+            # the tap's output rows y0..y1 in this band read input rows
+            # y0+dy-1..y1+dy-1 and use buffer rows 0..y1-y0
+            y0, y1 = max(lo, oy.start), min(hi, oy.stop)
+            if y0 >= y1:
+                continue
+            dst = out[y0:y1, ox]
+            prod = np.multiply(taps[dy, dx], grid[y0 + dy - 1:y1 + dy - 1, ix],
+                               out=buf[:y1 - y0, ox])
+            np.add(dst, prod, out=dst)
+        if residual:
+            out[lo:hi] += grid[lo:hi]
+    return out
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
@@ -357,13 +363,13 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     go back to the unmasked rows; masked rows of the output are zero.
 
     Equal to ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over the
-    transposed grid, computed channels-last: a (g, g, D) grid is a reshape
-    of the rows, and each tap multiplies the overlapping window into one
-    shared buffer. The forward
-    runs one band of ``_PEM_BAND_BYTES`` of output rows at a time: bias,
-    the nine taps in order, then the residual. Every element gets the
-    same operations in the same order as in one whole-grid pass, so the
-    bytes do not depend on the band size.
+    transposed grid, computed channels-last by ``_filter``: a (g, g, D) grid
+    is a reshape of the rows. The input gradient is ``_filter`` of the
+    output gradient with the taps flipped, ``taps[::-1, ::-1]``, no bias
+    and the same residual: out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1],
+    so in[y, x] gets w[dy, dx] g[y-dy+1, x-dx+1], which is
+    w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w gradient is summed over
+    the whole grid.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -390,60 +396,29 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         cells.reshape(g * g, d)[:n] = rows if real is None else rows[real]
         return cells
 
-    grid = to_grid(x)
-    taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
-    ranges = [(dy, dx, _tap_range(dy, g), _tap_range(dx, g))
-              for dy in range(3) for dx in range(3)]
-    out = np.empty_like(grid)
-    band = min(g, max(1, _PEM_BAND_BYTES // (g * d * grid.itemsize or 1)))
-    buf = np.empty_like(grid[:band])
-    for lo in range(0, g, band):
-        hi = min(lo + band, g)
-        block = out[lo:hi]
-        block[...] = conv_b.data
-        for dy, dx, (oy, iy), (ox, ix) in ranges:
-            by = oy
-            if band < g:
-                # the tap's output rows y0..y1 in this band read input rows
-                # y0+dy-1..y1+dy-1 and use buffer rows 0..y1-y0
-                y0, y1 = max(lo, oy.start), min(hi, oy.stop)
-                if y0 >= y1:
-                    continue
-                oy, iy = slice(y0, y1), slice(y0 + dy - 1, y1 + dy - 1)
-                by = slice(0, y1 - y0)
-            dst = out[oy, ox]
-            prod = np.multiply(taps[dy, dx], grid[iy, ix], out=buf[by, ox])
-            np.add(dst, prod, out=dst)
-        if residual:
-            block += grid[lo:hi]
-    cells = out.reshape(g * g, d)[:n]
-    if real is None:
-        rows = cells
-    else:
+    def to_rows(cells: np.ndarray) -> np.ndarray:
+        """The first n cells back on the unmasked rows, masked rows zero."""
+        cells = cells.reshape(g * g, d)[:n]
+        if real is None:
+            return cells
         rows = np.zeros_like(x)
         rows[real] = cells
+        return rows
+
+    grid = to_grid(x)
+    taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
+    rows = to_rows(_filter(grid, taps, conv_b.data, residual))
 
     def backward(grad):
         gg = to_grid(grad)
         _accumulate(conv_b, gg.sum(axis=(0, 1)))
         if conv_w.requires_grad:
             gw = np.zeros((3, 3, d), dtype=x.dtype)
-            for dy, dx, (oy, iy), (ox, ix) in ranges:
+            for dy, dx, (oy, iy), (ox, ix) in _tap_ranges(g):
                 gw[dy, dx] = np.einsum("yxc,yxc->c", gg[oy, ox], grid[iy, ix])
             _accumulate(conv_w, gw.transpose(2, 0, 1))
         if h.requires_grad:
-            tmp = np.empty_like(grid)
-            gx = gg.copy() if residual else np.zeros_like(grid)
-            for dy, dx, (oy, iy), (ox, ix) in ranges:
-                gx[iy, ix] += np.multiply(taps[dy, dx], gg[oy, ox],
-                                          out=tmp[oy, ox])
-            gcells = gx.reshape(g * g, d)[:n]
-            if real is None:
-                _accumulate(h, gcells)
-            else:
-                if h.grad is None:
-                    h.grad = np.zeros_like(x)
-                h.grad[real] += gcells
+            _accumulate(h, to_rows(_filter(gg, taps[::-1, ::-1], 0, residual)))
 
     return _result(rows, (h, conv_w, conv_b), backward)
 
@@ -532,22 +507,16 @@ def masked_reduce(op: str, a: Tensor, mask: np.ndarray) -> Tensor:
     count = int(m.sum())
     if count == 0:
         raise MaskError("masked_reduce over zero unmasked entries")
-    mf = m.astype(a.data.dtype)
-    if a.data.ndim == 1:
-        total = (a.data * mf).sum()
-        out = np.asarray(total if op == "sum" else total / count, dtype=a.data.dtype)
-    elif a.data.ndim == 2:
-        total = (a.data * mf[:, None]).sum(axis=0, keepdims=True)
-        out = total if op == "sum" else total / count
-    else:
+    if a.data.ndim not in (1, 2):
         raise ShapeError(f"masked_reduce expects 1-D or 2-D input, got {a.data.shape}")
+    mf = m.astype(a.data.dtype)
+    rows = mf if a.data.ndim == 1 else mf[:, None]
+    total = (a.data * rows).sum(axis=0, keepdims=a.data.ndim == 2)
+    out = np.asarray(total if op == "sum" else total / count, dtype=a.data.dtype)
     denom = 1.0 if op == "sum" else float(count)
 
     def backward(g):
-        if a.data.ndim == 1:
-            _accumulate(a, (float(g) / denom) * mf)
-        else:
-            _accumulate(a, (g / denom) * mf[:, None])
+        _accumulate(a, (g / denom) * rows)
 
     return _result(out, (a,), backward)
 

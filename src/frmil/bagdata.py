@@ -82,8 +82,6 @@ class InstanceBag:
         self.features = np.asarray(self.features, dtype=np.float32)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(f"bag {self.bag_id}: features must be (n >= 1, D)")
-        if self.mask is None:
-            self.mask = np.ones(self.features.shape[0], dtype=bool)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.shape != (self.features.shape[0],):
             raise ValueError(f"bag {self.bag_id}: mask length "
@@ -96,10 +94,6 @@ class InstanceBag:
     @property
     def n_rows(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def n_real(self) -> int:
-        return int(self.mask.sum())
 
     @property
     def dim(self) -> int:
@@ -120,9 +114,6 @@ def pad_to(bag: InstanceBag, target_n: int) -> InstanceBag:
     if target_n < bag.n_rows:
         raise ValueError(f"cannot pad bag {bag.bag_id} of {bag.n_rows} rows "
                          f"down to {target_n}")
-    if target_n == bag.n_rows:
-        return InstanceBag(bag.bag_id, bag.label, bag.features.copy(),
-                           bag.mask.copy())
     extra = target_n - bag.n_rows
     feats = np.vstack([bag.features,
                        np.zeros((extra, bag.dim), dtype=np.float32)])
@@ -219,8 +210,6 @@ def read_store(root) -> BagStore:
             raise StoreSizeError(f"bag {bag_id}: feature file is {actual} bytes, "
                                  f"expected {expected} (n={n}, dim={dim})")
         data = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(n, dim)
-        if not np.isfinite(data).all():
-            raise StoreValueError(f"bag {bag_id}: non-finite feature values")
         store.bags[bag_id] = make_bag(bag_id, label, data)
     return store
 

@@ -78,9 +78,10 @@ def _default_seed() -> int:
 
 def _parse_fracs(text: str):
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated "
-                                         "fractions, e.g. 0.6,0.2,0.2")
+    if len(parts) != 3 or min(parts) < 0 or not abs(sum(parts) - 1.0) <= 1e-9:
+        raise argparse.ArgumentTypeError("expected three non-negative "
+                                         "comma-separated fractions summing "
+                                         "to 1, e.g. 0.6,0.2,0.2")
     return tuple(parts)
 
 
@@ -143,8 +144,10 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bags = generate_synthetic(spec)
-    store = write_store(bags, args.out)
-    split = split_ids(store.labels(), args.split_fracs, spec.seed)
+    # split before writing, so a split that cannot be made leaves no store
+    split = split_ids([(b.bag_id, b.label) for b in bags], args.split_fracs,
+                      spec.seed)
+    write_store(bags, args.out)
     write_split(split, Path(args.out) / "splits.json")
     n_pos = sum(b.label for b in bags)
     print(f"wrote {len(bags)} bags ({n_pos} positive, {len(bags) - n_pos} "
@@ -155,6 +158,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    if args.bins < 2:
+        raise ConfigError(f"--bins must be at least 2, got {args.bins}")
     store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     records = compute_magnitudes([store.bag(i) for i in ids],

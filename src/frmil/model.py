@@ -51,9 +51,6 @@ class ModelParams:
         skip = ("dim", "heads")
         return {k: v for k, v in self.__dict__.items() if k not in skip}
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t.data).all() for t in self.named().values())
-
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
@@ -171,9 +168,7 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
     positional = ad.grid_positional(h_recal, mask, params.conv_w,
                                     params.conv_b, residual=residual)
     tokens = ad.concat_rows([params.class_token, positional])
-    if training and dropout > 0.0:
-        tokens = ad.dropout(tokens, dropout, training=True, rng=rng)
-    return tokens
+    return ad.dropout(tokens, dropout, training=training, rng=rng)
 
 
 def pmsa_forward(h_q: Tensor, tokens: Tensor, token_mask: np.ndarray,
@@ -192,8 +187,7 @@ def pmsa_forward(h_q: Tensor, tokens: Tensor, token_mask: np.ndarray,
                                       params.v_w, params.v_b, token_mask,
                                       params.heads)
     phi_hat = ad.add(phi, q)
-    ff_in = ad.dropout(phi_hat, dropout, training=training, rng=rng) \
-        if training and dropout > 0.0 else phi_hat
+    ff_in = ad.dropout(phi_hat, dropout, training=training, rng=rng)
     ff = ad.relu(_linear(ff_in, params.o_w, params.o_b))
     z = ad.layer_norm(ad.add(phi_hat, ff), params.ln_gain, params.ln_bias)
     return z, weights
@@ -237,9 +231,6 @@ class ComparatorParams:
 
     def named(self) -> Dict[str, Tensor]:
         return {"w": self.w, "b": self.b}
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t.data).all() for t in self.named().values())
 
 
 COMPARATOR_KINDS = ("mean_pool", "max_pool")

@@ -54,11 +54,6 @@ def bce_loss(p: Union[Tensor, float], y: int) -> Tensor:
     return ad.scale(ad.log(pt), -1.0)
 
 
-def max_instance_loss(a_max: Union[Tensor, float], y: int) -> Tensor:
-    """Cross-entropy on the critical instance's probability."""
-    return bce_loss(a_max, y)
-
-
 def feature_magnitude_loss(h_pos: Tensor, mask_pos: np.ndarray,
                            h_neg: Tensor, mask_neg: np.ndarray,
                            tau: float, squared: bool = False) -> Tensor:
@@ -90,16 +85,13 @@ def total_loss(trace_pos: ForwardTrace, trace_neg: ForwardTrace,
     unweighted values of each term and the weighted total.
     """
     weights.validate()
-    if labels[0] == labels[1]:
-        raise BalancedBatchError(f"balanced batch needs one bag per class, "
-                                 f"got labels {labels}")
     if labels != (1, 0):
-        raise BalancedBatchError(f"expected (positive, negative) = (1, 0), "
-                                 f"got {labels}")
+        raise BalancedBatchError(f"a balanced batch is one (positive, negative) "
+                                 f"pair, labels (1, 0), got {labels}")
     l_bag = ad.scale(ad.add(bce_loss(trace_pos.bag_prob, 1),
                             bce_loss(trace_neg.bag_prob, 0)), 0.5)
-    l_max = ad.scale(ad.add(max_instance_loss(trace_pos.a_max, 1),
-                            max_instance_loss(trace_neg.a_max, 0)), 0.5)
+    l_max = ad.scale(ad.add(bce_loss(trace_pos.a_max, 1),
+                            bce_loss(trace_neg.a_max, 0)), 0.5)
     l_fm = feature_magnitude_loss(trace_pos.h_recal, trace_pos.mask,
                                   trace_neg.h_recal, trace_neg.mask,
                                   weights.tau, squared=fm_squared)

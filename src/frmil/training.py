@@ -106,11 +106,11 @@ class TrainConfig:
         self._check_types()
         if self.tau <= 0 or not np.isfinite(self.tau):
             raise ConfigError(f"tau must be finite and positive, got {self.tau}")
-        if len(self.gammas) != 3 or any(g < 0 for g in self.gammas):
-            raise ConfigError(f"gammas must be three non-negative reals, "
-                              f"got {self.gammas}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if len(self.gammas) != 3 or not all(0 <= g < np.inf for g in self.gammas):
+            raise ConfigError(f"gammas must be three finite non-negative "
+                              f"reals, got {self.gammas}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.heads < 1:

@@ -43,6 +43,8 @@ from frmil.selftest import _check, _dims, _scalarize, _t
 
 def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     """Softmax over the last axis; masked entries get exactly zero weight."""
+    if mask is None:
+        mask = np.ones(a.data.shape[-1], bool)
     out = _masked_softmax(a.data, mask)
 
     def backward(g):

@@ -434,7 +434,7 @@ class TestGradCheck:
         def f():
             c = clamp(p, 1e-7, 1 - 1e-7)
             dr = dropout(c, 0.3, training=True, rng=np.random.default_rng(42))
-            return masked_reduce("sum", l2_norm_rows(scale(log(dr + 1.5), -1.0)),
+            return masked_reduce("sum", l2_norm_rows(scale(log(add(dr, 1.5)), -1.0)),
                                  np.ones(3, bool))
 
         assert grad_check(f, [p], h=1e-6) <= 1e-4

@@ -108,7 +108,7 @@ class TestPadTo:
     def test_appends_zero_rows_with_false_mask(self):
         bag = make_bag("x", 1, np.ones((3, 2)))
         padded = pad_to(bag, 5)
-        assert padded.n_rows == 5 and padded.n_real == 3
+        assert padded.n_rows == 5 and padded.mask.sum() == 3
         np.testing.assert_array_equal(padded.mask, [True] * 3 + [False] * 2)
         np.testing.assert_array_equal(padded.features[3:], np.zeros((2, 2)))
 

@@ -49,6 +49,13 @@ class TestGen:
         assert run_cli("gen", "--out", str(tmp_path / "x"), "--bags", "10",
                        "--witness-rate", "0") == 2
 
+    def test_impossible_split_writes_nothing(self, tmp_path):
+        # three bags cannot give every split a bag of each label
+        out = tmp_path / "s"
+        assert run_cli("gen", "--out", str(out), "--bags", "3", "--dim", "4",
+                       "--bag-min", "2", "--bag-max", "3") == 3
+        assert not out.exists()
+
     def test_summary_counts(self, store_dir, capsys):
         store = read_store(store_dir)
         assert len(store) == 36
@@ -435,6 +442,39 @@ class TestMalformedInputs:
         assert run_cli("tau", "--data", str(root)) == 3
         err = capsys.readouterr().err
         assert "ghost" in err and "Traceback" not in err
+
+
+class TestFlagErrors:
+    """Out-of-range flags and config values exit 2 before any work."""
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2(self, store_dir, tmp_path, capsys, lr):
+        assert run_cli("train", "--data", str(store_dir),
+                       "--out", str(tmp_path / "r"), "--epochs", "1",
+                       "--lr", lr) == 2
+        assert "lr" in capsys.readouterr().err
+
+    def test_non_finite_gamma_exits_2(self, store_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gammas": [float("nan"), 0.3, 0.3]}))
+        assert run_cli("train", "--data", str(store_dir),
+                       "--out", str(tmp_path / "r"), "--epochs", "1",
+                       "--config", str(cfg_path)) == 2
+        assert "gammas" in capsys.readouterr().err
+
+    def test_one_tau_bin_exits_2(self, store_dir, capsys):
+        assert run_cli("tau", "--data", str(store_dir), "--bins", "1") == 2
+        assert "bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fracs", ["0.5,0.5,0.5", "1.2,-0.1,-0.1",
+                                       "nan,0.5,0.5"])
+    def test_bad_split_fracs_exit_2(self, tmp_path, capsys, fracs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--out", str(tmp_path / "s"),
+                    "--split-fracs", fracs)
+        assert exc.value.code == 2
+        assert "split-fracs" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestBlasThreads:

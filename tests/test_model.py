@@ -302,21 +302,28 @@ class TestFusedOpsMatchComposite:
 
 
 def _grid_positional_bytes(rng, n_rows, d, dtype, residual, mask=None):
-    """A closure running grid_positional on one random case, giving bytes."""
+    """A closure running grid_positional on one random case, giving the
+    bytes of the output and of the input gradient."""
     x = rng.normal(size=(n_rows, d)).astype(dtype)
     x[rng.random(x.shape) < 0.05] = -0.0
     w = rng.normal(size=(d, 3, 3)).astype(dtype)
     b = rng.normal(size=d).astype(dtype)
     mask = np.ones(n_rows, bool) if mask is None else mask
+    # drawn from its own generator, so the cases stay those of rng
+    upstream = np.random.default_rng(n_rows).normal(size=x.shape).astype(dtype)
 
     def run():
-        return ad.grid_positional(Tensor(x), mask, Tensor(w), Tensor(b),
-                                  residual).data.tobytes()
+        h = Tensor(x, requires_grad=True)
+        out = ad.grid_positional(h, mask, Tensor(w), Tensor(b), residual)
+        out.grad = upstream
+        backward(out)
+        return out.data.tobytes(), h.grad.tobytes()
     return run
 
 
 class TestGridPositionalBands:
-    """The banded PEM forward gives the bytes of one whole-grid band."""
+    """The banded PEM forward and input gradient give the bytes of one
+    whole-grid band."""
 
     @pytest.mark.parametrize("band_bytes", [1, 100, 4096])
     def test_any_band_size_matches_one_band(self, monkeypatch, band_bytes):

@@ -13,7 +13,6 @@ from frmil.objectives import (
     LossWeights,
     bce_loss,
     feature_magnitude_loss,
-    max_instance_loss,
     total_loss,
 )
 
@@ -46,10 +45,10 @@ class TestBceLoss:
 
 class TestMaxInstanceLoss:
     def test_half_false(self):
-        assert max_instance_loss(0.5, 0).item() == pytest.approx(math.log(2), abs=1e-7)
+        assert bce_loss(0.5, 0).item() == pytest.approx(math.log(2), abs=1e-7)
 
     def test_confident(self):
-        assert max_instance_loss(0.99, 1).item() == pytest.approx(0.01005, abs=1e-5)
+        assert bce_loss(0.99, 1).item() == pytest.approx(0.01005, abs=1e-5)
 
     def test_gradient_only_through_argmax_row(self):
         rng = np.random.default_rng(1)
@@ -57,7 +56,7 @@ class TestMaxInstanceLoss:
         bag = make_bag("b", 1, rng.normal(size=(5, 6)).astype(np.float32))
         trace = bag_forward(bag, params)
         params.scorer_w.grad = None
-        backward(max_instance_loss(trace.a_max, 1))
+        backward(bce_loss(trace.a_max, 1))
         # the scorer gradient is the winning row scaled by the local slope
         g = params.scorer_w.grad[:, 0].astype(np.float64)
         winner = bag.features[trace.max_index].astype(np.float64)

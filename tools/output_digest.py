@@ -1,0 +1,77 @@
+"""Digest every output of the frmil command line, to compare two trees.
+
+Usage: python tools/output_digest.py <src-dir>
+
+Runs ``python -m frmil.cli`` with PYTHONPATH=<src-dir> in a fresh
+temporary directory: ``gen`` builds a 36-bag D=8 store (seed 11), then
+``train``, ``eval --out``, ``ablate --comparators``, ``tau`` (two
+variants), ``baseline --out`` (two variants) and ``density`` (two
+variants) run on it. Prints the sha256 of every file written and of each
+command's stdout, with the directory path stripped. Two trees whose
+training and scoring arithmetic agree print identical lines, so
+
+    diff <(python tools/output_digest.py old/src) \\
+         <(python tools/output_digest.py src)
+
+is the byte-identity check of a refactor.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TRAIN = ["--heads", "2", "--tau", "30", "--lr", "1e-3", "--seed", "5"]
+COMMANDS = [
+    ("gen", ["gen", "--out", "store", "--bags", "36", "--dim", "8",
+             "--bag-min", "3", "--bag-max", "9", "--witness-rate", "0.25",
+             "--separation", "2.0", "--seed", "11"]),
+    ("train", ["train", "--data", "store", "--out", "run", "--epochs", "3"]
+     + TRAIN),
+    ("eval", ["eval", "--data", "store", "--ckpt", "run/final.ckpt",
+              "--out", "scores.csv"]),
+    ("ablate", ["ablate", "--data", "store", "--out", "ablate",
+                "--comparators", "--epochs", "2"] + TRAIN),
+    ("tau", ["tau", "--data", "store", "--recalibrate", "--out", "tau.json"]),
+    ("tau-unsquared", ["tau", "--data", "store", "--unsquared", "--bins", "64",
+                       "--split", "all", "--out", "tau_unsquared.json"]),
+    ("baseline", ["baseline", "--data", "store", "--tau-file", "tau.json",
+                  "--out", "baseline.csv"]),
+    ("baseline-all", ["baseline", "--data", "store", "--split", "all",
+                      "--out", "baseline_all.csv"]),
+    ("density", ["density", "--data", "store", "--out", "density.csv"]),
+    ("density-unsquared", ["density", "--data", "store", "--unsquared",
+                           "--out", "density_unsquared.csv"]),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(Path(argv[0]).resolve()))
+    env.pop("FRMIL_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "frmil.cli", *args],
+                                  cwd=tmp, env=env, capture_output=True)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr.decode())
+                print(f"{label} exited {proc.returncode}", file=sys.stderr)
+                return 1
+            stdout = proc.stdout.replace(os.fsencode(tmp), b"<dir>")
+            print(f"{sha256(stdout)}  stdout:{label}")
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                print(f"{sha256(path.read_bytes())}  {path.relative_to(tmp)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
