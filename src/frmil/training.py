@@ -190,6 +190,13 @@ class AdamState:
                    v={k: np.zeros_like(t.data) for k, t in named.items()})
 
 
+# Elements adam_step updates at a time. A band of p, g, m, v and the two
+# scratch arrays (6 x 256 KiB in float32) stays in a 2 MB L2 cache, where a
+# whole (512, 512) matrix (6 MB of them) is streamed through memory once
+# per operation.
+_ADAM_BAND = 64 * 1024
+
+
 def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
@@ -197,6 +204,9 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
     Parameters and moments change in place, through two scratch arrays
     per parameter, rounding in the order of ``m += (1 - b1) g``,
     ``v += ((1 - b2) g) g`` and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
+    The sequence runs over bands of leading-axis rows of about
+    ``_ADAM_BAND`` elements; every element gets the same operations in the
+    same order, so the bytes do not depend on the band size.
 
     Aborts on any non-finite gradient or resulting parameter, naming the
     offender.
@@ -216,22 +226,26 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name} "
                                 f"at step {t}")
-        m = state.m[name]
-        v = state.v[name]
-        update = np.empty_like(p)
-        denom = np.empty_like(p)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=update)
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=update)
-        v += np.multiply(update, g, out=update)
-        np.divide(m, bc1, out=update)
-        np.multiply(lr, update, out=update)
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        p -= np.divide(update, denom, out=update)
-        if not np.isfinite(p).all():
+        rows = max(1, _ADAM_BAND // max(1, p[:1].size))
+        scratch = np.empty_like(p[:rows]), np.empty_like(p[:rows])
+        finite = True
+        for lo in range(0, len(p), rows):
+            band = slice(lo, lo + rows)
+            pb, gb, m, v = p[band], g[band], state.m[name][band], state.v[name][band]
+            update, denom = (s[:len(pb)] for s in scratch)
+            m *= state.beta1
+            m += np.multiply(1.0 - state.beta1, gb, out=update)
+            v *= state.beta2
+            np.multiply(1.0 - state.beta2, gb, out=update)
+            v += np.multiply(update, gb, out=update)
+            np.divide(m, bc1, out=update)
+            np.multiply(lr, update, out=update)
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            pb -= np.divide(update, denom, out=update)
+            finite = finite and bool(np.isfinite(pb).all())
+        if not finite:
             raise TrainingError(f"non-finite parameter {name} after step {t}")
 
 

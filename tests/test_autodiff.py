@@ -89,6 +89,30 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, ga, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(b.grad, gb, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_dim_one_gradients_have_blas_bytes(self, dtype):
+        # the a gradient of (4, 6) @ (6, 1) and the b gradient of
+        # (1, 6) @ (6, 5) are outer products, taken without BLAS
+        rng = np.random.default_rng(4)
+        for a_shape, b_shape in (((4, 6), (6, 1)), ((1, 6), (6, 5))):
+            a = Tensor(rng.normal(size=a_shape), requires_grad=True, dtype=dtype)
+            b = Tensor(rng.normal(size=b_shape), requires_grad=True, dtype=dtype)
+            a.data.flat[:2] = (0.0, -0.0)
+            b.data.flat[:2] = (-0.0, 0.0)
+            g = rng.normal(size=(a_shape[0], b_shape[1])).astype(dtype)
+            g.flat[:2] = (-0.0, 0.0)
+            out = matmul(a, b)
+            blas = ((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+            out._backward(g)       # first write
+            expected = [np.add(f(g), 0, out=np.empty_like(t.data)) for t, f in blas]
+            assert [t.grad.tobytes() for t, _ in blas] == [e.tobytes() for e in expected]
+            out._backward(-g)      # +=
+            for (t, f), e in zip(blas, expected):
+                e += f(-g)
+                assert t.grad.tobytes() == e.tobytes()
+        # the multiply does give -0.0, which the accumulation must clear
+        assert np.signbit(ad._product(a.data.T, g)).any()
+
 
 class TestElementwise:
     def test_sub_self_is_zero(self):

@@ -13,6 +13,7 @@ from frmil.bagdata import (
     split_ids,
     write_store,
 )
+from frmil import training
 from frmil.model import init_params
 from frmil.training import (
     AdamState,
@@ -72,6 +73,16 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_match_allocating_reference(self, dtype):
+        self._compare_with_reference(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bands_match_allocating_reference(self, monkeypatch, dtype):
+        # w (16, 8) then runs in 16 one-row bands, b (8,) in bands of 5 and 3
+        monkeypatch.setattr(training, "_ADAM_BAND", 5)
+        self._compare_with_reference(dtype)
+
+    @staticmethod
+    def _compare_with_reference(dtype):
         rng = np.random.default_rng(9)
         shapes = {"w": (16, 8), "b": (8,), "unused": (3,)}
         named = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
