@@ -4,6 +4,7 @@ Every derivative claim is checked against central finite differences
 computed here in float64, independent of the backward implementations.
 """
 
+import math
 
 import numpy as np
 import pytest
@@ -375,6 +376,43 @@ class TestStructuralOps:
         assert set(np.round(vals, 6)) <= {0.0, 1.25}
         # survival rate close to 1 - rate
         assert abs((out.data != 0).mean() - 0.8) < 0.03
+
+    def test_dropout_same_seed_same_mask(self):
+        x = Tensor(np.ones((40, 30), np.float32))
+        masks = [dropout(x, 0.2, training=True,
+                         rng=np.random.default_rng(seed)).data.tobytes()
+                 for seed in (3, 3, 4)]
+        assert masks[0] == masks[1] != masks[2]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_survivors_are_exactly_x_over_keep_rate(self, dtype):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(64, 48)), requires_grad=True, dtype=dtype)
+        out = dropout(x, 0.3, training=True, rng=rng)
+        kept = out.data != 0
+        assert 0 < kept.mean() < 1
+        assert out.data[kept].tobytes() == (x.data / (1 - 0.3))[kept].tobytes()
+        out._backward(np.ones_like(x.data))
+        np.testing.assert_array_equal(x.grad != 0, kept)
+
+    def test_dropout_fraction_within_four_sd(self):
+        rate, shape = 0.2, (1025, 512)
+        out = dropout(Tensor(np.ones(shape, np.float32)), rate, training=True,
+                      rng=np.random.default_rng(21))
+        sd = math.sqrt(rate * (1 - rate) / out.data.size)
+        assert abs((out.data == 0).mean() - rate) <= 4 * sd
+
+    def test_dropout_threshold_at_half_is_32768(self):
+        class Draws:
+            """Hands dropout fixed 16-bit draws."""
+
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 1 << 16, np.uint16)
+                return np.array([[32767, 32768]], dtype).reshape(size)
+
+        out = dropout(Tensor(np.ones((1, 2), np.float32)), 0.5, training=True,
+                      rng=Draws())
+        np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
 
 class TestReplayDeterminism:
