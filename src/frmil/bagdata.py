@@ -249,10 +249,12 @@ class SyntheticSpec:
             raise ValueError(f"witness_rate must be in (0, 1], got {self.witness_rate}")
         if not (0.0 < self.pos_frac < 1.0):
             raise ValueError(f"pos_frac must be in (0, 1), got {self.pos_frac}")
-        if self.separation < 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
-        if self.noise_scale <= 0:
-            raise ValueError(f"noise_scale must be > 0, got {self.noise_scale}")
+        if not 0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got "
+                             f"{self.separation}")
+        if not 0 < self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and > 0, got "
+                             f"{self.noise_scale}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -175,12 +175,6 @@ def cmd_tau(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    store = read_store(args.data)
-    ids = _split_bag_ids(store, args.data, args.split)
-    bags = [store.bag(i) for i in ids]
-    train_ids = _split_bag_ids(store, args.data, "train")
-    train_records = compute_magnitudes([store.bag(i) for i in train_ids])
-
     taus = {}
     if args.tau is not None:
         taus[args.recalibrate] = args.tau
@@ -191,6 +185,15 @@ def cmd_baseline(args) -> int:
             raise ConfigError(f"tau file {args.tau_file} has no numeric "
                               f"\"tau\" value")
         taus[bool(loaded.get("recalibrated", args.recalibrate))] = float(tau)
+    for tau in taus.values():
+        if not 0 < tau < float("inf"):
+            raise ConfigError(f"tau must be finite and positive, got {tau}")
+
+    store = read_store(args.data)
+    ids = _split_bag_ids(store, args.data, args.split)
+    bags = [store.bag(i) for i in ids]
+    train_ids = _split_bag_ids(store, args.data, "train")
+    train_records = compute_magnitudes([store.bag(i) for i in train_ids])
     for recal in (False, True):
         if recal not in taus:
             taus[recal] = estimate_tau(train_records, recalibrated=recal).tau

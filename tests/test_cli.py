@@ -476,6 +476,28 @@ class TestFlagErrors:
         assert "split-fracs" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1", "0"])
+    def test_bad_baseline_tau_exits_2(self, store_dir, capsys, tau):
+        assert run_cli("baseline", "--data", str(store_dir), "--tau", tau) == 2
+        captured = capsys.readouterr()
+        assert "tau" in captured.err and not captured.out
+
+    def test_nan_tau_file_exits_2(self, store_dir, tmp_path, capsys):
+        tau_file = tmp_path / "tau.json"
+        tau_file.write_text('{"tau": NaN, "recalibrated": false}')
+        assert run_cli("baseline", "--data", str(store_dir),
+                       "--tau-file", str(tau_file)) == 2
+        assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--separation", "--noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gen_scale_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s"
+        assert run_cli("gen", "--out", str(out), "--bags", "12", "--dim", "4",
+                       flag, value) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBlasThreads:
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

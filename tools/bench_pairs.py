@@ -1,0 +1,124 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+Usage: python tools/bench_pairs.py --parent DIR --change DIR \\
+           --workload W --seeds 71-75 --seconds 30
+
+For each seed, runs ``perfbench/run.py --trace 0`` once in each checkout,
+the parent first on even pairs and the change first on odd ones, so a
+drift in host speed falls on both sides. Then prints, for every
+end-to-end metric of the parent's BENCHMARK.json: the parent median, the
+change median, their ratio, the pairs the change won (ties count for
+neither), and the parent's quartile spread over its median. Seeds whose
+output fingerprints differ between the two checkouts are flagged.
+
+Exits 1 when any run exits non-zero or reports ``"correct": false``,
+2 on bad arguments.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list:
+    """'71-75' or '71,73,80-81' to a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError("no seeds")
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run: its result line, fingerprint and exit code."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}}
+    prefix = f"fingerprint {workload} seed {seed}: "
+    fingerprint = next((ln[len(prefix):] for ln in lines if ln.startswith(prefix)),
+                       None)
+    return {"code": proc.returncode, "result": result,
+            "fingerprint": fingerprint, "stderr": proc.stderr}
+
+
+def spread(values: list) -> float:
+    """Distance between the quartiles over the median."""
+    if len(values) < 2:
+        return 0.0
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / q2 if q2 else float("inf")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True)
+    parser.add_argument("--seconds", required=True, type=float)
+    args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        parser.error(f"--seeds must look like 71-75 or 71,72, got {args.seeds!r}")
+    for side in (args.parent, args.change):
+        if not (side / "perfbench" / "run.py").is_file():
+            parser.error(f"{side} has no perfbench/run.py")
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    runs = {"parent": [], "change": []}
+    ok = True
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(run)
+            if run["code"] != 0 or not run["result"].get("correct"):
+                ok = False
+                print(f"FAILED: {side} seed {seed} exited {run['code']}, correct "
+                      f"{run['result'].get('correct')}\n{run['stderr']}",
+                      file=sys.stderr)
+        parent, change = runs["parent"][-1], runs["change"][-1]
+        same = parent["fingerprint"] == change["fingerprint"]
+        print(f"pair {i + 1}/{len(seeds)} seed {seed} ({order[0]} first): "
+              f"fingerprint {parent['fingerprint']} / {change['fingerprint']}"
+              + ("" if same else "  DIFFERENT"), flush=True)
+
+    differ = sum(p["fingerprint"] != c["fingerprint"]
+                 for p, c in zip(runs["parent"], runs["change"]))
+    print(f"\n{args.workload}, {len(seeds)} pairs of {args.seconds:g} s runs; "
+          f"fingerprints differ on {differ} of {len(seeds)} pairs")
+    print(f"{'metric':22s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
+          f"{'won':>6s} {'spread':>7s}")
+    for name, direction in better.items():
+        pairs = [(p["result"]["metrics"][name]["value"],
+                  c["result"]["metrics"][name]["value"])
+                 for p, c in zip(runs["parent"], runs["change"])
+                 if name in p["result"].get("metrics", {})
+                 and name in c["result"].get("metrics", {})]
+        if not pairs:
+            continue
+        old = [p for p, _ in pairs]
+        new = [c for _, c in pairs]
+        old_med, new_med = statistics.median(old), statistics.median(new)
+        won = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+        ratio = new_med / old_med if old_med else float("inf")
+        print(f"{name:22s} {old_med:12.6g} {new_med:12.6g} {ratio:7.3f} "
+              f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
