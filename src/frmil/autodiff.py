@@ -623,7 +623,8 @@ def dropout(a: Tensor, rate: float, training: bool,
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = rng.integers(0, 1 << 16, a.data.shape, dtype=np.uint16) >= round(rate * (1 << 16))
+    draws = rng.integers(0, 1 << 16, a.data.shape, dtype=np.uint16)
+    keep = draws >= round(rate * (1 << 16))
     survive = a.data.dtype.type(1.0 - rate)
     out = a.data / survive
     out *= keep

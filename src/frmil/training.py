@@ -226,7 +226,7 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name} "
                                 f"at step {t}")
-        rows = max(1, _ADAM_BAND // max(1, p[:1].size))
+        rows = max(1, _ADAM_BAND // p[:1].size)
         scratch = np.empty_like(p[:rows]), np.empty_like(p[:rows])
         finite = True
         for lo in range(0, len(p), rows):
