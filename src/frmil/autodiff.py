@@ -149,7 +149,7 @@ def _check_broadcastable(a: Tensor, b) -> None:
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y, as a broadcast multiply when the shared dimension is 1.
 
-    An outer product through BLAS costs about four times the multiply at
+    An outer product through BLAS costs over three times the multiply at
     (512, 1) @ (1, 512). The values are equal; BLAS gives +0.0 where the
     multiply gives -0.0, and ``_accumulate`` turns -0.0 into +0.0, so a
     gradient gets the same bytes either way.
