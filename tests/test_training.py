@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from frmil import training
 from frmil.autodiff import Tensor
 from frmil.bagdata import (
     SingleClassError,
@@ -13,7 +14,6 @@ from frmil.bagdata import (
     split_ids,
     write_store,
 )
-from frmil import training
 from frmil.model import init_params
 from frmil.training import (
     AdamState,
