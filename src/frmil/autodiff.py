@@ -10,10 +10,11 @@ Two fused ops carry the model's positional encoder and attention pooling,
 each one graph node with a hand-written backward:
 
 - ``grid_positional`` runs the depthwise 3x3 filter channels-last. The
-  (n, D) instance rows already are a row-major (g, g, D) grid, so no
-  transposes or pad concatenation are needed. The forward and the input
-  gradient run one filter over L2-sized bands of grid rows, the gradient
-  with the taps flipped.
+  (n, D) instance rows already are a row-major (g, g, D) grid, so they
+  are copied, with no transpose, into a buffer with a zero ring. The
+  forward and the input gradient run one einsum per L2-sized band of
+  grid rows over a strided view of the 3x3 windows, the gradient with
+  the taps flipped; the bias is added after the taps.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -30,7 +31,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -320,47 +320,59 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # fused model ops
 
 
-# Grid rows _filter computes at a time. A band, its product buffer and the
-# input rows it reads stay in a 2 MB L2 cache, where the whole (g, g, D)
-# grid of a 1000-instance D=512 bag would be streamed through memory once
-# per tap.
+# Output grid rows per einsum in _filter. The bias and residual passes then
+# run over a band still in a 2 MB L2 cache, not over the whole (g, g, D)
+# grid of a 1000-instance D=512 bag.
 _PEM_BAND_BYTES = 256 * 1024
 
 
-@lru_cache(maxsize=None)  # one entry per grid side; a build takes tens of us
-def _tap_ranges(g: int) -> tuple:
-    """(dy, dx, rows, cols) per 3x3 tap; rows and cols are (output, input) slices."""
-    span = [(slice(max(0, 1 - k), g - max(0, k - 1)),
-             slice(max(0, k - 1), g - max(0, 1 - k))) for k in range(3)]
-    return tuple((dy, dx, span[dy], span[dx]) for dy in range(3) for dx in range(3))
+def _widen(a: np.ndarray) -> np.ndarray:
+    """a with a zero channel appended on the last axis. At D = 1 numpy drops
+    the channel loop from an einsum and sums the taps of a cell in registers,
+    in another order; with two channels the channel loop stays innermost."""
+    return np.concatenate([a, np.zeros_like(a)], axis=-1)
 
 
-def _filter(grid: np.ndarray, taps: np.ndarray, bias, residual: bool) -> np.ndarray:
-    """bias + taps (3, 3, D) over a zero-padded (g, g, D) grid (+ the grid
-    when residual), one band of ``_PEM_BAND_BYTES`` of output rows at a time:
-    bias, the nine taps in order, then the residual. Every element gets the
-    same operations in the same order as in one whole-grid band, so the
-    bytes do not depend on the band size."""
-    g, _, d = grid.shape
-    out = np.empty_like(grid)
-    band = min(g, max(1, _PEM_BAND_BYTES // (g * d * grid.itemsize or 1)))
-    buf = np.empty_like(grid[:band])
+def _windows(pad: np.ndarray) -> np.ndarray:
+    """Read-only (g, g, 3, 3, D) view of the 3x3 neighbourhood of every cell
+    of the (g, g, D) interior of a zero-ringed (g + 2, g + 2, D) grid."""
+    g = pad.shape[0] - 2
+    s0, s1, s2 = pad.strides
+    return np.lib.stride_tricks.as_strided(
+        pad, (g, g, 3, 3, pad.shape[2]), (s0, s1, s0, s1, s2), writeable=False)
+
+
+def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool) -> np.ndarray:
+    """taps (3, 3, D) over the (g, g, D) interior of a zero-ringed
+    (g + 2, g + 2, D) grid, then bias, then the interior when residual.
+
+    One einsum per band of ``_PEM_BAND_BYTES`` of output rows: it starts
+    each output at 0 and adds the nine taps in (dy, dx) order, the channel
+    axis innermost, so the bytes do not depend on the band size.
+    """
+    g, d = pad.shape[0] - 2, pad.shape[2]
+    if d == 1:
+        return _filter(_widen(pad), _widen(taps), bias, residual)[..., :1]
+    win = _windows(pad)
+    out = np.empty((g, g, d), dtype=pad.dtype)
+    band = max(1, _PEM_BAND_BYTES // (g * d * pad.itemsize))
     for lo in range(0, g, band):
         hi = min(lo + band, g)
-        out[lo:hi] = bias
-        for dy, dx, (oy, _), (ox, ix) in _tap_ranges(g):
-            # the tap's output rows y0..y1 in this band read input rows
-            # y0+dy-1..y1+dy-1 and use buffer rows 0..y1-y0
-            y0, y1 = max(lo, oy.start), min(hi, oy.stop)
-            if y0 >= y1:
-                continue
-            dst = out[y0:y1, ox]
-            prod = np.multiply(taps[dy, dx], grid[y0 + dy - 1:y1 + dy - 1, ix],
-                               out=buf[:y1 - y0, ox])
-            np.add(dst, prod, out=dst)
+        np.einsum("yxijc,ijc->yxc", win[lo:hi], taps, out=out[lo:hi])
+        out[lo:hi] += bias
         if residual:
-            out[lo:hi] += grid[lo:hi]
+            out[lo:hi] += pad[lo + 1:hi + 1, 1:g + 1]
     return out
+
+
+def _tap_gradient(gpad: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """(3, 3, D) sums of the interior cells of gpad times the nine full
+    (g, g) windows of pad, one einsum over the window view: each sum runs
+    from 0 over the cells in row-major order."""
+    g, d = pad.shape[0] - 2, pad.shape[2]
+    if d == 1:
+        return _tap_gradient(_widen(gpad), _widen(pad))[..., :1]
+    return np.einsum("yxijc,yxc->ijc", _windows(pad), gpad[1:g + 1, 1:g + 1])
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
@@ -370,17 +382,20 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     The n unmasked rows of h (n_rows, D), in order, fill a g x g grid
     row-major with g = ceil(sqrt(n)) and zero trailing cells. Each channel
     is filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
-    plus conv_b (D,) and, when residual, the grid itself. The first n cells
-    go back to the unmasked rows; masked rows of the output are zero.
+    then conv_b (D,) is added and, when residual, the grid itself. The
+    first n cells go back to the unmasked rows; masked rows of the output
+    are zero.
 
     Equal to ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over the
-    transposed grid, computed channels-last by ``_filter``: a (g, g, D) grid
-    is a reshape of the rows. The input gradient is ``_filter`` of the
-    output gradient with the taps flipped, ``taps[::-1, ::-1]``, no bias
-    and the same residual: out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1],
-    so in[y, x] gets w[dy, dx] g[y-dy+1, x-dx+1], which is
-    w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w gradient is summed over
-    the whole grid.
+    transposed grid, computed channels-last by ``_filter``: the rows are
+    copied into the interior of a (g + 2, g + 2, D) buffer with a zero
+    ring, and each band of output rows is one einsum over a strided view
+    of the 3x3 windows. The input gradient is ``_filter`` of the
+    zero-ringed output gradient with the taps flipped, ``taps[::-1, ::-1]``,
+    no bias and the same residual: out[y, x] takes w[dy, dx] in[y+dy-1,
+    x+dx-1], so in[y, x] gets w[dy, dx] g[y-dy+1, x-dx+1], which is
+    w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w gradient sums the output
+    gradient against the nine full (g, g) windows of the padded grid.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -398,15 +413,22 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     g = math.isqrt(n)
     if g * g < n:
         g += 1
+    full, part = divmod(n, g)
 
     def to_grid(rows: np.ndarray) -> np.ndarray:
-        """The unmasked rows in grid order, trailing cells zero."""
-        if real is None and g * g == n:
-            return rows.reshape(g, g, d)
-        cells = np.empty((g * g, d), dtype=x.dtype)
-        cells[:n] = rows if real is None else rows[real]
-        cells[n:] = 0
-        return cells.reshape(g, g, d)
+        """The unmasked rows in grid order inside a zero ring, trailing
+        cells zero: a (g + 2, g + 2, D) buffer."""
+        cells = rows if real is None else rows[real]
+        pad = np.empty((g + 2, g + 2, d), dtype=x.dtype)
+        pad[0] = pad[g + 1] = 0
+        pad[1:g + 1, 0] = pad[1:g + 1, g + 1] = 0
+        inner = pad[1:g + 1, 1:g + 1]
+        inner[:full] = cells[:full * g].reshape(full, g, d)
+        if full < g:
+            inner[full, :part] = cells[full * g:]
+            inner[full, part:] = 0
+            inner[full + 1:] = 0
+        return pad
 
     def to_rows(cells: np.ndarray) -> np.ndarray:
         """The first n cells back on the unmasked rows, masked rows zero."""
@@ -417,20 +439,17 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         rows[real] = cells
         return rows
 
-    grid = to_grid(x)
+    pad = to_grid(x)
     taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
-    rows = to_rows(_filter(grid, taps, conv_b.data, residual))
+    rows = to_rows(_filter(pad, taps, conv_b.data, residual))
 
     def backward(grad):
-        gg = to_grid(grad)
-        _accumulate(conv_b, gg.sum(axis=(0, 1)))
+        gpad = to_grid(grad)
+        _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:
-            gw = np.zeros((3, 3, d), dtype=x.dtype)
-            for dy, dx, (oy, iy), (ox, ix) in _tap_ranges(g):
-                gw[dy, dx] = np.einsum("yxc,yxc->c", gg[oy, ox], grid[iy, ix])
-            _accumulate(conv_w, gw.transpose(2, 0, 1))
+            _accumulate(conv_w, _tap_gradient(gpad, pad).transpose(2, 0, 1))
         if h.requires_grad:
-            _accumulate(h, to_rows(_filter(gg, taps[::-1, ::-1], 0, residual)))
+            _accumulate(h, to_rows(_filter(gpad, taps[::-1, ::-1], 0, residual)))
 
     return _result(rows, (h, conv_w, conv_b), backward)
 

@@ -199,20 +199,21 @@ def gradient_checks() -> List[CheckResult]:
 
 
 def _naive_conv(x, w, b):
-    """Depthwise 3x3 convolution of (B, C, H, W) as a direct 9-term loop."""
+    """Depthwise 3x3 convolution of (B, C, H, W) as a direct 9-term loop:
+    the taps from 0 in (dy, dx) order, then the bias."""
     B, C, H, W = x.shape
     out = np.zeros_like(x)
     for bi in range(B):
         for c in range(C):
             for y in range(H):
                 for xx in range(W):
-                    acc = b[c]
+                    acc = out.dtype.type(0)
                     for dy in (-1, 0, 1):
                         for dx in (-1, 0, 1):
                             yy, xc = y + dy, xx + dx
                             if 0 <= yy < H and 0 <= xc < W:
                                 acc += w[c, dy + 1, dx + 1] * x[bi, c, yy, xc]
-                    out[bi, c, y, xx] = acc
+                    out[bi, c, y, xx] = acc + b[c]
     return out
 
 

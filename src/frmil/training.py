@@ -17,6 +17,7 @@ import copy
 import csv
 import json
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -471,13 +472,22 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
         "heads": params.heads,
         "params": entries,
     }).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    # a temp file in the same directory, then a rename: an interrupted write
+    # leaves the previous checkpoint as it was
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(bytes([CHECKPOINT_VERSION]))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
@@ -528,6 +538,8 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
                 raise CheckpointHeaderError(f"{where}: {key} must be a "
                                             f"non-negative integer, got {value!r}")
         shape = tuple(shape)
+        if name in loaded:
+            raise CheckpointHeaderError(f"{where}: repeated parameter {name!r}")
         if name not in expected_shapes:
             raise CheckpointShapeError(f"{path}: unexpected parameter {name!r}")
         if shape != expected_shapes[name]:
@@ -550,5 +562,11 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     missing = set(expected_shapes) - set(loaded)
     if missing:
         raise CheckpointShapeError(f"{path}: missing parameters {sorted(missing)}")
+    # the spans are in bounds and do not overlap, so they cover the blob
+    # exactly when their lengths add up to it
+    unclaimed = len(blob) - sum(end - start for start, end, _ in spans)
+    if unclaimed:
+        raise CheckpointHeaderError(f"{path}: {unclaimed} blob bytes belong to "
+                                    f"no parameter")
     params = ModelParams(dim=dim, heads=heads, **loaded)
     return params, config

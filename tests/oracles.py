@@ -69,10 +69,12 @@ def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                          f"{x.shape[1]} input channels")
     B, C, H, W = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.broadcast_to(bias.data[None, :, None, None], x.shape).astype(x.dtype).copy()
+    # the nine taps from 0 in (dy, dx) order, then the bias
+    out = np.zeros_like(x)
     for dy in range(3):
         for dx in range(3):
             out += w.data[:, dy, dx][None, :, None, None] * xp[:, :, dy:dy + H, dx:dx + W]
+    out += bias.data[None, :, None, None]
 
     def backward(g):
         _accumulate(bias, g.sum(axis=(0, 2, 3)))

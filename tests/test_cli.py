@@ -415,6 +415,54 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "overlap" in err and "Traceback" not in err
 
+    def test_checkpoint_trailing_bytes_exit_3(self, store_dir, run_dir,
+                                              tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes((run_dir / "final.ckpt").read_bytes() + b"\0" * 4)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "4 blob bytes belong to no parameter" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_gap_between_blobs_exit_3(self, store_dir, run_dir,
+                                                 tmp_path, capsys):
+        # four bytes in front of the last blob, its offset moved past them
+        data = (run_dir / "final.ckpt").read_bytes()
+        (length,) = struct.unpack("<I", data[5:9])
+        header = json.loads(data[9:9 + length])
+        last = max(header["params"], key=lambda e: e["offset"])
+        blob = data[9 + length:]
+        blob = blob[:last["offset"]] + b"\0" * 4 + blob[last["offset"]:]
+        last["offset"] += 4
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + blob)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "4 blob bytes belong to no parameter" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_repeated_parameter_exits_3(self, store_dir, run_dir,
+                                                   tmp_path, capsys):
+        # a second conv_b entry over its own copy of the bytes at the end
+        data = (run_dir / "final.ckpt").read_bytes()
+        (length,) = struct.unpack("<I", data[5:9])
+        header = json.loads(data[9:9 + length])
+        blob = data[9 + length:]
+        entry = next(e for e in header["params"] if e["name"] == "conv_b")
+        twin = dict(entry, offset=len(blob))
+        header["params"].append(twin)
+        blob += blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + blob)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "repeated parameter 'conv_b'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("outside", ["../other/features/x.f32", "absolute"])
     def test_manifest_path_outside_store_exits_3(self, store_dir, tmp_path,
                                                  capsys, outside):

@@ -21,6 +21,7 @@ from frmil.model import (
     select_max_instance,
 )
 from frmil.objectives import LossWeights, total_loss
+from frmil.selftest import _naive_conv
 from oracles import pem_composite, pmsa_composite
 
 
@@ -321,23 +322,38 @@ def _grid_positional_bytes(rng, n_rows, d, dtype, residual, mask=None):
     return run
 
 
+def _assert_bands_match_one_band(monkeypatch, rng, band_bytes, trials,
+                                 dim=None):
+    """Random cases (D drawn from 1..23 unless given) give the same bytes
+    in bands of band_bytes as in one whole-grid band."""
+    for trial in range(trials):
+        n_rows = int(rng.integers(1, 120))
+        d = int(rng.integers(1, 24)) if dim is None else dim
+        run = _grid_positional_bytes(
+            rng, n_rows, d, (np.float32, np.float64)[trial % 2],
+            bool(trial % 4 // 2), _random_mask(rng, n_rows))
+        monkeypatch.setattr(ad, "_PEM_BAND_BYTES", 1 << 60)
+        whole = run()
+        monkeypatch.setattr(ad, "_PEM_BAND_BYTES", band_bytes)
+        assert run() == whole
+
+
 class TestGridPositionalBands:
     """The banded PEM forward and input gradient give the bytes of one
     whole-grid band."""
 
     @pytest.mark.parametrize("band_bytes", [1, 100, 4096])
     def test_any_band_size_matches_one_band(self, monkeypatch, band_bytes):
-        rng = np.random.default_rng(band_bytes)
-        for trial in range(24):
-            n_rows = int(rng.integers(1, 120))
-            run = _grid_positional_bytes(
-                rng, n_rows, int(rng.integers(1, 24)),
-                (np.float32, np.float64)[trial % 2], bool(trial % 4 // 2),
-                _random_mask(rng, n_rows))
-            monkeypatch.setattr(ad, "_PEM_BAND_BYTES", 1 << 60)
-            whole = run()
-            monkeypatch.setattr(ad, "_PEM_BAND_BYTES", band_bytes)
-            assert run() == whole
+        _assert_bands_match_one_band(monkeypatch,
+                                     np.random.default_rng(band_bytes),
+                                     band_bytes, 24)
+
+    @pytest.mark.parametrize("band_bytes", [1, 8, 100])
+    def test_single_channel_any_band_size(self, monkeypatch, band_bytes):
+        # D = 1 runs the filter on a widened two-channel grid
+        _assert_bands_match_one_band(monkeypatch,
+                                     np.random.default_rng(200 + band_bytes),
+                                     band_bytes, 12, dim=1)
 
     def test_wsi_bag_matches_one_band(self, monkeypatch):
         # 4096 x 512 float32: a 64 x 64 grid in bands of 2 rows
@@ -346,6 +362,54 @@ class TestGridPositionalBands:
         banded = run()
         monkeypatch.setattr(ad, "_PEM_BAND_BYTES", 1 << 60)
         assert banded == run()
+
+
+class TestGridPositionalSumOrder:
+    """The filter adds a cell's nine taps from 0 in (dy, dx) order, then the
+    bias, then the residual, with no tolerance."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_naive_conv_exactly(self, d, dtype):
+        # D = 1 takes the widened-grid path, D = 2 the plain one
+        rng = np.random.default_rng(40 + d)
+        for trial in range(20):
+            n_rows = int(rng.integers(1, 60))
+            mask = _random_mask(rng, n_rows)
+            x, w, b = (rng.normal(size=s).astype(dtype)
+                       for s in ((n_rows, d), (d, 3, 3), (d,)))
+            residual = trial % 2 == 1
+            fast = ad.grid_positional(Tensor(x), mask, Tensor(w), Tensor(b),
+                                      residual).data
+            n = int(mask.sum())
+            g = math.isqrt(n - 1) + 1
+            cells = np.vstack([x[mask], np.zeros((g * g - n, d), dtype)])
+            grid = cells.T.reshape(1, d, g, g)
+            naive = _naive_conv(grid, w, b)
+            if residual:
+                naive = naive + grid
+            expect = np.zeros_like(x)
+            expect[mask] = naive.reshape(d, g * g).T[:n]
+            np.testing.assert_array_equal(fast, expect)
+
+    def test_wsi_forward_sums_taps_in_order(self):
+        # float32, D = 512, conv_b = 0: a numpy release that reorders
+        # einsum's loops, or fuses its multiply and add, changes these bytes
+        rng = np.random.default_rng(41)
+        n, d, g = 1000, 512, 32
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        w = rng.normal(size=(d, 3, 3)).astype(np.float32)
+        cells = np.zeros((g * g, d), np.float32)
+        cells[:n] = x
+        pad = np.pad(cells.reshape(g, g, d), ((1, 1), (1, 1), (0, 0)))
+        expect = np.zeros((g, g, d), np.float32)
+        for dy in range(3):
+            for dx in range(3):
+                expect += w[:, dy, dx] * pad[dy:dy + g, dx:dx + g]
+        expect += pad[1:g + 1, 1:g + 1]
+        out = ad.grid_positional(Tensor(x), np.ones(n, bool), Tensor(w),
+                                 Tensor(np.zeros(d, np.float32)), True)
+        assert out.data.tobytes() == expect.reshape(g * g, d)[:n].tobytes()
 
 
 class TestBagForward:

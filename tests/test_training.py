@@ -1,6 +1,7 @@
 """Optimizer, metrics, checkpointing, and training-loop determinism."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +321,44 @@ class TestCheckpoint:
                          + new_header + data[9 + hlen:])
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_old_file(self, tiny_store, tmp_path,
+                                         monkeypatch):
+        store, split = tiny_store
+        config = tiny_config(epochs=1)
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(init_params(store.dim, config.heads, seed=0), config,
+                        path)
+        before = path.read_bytes()
+        real_open = Path.open
+
+        class DiskFull:
+            """A file that takes 100 bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh, self.left = fh, 100
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, raw):
+                if len(raw) > self.left:
+                    self.fh.write(raw[:self.left])
+                    raise OSError(28, "No space left on device")
+                self.left -= len(raw)
+                return self.fh.write(raw)
+
+        monkeypatch.setattr(Path, "open",
+                            lambda self, *a, **k: DiskFull(real_open(self, *a, **k)))
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(init_params(store.dim, config.heads, seed=1),
+                            config, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
 
     def test_load_then_evaluate_identical(self, tiny_store, tmp_path):
         store, split = tiny_store

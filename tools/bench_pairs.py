@@ -8,8 +8,11 @@ the parent first on even pairs and the change first on odd ones, so a
 drift in host speed falls on both sides. Then prints, for every
 end-to-end metric of the parent's BENCHMARK.json: the parent median, the
 change median, their ratio, the pairs the change won (ties count for
-neither), and the parent's quartile spread over its median. Seeds whose
-output fingerprints differ between the two checkouts are flagged.
+neither), and the parent's quartile spread over its median. A metric whose
+change median is worse than the parent median by more than its ``bound``,
+as a fraction of the parent median in the direction of ``better``, is
+marked OUT OF BOUND. Seeds whose output fingerprints differ between the
+two checkouts are flagged.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments.
@@ -17,6 +20,7 @@ Exits 1 when any run exits non-zero or reports ``"correct": false``,
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -60,6 +64,15 @@ def spread(values: list) -> float:
     return (q3 - q1) / q2 if q2 else float("inf")
 
 
+def worse_by(old: float, new: float, better: str) -> float:
+    """How much worse new is than old, as a fraction of old (negative when
+    better)."""
+    diff = new - old if better == "lower" else old - new
+    if not old:
+        return math.copysign(float("inf"), diff) if diff else 0.0
+    return diff / abs(old)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -76,7 +89,7 @@ def main(argv=None) -> int:
         if not (side / "perfbench" / "run.py").is_file():
             parser.error(f"{side} has no perfbench/run.py")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     ok = True
@@ -102,7 +115,9 @@ def main(argv=None) -> int:
           f"fingerprints differ on {differ} of {len(seeds)} pairs")
     print(f"{'metric':22s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
           f"{'won':>6s} {'spread':>7s}")
-    for name, direction in better.items():
+    out_of_bound = []
+    for name, metric in metrics.items():
+        direction = metric["better"]
         pairs = [(p["result"]["metrics"][name]["value"],
                   c["result"]["metrics"][name]["value"])
                  for p, c in zip(runs["parent"], runs["change"])
@@ -115,8 +130,15 @@ def main(argv=None) -> int:
         old_med, new_med = statistics.median(old), statistics.median(new)
         won = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
         ratio = new_med / old_med if old_med else float("inf")
+        worse = worse_by(old_med, new_med, direction)
+        flag = ""
+        if worse > metric["bound"]:
+            out_of_bound.append(name)
+            flag = f"  OUT OF BOUND ({worse:+.1%} worse, bound {metric['bound']:.0%})"
         print(f"{name:22s} {old_med:12.6g} {new_med:12.6g} {ratio:7.3f} "
-              f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}")
+              f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}{flag}")
+    if out_of_bound:
+        print(f"out of bound: {', '.join(out_of_bound)}")
     return 0 if ok else 1
 
 
