@@ -12,6 +12,8 @@ any language.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -54,6 +56,31 @@ class SingleClassError(ValueError):
 class SplitError(ValueError):
     """A split file is malformed or puts one bag in two splits, a split
     names a bag the store lacks, or cannot give every class a bag."""
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to path through a temp file in the same
+    directory and a rename, so a write that fails partway leaves the
+    previous file as it was. The temp file is not fsynced: this guards
+    against a failed or interrupted write, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """Write rows with ``csv.writer`` (``\\r\\n`` line ends) via write_atomic."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 def require_fields(obj, names: Sequence[str], where: str, error: type) -> None:
@@ -155,6 +182,10 @@ def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
         raise ValueError(f"bags disagree on feature dimension: {sorted(dims)}")
     (root / FEATURE_DIR).mkdir(parents=True, exist_ok=True)
     entries = []
+    # feature files first, in place (a rename per file slowed writing a
+    # 200-bag D=64 store by 40-140% on a 2-core VM), then the manifest
+    # through write_atomic: a store whose write failed has no manifest, or
+    # its old one, whose sizes read_store checks against every file
     for bag in bags:
         rel = f"{FEATURE_DIR}/{bag.bag_id}.f32"
         data = np.ascontiguousarray(bag.real_features(), dtype="<f4")
@@ -163,7 +194,7 @@ def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
                         "n": int(data.shape[0]), "path": rel})
     dim = dims.pop() if dims else 0
     manifest = {"dim": dim, "bags": entries}
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
+    write_atomic(root / MANIFEST_NAME, json.dumps(manifest, indent=1))
     return BagStore(root=root, dim=dim,
                     bags={b.bag_id: make_bag(b.bag_id, b.label, b.real_features())
                           for b in bags})
@@ -366,7 +397,7 @@ def split_ids(labeled: Sequence[Tuple[str, int]],
 
 
 def write_split(split: Dict[str, List[str]], path) -> None:
-    Path(path).write_text(json.dumps(split, indent=1))
+    write_atomic(path, json.dumps(split, indent=1))
 
 
 def read_split(path) -> Dict[str, List[str]]:

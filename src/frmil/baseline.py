@@ -9,15 +9,13 @@ first cross, estimated on the train set only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .bagdata import InstanceBag, SingleClassError
+from .bagdata import InstanceBag, SingleClassError, write_csv
 
 
 @dataclass
@@ -165,9 +163,6 @@ def baseline_classify(bags: Sequence[InstanceBag], tau: float,
 
 def write_density_csv(records: Sequence[MagnitudeRecord], path) -> None:
     """Per-bag magnitude export for external density plotting."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "label", "mu_raw", "mu_recal"])
-        for rec in records:
-            writer.writerow([rec.bag_id, rec.label,
-                             f"{rec.mu_raw:.6f}", f"{rec.mu_recal:.6f}"])
+    write_csv(path, [["bag_id", "label", "mu_raw", "mu_recal"]]
+              + [[rec.bag_id, rec.label, f"{rec.mu_raw:.6f}",
+                  f"{rec.mu_recal:.6f}"] for rec in records])

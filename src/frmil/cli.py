@@ -28,6 +28,7 @@ from .bagdata import (
     read_split,
     read_store,
     split_ids,
+    write_atomic,
     write_split,
     write_store,
 )
@@ -124,8 +125,8 @@ def _resolve_config(args) -> TrainConfig:
 
 def _echo_config(config: TrainConfig, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(config.to_dict(), indent=1, sort_keys=True))
+    write_atomic(run_dir / "config.json",
+                 json.dumps(config.to_dict(), indent=1, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def cmd_tau(args) -> int:
                "recalibrated": bool(args.recalibrate)}
     text = json.dumps(payload, indent=1)
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
     print(text)
     return EXIT_OK
 
@@ -209,7 +210,7 @@ def cmd_baseline(args) -> int:
         lines = ["bag_id,label,mu,probability,prediction"]
         lines += [f"{r[0]},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]}"
                   for r in selected.rows]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -304,7 +305,7 @@ def cmd_ablate(args) -> int:
         print(f"{name:<12s} acc {report.accuracy:.4f} "
               f"auc {_auc_text(report.auc)}")
         lines.append(f"{name},{report.accuracy:.6f},{_auc_text(report.auc, 6)}")
-    (run_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(run_dir / "ablation.csv", "\n".join(lines) + "\n")
     print(f"results table in {run_dir / 'ablation.csv'}")
     return EXIT_OK
 

@@ -23,18 +23,34 @@ from .autodiff import MaskError, Tensor
 from .bagdata import InstanceBag
 
 
+def param_shapes(dim: int) -> Dict[str, Tuple[int, ...]]:
+    """Name -> shape of every ModelParams parameter, in checkpoint order.
+
+    The one description of the parameter layout: ``init_params``,
+    ``ModelParams.named`` and the checkpoint format all follow it.
+    """
+    d, dd = (dim,), (dim, dim)
+    return {"scorer_w": (dim, 1), "scorer_b": (1,),
+            "conv_w": (dim, 3, 3), "conv_b": d,
+            "class_token": (1, dim),
+            "q_w": dd, "q_b": d, "k_w": dd, "k_b": d,
+            "v_w": dd, "v_b": d, "o_w": dd, "o_b": d,
+            "ln_gain": d, "ln_bias": d,
+            "clf_w": (dim, 1), "clf_b": (1,)}
+
+
 @dataclass
 class ModelParams:
-    """Every learnable parameter, keyed for the optimizer and checkpoints."""
+    """Every learnable parameter; shapes and order are ``param_shapes``."""
 
     dim: int
     heads: int
-    scorer_w: Tensor   # (D, 1) instance scorer
-    scorer_b: Tensor   # (1,)
-    conv_w: Tensor     # (D, 3, 3) depthwise positional filter
-    conv_b: Tensor     # (D,)
-    class_token: Tensor  # (1, D)
-    q_w: Tensor        # (D, D) query projection, and so on
+    scorer_w: Tensor   # instance scorer
+    scorer_b: Tensor
+    conv_w: Tensor     # depthwise positional filter
+    conv_b: Tensor
+    class_token: Tensor
+    q_w: Tensor        # query projection, and so on
     q_b: Tensor
     k_w: Tensor
     k_b: Tensor
@@ -42,14 +58,13 @@ class ModelParams:
     v_b: Tensor
     o_w: Tensor
     o_b: Tensor
-    ln_gain: Tensor    # (D,)
-    ln_bias: Tensor    # (D,)
-    clf_w: Tensor      # (D, 1) bag classifier
-    clf_b: Tensor      # (1,)
+    ln_gain: Tensor
+    ln_bias: Tensor
+    clf_w: Tensor      # bag classifier
+    clf_b: Tensor
 
     def named(self) -> Dict[str, Tensor]:
-        skip = ("dim", "heads")
-        return {k: v for k, v in self.__dict__.items() if k not in skip}
+        return {k: getattr(self, k) for k in param_shapes(self.dim)}
 
     @property
     def head_dim(self) -> int:
@@ -64,7 +79,7 @@ def _uniform_init(rng, shape, fan_in, dtype):
 
 def init_params(dim: int, heads: int, seed: int,
                 dtype=np.float32) -> ModelParams:
-    """Deterministic initialization under seed.
+    """Deterministic initialization under seed, drawn in table order.
 
     The class token is standard normal; linear and convolution weights are
     uniform in +-1/sqrt(fan_in); biases start at zero; layer-norm gain at
@@ -73,28 +88,17 @@ def init_params(dim: int, heads: int, seed: int,
     if dim % heads != 0:
         raise ValueError(f"feature dim {dim} is not divisible by {heads} heads")
     rng = np.random.default_rng(seed)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    params = ModelParams(
-        dim=dim, heads=heads,
-        scorer_w=_uniform_init(rng, (dim, 1), dim, dtype),
-        scorer_b=zeros((1,)),
-        conv_w=_uniform_init(rng, (dim, 3, 3), 9, dtype),
-        conv_b=zeros((dim,)),
-        class_token=Tensor(rng.standard_normal(size=(1, dim)).astype(dtype),
-                           requires_grad=True),
-        q_w=_uniform_init(rng, (dim, dim), dim, dtype), q_b=zeros((dim,)),
-        k_w=_uniform_init(rng, (dim, dim), dim, dtype), k_b=zeros((dim,)),
-        v_w=_uniform_init(rng, (dim, dim), dim, dtype), v_b=zeros((dim,)),
-        o_w=_uniform_init(rng, (dim, dim), dim, dtype), o_b=zeros((dim,)),
-        ln_gain=Tensor(np.ones(dim, dtype=dtype), requires_grad=True),
-        ln_bias=zeros((dim,)),
-        clf_w=_uniform_init(rng, (dim, 1), dim, dtype),
-        clf_b=zeros((1,)),
-    )
-    return params
+    params = {}
+    for name, shape in param_shapes(dim).items():
+        if name.endswith("_w"):
+            bound = 1.0 / math.sqrt(9 if name == "conv_w" else dim)  # fan-in
+            data = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        elif name == "class_token":
+            data = rng.standard_normal(size=shape).astype(dtype)
+        else:
+            data = (np.ones if name == "ln_gain" else np.zeros)(shape, dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return ModelParams(dim=dim, heads=heads, **params)
 
 
 @dataclass

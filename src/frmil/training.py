@@ -6,18 +6,21 @@ evaluating train and val after every epoch; one ``evaluate`` scores
 either. Runs are bitwise deterministic given the store bytes, the
 config, and the seed.
 
-Checkpoint format: magic "FRML", one version byte, a little-endian uint32
-header length, a JSON header carrying the config and named parameter
-shapes/offsets, then the raw little-endian float32 parameter blobs.
+Checkpoint format (version 2): magic "FRML", one version byte, a
+little-endian uint32 header length, a JSON header
+``{"config": <every TrainConfig field, dim set>, "params": [[name, shape],
+...]}``, then every parameter's raw little-endian float32 bytes. The
+params list and the blob layout are ``model.param_shapes(dim)`` in its
+order, so a load checks them against the table instead of reading
+offsets.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import json
+import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -32,6 +35,8 @@ from .bagdata import (
     SingleClassError,
     balanced_batches,
     require_fields,
+    write_atomic,
+    write_csv,
 )
 from .model import (
     ComparatorParams,
@@ -40,11 +45,12 @@ from .model import (
     comparator_forward,
     init_comparator,
     init_params,
+    param_shapes,
 )
 from .objectives import LossWeights, bce_loss, total_loss
 
 CHECKPOINT_MAGIC = b"FRML"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -80,8 +86,9 @@ class CheckpointValueError(CheckpointError):
 
 
 class CheckpointHeaderError(CheckpointError):
-    """The JSON header lacks a required field, holds a field of the wrong
-    type, or points two parameters at overlapping bytes."""
+    """The JSON header is not a JSON object holding ``config`` and
+    ``params``, its config lacks a field or fails validation, or the blob
+    runs past the parameters the header describes."""
 
 
 @dataclass
@@ -96,7 +103,6 @@ class TrainConfig:
     dropout: float = 0.2
     dim: Optional[int] = None       # taken from the store when unset
     seed: int = 0
-    mu_squared: bool = True         # magnitude convention of the baseline
     fm_squared: bool = False        # norm convention of the margin loss
     pem_residual: bool = True
     use_max_loss: bool = True       # ablation switches
@@ -120,6 +126,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.dim is not None and self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.dim is not None and self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
         if not 0.0 < self.threshold < 1.0:
@@ -326,20 +334,16 @@ METRIC_COLUMNS = ("loss", "loss_bag", "loss_max", "loss_fm", "acc", "auc")
 
 
 def write_metrics_csv(history: Sequence[dict], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", *METRIC_COLUMNS])
-        for row in history:
-            writer.writerow([row["epoch"], row["split"]]
-                            + [_metric_cell(row[k]) for k in METRIC_COLUMNS])
+    write_csv(path, [["epoch", "split", *METRIC_COLUMNS]]
+              + [[row["epoch"], row["split"]]
+                 + [_metric_cell(row[k]) for k in METRIC_COLUMNS]
+                 for row in history])
 
 
 def write_scores_csv(report: EvalReport, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "label", "probability"])
-        for bag_id, label, prob in report.rows:
-            writer.writerow([bag_id, label, f"{prob:.6f}"])
+    write_csv(path, [["bag_id", "label", "probability"]]
+              + [[bag_id, label, f"{prob:.6f}"]
+                 for bag_id, label, prob in report.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -455,118 +459,74 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
 # checkpoints
 
 
+def _header_params(dim: int) -> List[list]:
+    return [[name, list(shape)] for name, shape in param_shapes(dim).items()]
+
+
 def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
-    named = params.named()
-    blobs = []
-    entries = []
-    offset = 0
-    for name, tensor in named.items():
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(tensor.data.shape),
-                        "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
-    header = json.dumps({
-        "config": config.to_dict(),
-        "dim": params.dim,
-        "heads": params.heads,
-        "params": entries,
-    }).encode("utf-8")
-    # a temp file in the same directory, then a rename: an interrupted write
-    # leaves the previous checkpoint as it was
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(bytes([CHECKPOINT_VERSION]))
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for raw in blobs:
-                fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write params, and config with its dim taken from them, atomically."""
+    if config.dim not in (None, params.dim) or config.heads != params.heads:
+        raise ValueError(f"config dim {config.dim} and heads {config.heads} "
+                         f"disagree with the parameters' dim {params.dim} "
+                         f"and heads {params.heads}")
+    header = json.dumps({"config": dict(config.to_dict(), dim=params.dim),
+                         "params": _header_params(params.dim)}).encode("utf-8")
+    write_atomic(path, b"".join([
+        CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
+        struct.pack("<I", len(header)), header,
+        *(np.ascontiguousarray(t.data, dtype="<f4")
+          for t in params.named().values())]))
 
 
 def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
-    """Validate and reconstruct a saved model plus its config."""
+    """Validate and reconstruct a saved model plus its config.
+
+    The header's config fixes dim, and dim fixes every parameter's name,
+    shape and place in the blob, so the header's params list must equal
+    the table and the blob must be exactly as long as the table says.
+    """
     data = Path(path).read_bytes()
     if len(data) < 9 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointMagicError(f"{path}: bad magic "
                                    f"{data[:4]!r} (expected {CHECKPOINT_MAGIC!r})")
-    version = data[4]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: unsupported version {version}")
-    header_len = struct.unpack("<I", data[5:9])[0]
+    if data[4] != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(f"{path}: unsupported version {data[4]}")
+    (header_len,) = struct.unpack("<I", data[5:9])
     if len(data) < 9 + header_len:
         raise CheckpointTruncatedError(f"{path}: truncated header")
-    header = json.loads(data[9:9 + header_len].decode("utf-8"))
-    require_fields(header, ("config", "dim", "heads", "params"),
-                   f"{path}: header", CheckpointHeaderError)
-    blob = data[9 + header_len:]
+    try:
+        header = json.loads(data[9:9 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointHeaderError(f"{path}: header is not JSON: {exc}") from exc
+    require_fields(header, ("config", "params"), f"{path}: header",
+                   CheckpointHeaderError)
+    require_fields(header["config"], [f.name for f in fields(TrainConfig)],
+                   f"{path}: header config", CheckpointHeaderError)
     try:
         config = TrainConfig.from_dict(header["config"])
     except ConfigError as exc:
         raise CheckpointHeaderError(f"{path}: header config: {exc}") from exc
-    for key in ("dim", "heads"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise CheckpointHeaderError(f"{path}: header {key} must be a "
-                                        f"positive integer, got {header[key]!r}")
-    dim, heads = header["dim"], header["heads"]
-    reference = init_params(dim, heads, seed=0)
-    expected_shapes = {k: t.data.shape for k, t in reference.named().items()}
-    loaded: Dict[str, Tensor] = {}
-    spans = []
-    if not isinstance(header["params"], list):
-        raise CheckpointHeaderError(f"{path}: header params is not a list")
-    for i, entry in enumerate(header["params"]):
-        where = f"{path}: header params[{i}]"
-        require_fields(entry, ("name", "shape", "offset", "nbytes"), where,
-                       CheckpointHeaderError)
-        name, shape, off, nbytes = (entry[k] for k in
-                                    ("name", "shape", "offset", "nbytes"))
-        if not isinstance(name, str):
-            raise CheckpointHeaderError(f"{where}: name must be a string, "
-                                        f"got {name!r}")
-        if not isinstance(shape, list) or any(type(s) is not int for s in shape):
-            raise CheckpointHeaderError(f"{where}: shape must be a list of "
-                                        f"integers, got {shape!r}")
-        for key, value in (("offset", off), ("nbytes", nbytes)):
-            if type(value) is not int or value < 0:
-                raise CheckpointHeaderError(f"{where}: {key} must be a "
-                                            f"non-negative integer, got {value!r}")
-        shape = tuple(shape)
-        if name in loaded:
-            raise CheckpointHeaderError(f"{where}: repeated parameter {name!r}")
-        if name not in expected_shapes:
-            raise CheckpointShapeError(f"{path}: unexpected parameter {name!r}")
-        if shape != expected_shapes[name]:
-            raise CheckpointShapeError(
-                f"{path}: parameter {name} has shape {shape}, expected "
-                f"{expected_shapes[name]}")
-        if off + nbytes > len(blob) or nbytes != int(np.prod(shape)) * 4:
-            raise CheckpointTruncatedError(f"{path}: parameter {name} blob "
-                                           f"out of bounds")
-        arr = np.frombuffer(blob[off:off + nbytes], dtype="<f4").reshape(shape)
+    if config.dim is None:
+        raise CheckpointHeaderError(f"{path}: header config dim is null")
+    expected = _header_params(config.dim)
+    if header["params"] != expected:
+        raise CheckpointShapeError(f"{path}: header params must be the "
+                                   f"[name, shape] list {expected} for dim "
+                                   f"{config.dim}")
+    shapes = param_shapes(config.dim)
+    sizes = [math.prod(shape) for shape in shapes.values()]  # Python ints
+    blob, need = data[9 + header_len:], 4 * sum(sizes)
+    if len(blob) != need:
+        error = (CheckpointTruncatedError if len(blob) < need
+                 else CheckpointHeaderError)
+        raise error(f"{path}: blob is {len(blob)} bytes, expected {need} "
+                    f"for dim {config.dim}")
+    values = np.frombuffer(blob, dtype="<f4")
+    loaded, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        arr = values[start:start + size].reshape(shape)
         if not np.isfinite(arr).all():
             raise CheckpointValueError(f"{path}: non-finite values in {name}")
         loaded[name] = Tensor(arr.copy(), requires_grad=True)
-        spans.append((off, off + nbytes, name))
-    spans.sort()
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise CheckpointHeaderError(f"{path}: header params {first} and "
-                                        f"{second} overlap in the blob")
-    missing = set(expected_shapes) - set(loaded)
-    if missing:
-        raise CheckpointShapeError(f"{path}: missing parameters {sorted(missing)}")
-    # the spans are in bounds and do not overlap, so they cover the blob
-    # exactly when their lengths add up to it
-    unclaimed = len(blob) - sum(end - start for start, end, _ in spans)
-    if unclaimed:
-        raise CheckpointHeaderError(f"{path}: {unclaimed} blob bytes belong to "
-                                    f"no parameter")
-    params = ModelParams(dim=dim, heads=heads, **loaded)
-    return params, config
+        start += size
+    return ModelParams(dim=config.dim, heads=config.heads, **loaded), config

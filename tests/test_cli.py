@@ -3,10 +3,12 @@
 import filecmp
 import json
 import os
+import resource
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,10 @@ import frmil
 from frmil.baseline import baseline_classify, compute_magnitudes, estimate_tau
 from frmil.bagdata import read_store, read_split
 from frmil.cli import main
-from frmil.training import evaluate, load_checkpoint
+from frmil.model import param_shapes
+from frmil.training import TrainConfig, evaluate, load_checkpoint
+
+CONFIG_FIELDS = [f.name for f in fields(TrainConfig)]
 
 
 def run_cli(*argv):
@@ -280,22 +285,25 @@ def _rewrite_header(src, dst, edit):
 class TestMalformedInputs:
     """Malformed stores, splits and checkpoints exit 3 without a traceback."""
 
-    @pytest.mark.parametrize("key", ["config", "dim", "heads", "params"])
+    @pytest.mark.parametrize("key", ["config", "params", *CONFIG_FIELDS])
     def test_checkpoint_header_without_key_exits_3(self, store_dir, run_dir,
                                                    tmp_path, capsys, key):
+        # the config must hold every field, dim and heads included
+        def edit(header):
+            (header["config"] if key in CONFIG_FIELDS else header).pop(key)
         ckpt = tmp_path / "bad.ckpt"
-        _rewrite_header(run_dir / "final.ckpt", ckpt, lambda h: h.pop(key))
+        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
         assert run_cli("eval", "--data", str(store_dir),
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field", ["name", "shape", "offset", "nbytes"])
+    @pytest.mark.parametrize("field", ["name", "shape"])
     def test_checkpoint_param_without_field_exits_3(self, store_dir, run_dir,
                                                     tmp_path, capsys, field):
         ckpt = tmp_path / "bad.ckpt"
         _rewrite_header(run_dir / "final.ckpt", ckpt,
-                        lambda h: h["params"][0].pop(field))
+                        lambda h: h["params"][0].pop(["name", "shape"].index(field)))
         assert run_cli("eval", "--data", str(store_dir),
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err
@@ -344,6 +352,16 @@ class TestMalformedInputs:
                        "--config", str(cfg_path)) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_config_naming_mu_squared_exits_2(self, store_dir, tmp_path,
+                                              capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mu_squared": True}))
+        assert run_cli("train", "--data", str(store_dir), "--epochs", "1",
+                       "--out", str(tmp_path / "r"),
+                       "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys: ['mu_squared']" in err
+
     def test_tau_file_without_tau_exits_2(self, store_dir, tmp_path, capsys):
         tau_path = tmp_path / "tau.json"
         tau_path.write_text(json.dumps({"method": "density crossing"}))
@@ -387,14 +405,15 @@ class TestMalformedInputs:
         assert "epochs" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, value", [
-        ("dim", "abc"), ("heads", 0), ("name", 5), ("shape", ["8", 1]),
-        ("offset", -4), ("nbytes", "32")])
+        ("dim", "abc"), ("heads", 0), ("name", 5), ("shape", ["8", 1])])
     def test_checkpoint_field_of_wrong_type_exits_3(self, store_dir, run_dir,
                                                     tmp_path, capsys, field,
                                                     value):
         def edit(header):
-            entry = header if field in ("dim", "heads") else header["params"][0]
-            entry[field] = value
+            if field in ("dim", "heads"):
+                header["config"][field] = value
+            else:
+                header["params"][0][["name", "shape"].index(field)] = value
         ckpt = tmp_path / "bad.ckpt"
         _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
         assert run_cli("eval", "--data", str(store_dir),
@@ -402,46 +421,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
-    def test_checkpoint_overlapping_blobs_exit_3(self, store_dir, run_dir,
-                                                 tmp_path, capsys):
-        def edit(header):
-            entries = {e["name"]: e for e in header["params"]}
-            assert entries["conv_b"]["nbytes"] == entries["scorer_w"]["nbytes"]
-            entries["conv_b"]["offset"] = entries["scorer_w"]["offset"]
-        ckpt = tmp_path / "bad.ckpt"
-        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
-        assert run_cli("eval", "--data", str(store_dir),
-                       "--ckpt", str(ckpt)) == 3
-        err = capsys.readouterr().err
-        assert "overlap" in err and "Traceback" not in err
-
     def test_checkpoint_trailing_bytes_exit_3(self, store_dir, run_dir,
                                               tmp_path, capsys):
-        ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes((run_dir / "final.ckpt").read_bytes() + b"\0" * 4)
-        assert run_cli("eval", "--data", str(store_dir),
-                       "--ckpt", str(ckpt)) == 3
-        err = capsys.readouterr().err
-        assert "4 blob bytes belong to no parameter" in err
-        assert "Traceback" not in err
-
-    def test_checkpoint_gap_between_blobs_exit_3(self, store_dir, run_dir,
-                                                 tmp_path, capsys):
-        # four bytes in front of the last blob, its offset moved past them
         data = (run_dir / "final.ckpt").read_bytes()
         (length,) = struct.unpack("<I", data[5:9])
-        header = json.loads(data[9:9 + length])
-        last = max(header["params"], key=lambda e: e["offset"])
-        blob = data[9 + length:]
-        blob = blob[:last["offset"]] + b"\0" * 4 + blob[last["offset"]:]
-        last["offset"] += 4
-        raw = json.dumps(header).encode("utf-8")
+        n = len(data) - 9 - length
         ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + blob)
+        ckpt.write_bytes(data + b"\0" * 4)
         assert run_cli("eval", "--data", str(store_dir),
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err
-        assert "4 blob bytes belong to no parameter" in err
+        assert f"blob is {n + 4} bytes, expected {n}" in err
         assert "Traceback" not in err
 
     def test_checkpoint_repeated_parameter_exits_3(self, store_dir, run_dir,
@@ -451,17 +441,89 @@ class TestMalformedInputs:
         (length,) = struct.unpack("<I", data[5:9])
         header = json.loads(data[9:9 + length])
         blob = data[9 + length:]
-        entry = next(e for e in header["params"] if e["name"] == "conv_b")
-        twin = dict(entry, offset=len(blob))
-        header["params"].append(twin)
-        blob += blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        offset = 4 * (8 + 1 + 8 * 9)  # after scorer_w, scorer_b and conv_w
+        header["params"].append(["conv_b", [8]])
+        blob += blob[offset:offset + 4 * 8]
         raw = json.dumps(header).encode("utf-8")
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + blob)
         assert run_cli("eval", "--data", str(store_dir),
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err
-        assert "repeated parameter 'conv_b'" in err and "Traceback" not in err
+        assert "must be the [name, shape] list" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_empty_config_exits_3(self, store_dir, run_dir,
+                                             tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt,
+                        lambda h: h.update(config={}))
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "config lacks tau" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("change", ["renamed", "wrong_shape", "swapped",
+                                        "extra", "missing"])
+    def test_checkpoint_params_other_than_table_exit_3(self, store_dir, run_dir,
+                                                       tmp_path, capsys,
+                                                       change):
+        def edit(header):
+            params = header["params"]
+            if change == "renamed":
+                params[1][0] = "scorer_bias"
+            elif change == "wrong_shape":
+                params[2][1] = [8, 9]  # conv_w, as many values as (8, 3, 3)
+            elif change == "swapped":
+                params[0], params[1] = params[1], params[0]
+            elif change == "extra":
+                params.append(["w_in", [8, 8]])
+            else:
+                params.pop()
+        ckpt = tmp_path / "bad.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "must be the [name, shape] list" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_version_1_exits_3(self, store_dir, run_dir, tmp_path,
+                                          capsys):
+        data = bytearray((run_dir / "final.ckpt").read_bytes())
+        data[4] = 1
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(bytes(data))
+        assert run_cli("eval", "--data", str(store_dir),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert "unsupported version 1" in err and "Traceback" not in err
+
+    def test_checkpoint_huge_dim_exits_3_without_allocating(self, store_dir,
+                                                            run_dir, tmp_path):
+        # a consistent header for dim 10**9: its parameters would take
+        # 16 EB, so a loader that sized anything from dim would fail under
+        # the 2 GiB address-space limit the child runs with
+        dim = 10 ** 9
+
+        def edit(header):
+            header["config"]["dim"] = dim
+            header["params"] = [[name, list(shape)]
+                                for name, shape in param_shapes(dim).items()]
+        ckpt = tmp_path / "huge.ckpt"
+        _rewrite_header(run_dir / "final.ckpt", ckpt, edit)
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(frmil.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "frmil.cli", "eval",
+                               "--data", str(store_dir), "--ckpt", str(ckpt)],
+                              env=env, preexec_fn=limit_address_space,
+                              capture_output=True, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert f"for dim {dim}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("outside", ["../other/features/x.f32", "absolute"])
     def test_manifest_path_outside_store_exits_3(self, store_dir, tmp_path,

@@ -15,6 +15,7 @@ from frmil.model import (
     comparator_forward,
     init_comparator,
     init_params,
+    param_shapes,
     pem_forward,
     pmsa_forward,
     recalibrate,
@@ -49,6 +50,30 @@ class TestInitParams:
                      "ln_bias", "clf_b"):
             assert (p.named()[name].data == 0).all(), name
         assert (p.ln_gain.data == 1).all()
+
+    @pytest.mark.parametrize("dim, heads", [(1, 1), (6, 3), (8, 2), (64, 8)])
+    def test_param_shapes_is_the_layout(self, dim, heads):
+        named = init_params(dim, heads, seed=0).named()
+        assert [(k, t.data.shape) for k, t in named.items()] \
+            == list(param_shapes(dim).items())
+
+    def test_weights_drawn_in_table_order(self):
+        # one generator, drawn in the order scorer_w, conv_w, class_token,
+        # q/k/v/o_w, clf_w, as before the table existed
+        dim, rng = 8, np.random.default_rng(4)
+
+        def uniform(shape, fan_in):
+            bound = 1.0 / math.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        want = {"scorer_w": uniform((dim, 1), dim),
+                "conv_w": uniform((dim, 3, 3), 9),
+                "class_token": rng.standard_normal(size=(1, dim)).astype(np.float32)}
+        for name in ("q_w", "k_w", "v_w", "o_w"):
+            want[name] = uniform((dim, dim), dim)
+        want["clf_w"] = uniform((dim, 1), dim)
+        got = init_params(dim, 2, seed=4).named()
+        for name, data in want.items():
+            assert got[name].data.tobytes() == data.tobytes(), name
 
     def test_class_token_standard_normal(self):
         # statistical oracle: over 100 seeds the per-seed sample mean of

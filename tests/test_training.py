@@ -6,18 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frmil import training
+from frmil import model, training
 from frmil.autodiff import Tensor
 from frmil.bagdata import (
     SingleClassError,
     SyntheticSpec,
     generate_synthetic,
     split_ids,
+    write_split,
     write_store,
 )
 from frmil.model import init_params
 from frmil.training import (
     AdamState,
+    CheckpointHeaderError,
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -270,7 +272,8 @@ class TestCheckpoint:
         loaded, cfg = load_checkpoint(path)
         for name, t in result.params.named().items():
             assert t.data.tobytes() == loaded.named()[name].data.tobytes()
-        assert cfg.to_dict() == config.to_dict()
+        assert config.dim is None
+        assert cfg.to_dict() == dict(config.to_dict(), dim=store.dim)
 
     def test_corrupted_magic(self, tiny_store, tmp_path):
         store, split = tiny_store
@@ -295,6 +298,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(tmp_path / "m.ckpt")
 
+    def test_header_not_json_is_header_error(self, tiny_store, tmp_path):
+        store, _ = tiny_store
+        config = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(store.dim, config.heads, seed=0), config,
+                        path)
+        raw = bytearray(path.read_bytes())
+        raw[9] = 0xFF  # the header's opening brace, now invalid UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointHeaderError, match="not JSON"):
+            load_checkpoint(path)
+
     def test_truncation_detected(self, tiny_store, tmp_path):
         store, split = tiny_store
         config = tiny_config(epochs=1)
@@ -315,7 +330,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         hlen = struct.unpack("<I", data[5:9])[0]
         header = json_mod.loads(data[9:9 + hlen])
-        header["params"][0]["shape"] = [1, 1]
+        header["params"][0][1] = [1, 1]
         new_header = json_mod.dumps(header).encode()
         path.write_bytes(data[:5] + struct.pack("<I", len(new_header))
                          + new_header + data[9 + hlen:])
@@ -326,10 +341,15 @@ class TestCheckpoint:
                                          monkeypatch):
         store, split = tiny_store
         config = tiny_config(epochs=1)
-        path = tmp_path / "final.ckpt"
-        save_checkpoint(init_params(store.dim, config.heads, seed=0), config,
-                        path)
-        before = path.read_bytes()
+        history = train(store, split, config).history
+        writes = {
+            "final.ckpt": lambda path, seed: save_checkpoint(
+                init_params(store.dim, config.heads, seed=seed), config, path),
+            "metrics.csv": lambda path, seed: write_metrics_csv(
+                history[seed:], path),
+            "splits.json": lambda path, seed: write_split(
+                {k: v[seed:] for k, v in split.items()}, path),
+        }
         real_open = Path.open
 
         class DiskFull:
@@ -351,14 +371,42 @@ class TestCheckpoint:
                 self.left -= len(raw)
                 return self.fh.write(raw)
 
-        monkeypatch.setattr(Path, "open",
-                            lambda self, *a, **k: DiskFull(real_open(self, *a, **k)))
-        with pytest.raises(OSError, match="No space"):
-            save_checkpoint(init_params(store.dim, config.heads, seed=1),
-                            config, path)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+        for name, write in writes.items():
+            path = tmp_path / name
+            write(path, 0)
+            before = path.read_bytes()
+            monkeypatch.setattr(
+                Path, "open",
+                lambda self, *a, **k: DiskFull(real_open(self, *a, **k)))
+            with pytest.raises(OSError, match="No space"):
+                write(path, 1)
+            monkeypatch.undo()
+            assert path.read_bytes() == before, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writes)
+
+    def test_load_builds_no_model(self, tiny_store, tmp_path, monkeypatch):
+        store, _ = tiny_store
+        config = tiny_config()
+        params = init_params(store.dim, config.heads, seed=0)
+        save_checkpoint(params, config, tmp_path / "m.ckpt")
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("load_checkpoint called init_params")
+        monkeypatch.setattr(training, "init_params", no_model)
+        monkeypatch.setattr(model, "init_params", no_model)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for name, t in params.named().items():
+            assert t.data.tobytes() == loaded.named()[name].data.tobytes()
+
+    @pytest.mark.parametrize("dim, heads", [(16, 2), (8, 4)])
+    def test_save_rejects_config_disagreeing_with_params(self, tiny_store,
+                                                         tmp_path, dim, heads):
+        store, _ = tiny_store
+        params = init_params(store.dim, 2, seed=0)
+        with pytest.raises(ValueError, match="disagree"):
+            save_checkpoint(params, tiny_config(dim=dim, heads=heads),
+                            tmp_path / "m.ckpt")
+        assert not any(tmp_path.iterdir())
 
     def test_load_then_evaluate_identical(self, tiny_store, tmp_path):
         store, split = tiny_store

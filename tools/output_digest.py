@@ -7,7 +7,11 @@ temporary directory: ``gen`` builds a 36-bag D=8 store (seed 11), then
 ``train``, ``eval --out``, ``ablate --comparators``, ``tau`` (two
 variants), ``baseline --out`` (two variants) and ``density`` (two
 variants) run on it. Prints the sha256 of every file written and of each
-command's stdout, with the directory path stripped. Two trees whose
+command's stdout, with the directory path stripped. Each ``.ckpt`` file
+gets a second line, ``<sha256>  <path>#params``: the digest of the bytes
+after its header. The framing (magic, version byte, uint32 header length)
+is the same in every checkpoint version, so this line stays equal across
+a change of header format when the parameters are unchanged. Two trees whose
 training and scoring arithmetic agree print identical lines, so
 
     diff <(python tools/output_digest.py old/src) \\
@@ -18,6 +22,7 @@ is the byte-identity check of a refactor.
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -69,7 +74,12 @@ def main(argv) -> int:
             print(f"{sha256(stdout)}  stdout:{label}")
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
-                print(f"{sha256(path.read_bytes())}  {path.relative_to(tmp)}")
+                data = path.read_bytes()
+                name = path.relative_to(tmp)
+                print(f"{sha256(data)}  {name}")
+                if path.suffix == ".ckpt":
+                    (header_len,) = struct.unpack("<I", data[5:9])
+                    print(f"{sha256(data[9 + header_len:])}  {name}#params")
     return 0
 
 
