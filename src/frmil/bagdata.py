@@ -175,7 +175,8 @@ class BagStore:
 
 
 def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
-    """Write manifest plus one raw float32 file per bag."""
+    """Write manifest plus one raw float32 file per bag, then delete any
+    other ``features/*.f32`` file, so the directory holds this store only."""
     root = Path(root)
     dims = {b.dim for b in bags}
     if len(dims) > 1:
@@ -195,6 +196,10 @@ def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
     dim = dims.pop() if dims else 0
     manifest = {"dim": dim, "bags": entries}
     write_atomic(root / MANIFEST_NAME, json.dumps(manifest, indent=1))
+    named = {root / entry["path"] for entry in entries}
+    for path in (root / FEATURE_DIR).glob("*.f32"):
+        if path not in named and path.is_file():
+            path.unlink()  # left by a store written here before
     return BagStore(root=root, dim=dim,
                     bags={b.bag_id: make_bag(b.bag_id, b.label, b.real_features())
                           for b in bags})

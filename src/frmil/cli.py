@@ -42,6 +42,7 @@ from .model import COMPARATOR_KINDS
 from .objectives import BalancedBatchError
 from .selftest import run_selftest
 from .training import (
+    CheckpointDimError,
     CheckpointError,
     ConfigError,
     TrainConfig,
@@ -273,6 +274,9 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint at {ckpt}")
     params, config = load_checkpoint(ckpt)
+    if params.dim != store.dim:
+        raise CheckpointDimError(f"checkpoint {ckpt} has dim {params.dim}, "
+                                 f"store {args.data} has dim {store.dim}")
     report = evaluate(store, ids, params, threshold=config.threshold,
                       pem_residual=config.pem_residual, split=args.split)
     print(f"split {args.split}: acc {report.accuracy:.4f} "

@@ -1,0 +1,81 @@
+"""tools/bench_pairs.py's gain rule, on canned runs instead of benchmarks."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs",
+                                               ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# ten parent epoch_s runs with median 0.187 s and quartiles 12% of it apart
+PARENT = [0.187 * (1 + 0.12 * z) for z in np.linspace(-1, 1, 10).tolist()]
+
+
+def scaled(factor):
+    return [(p, p * factor) for p in PARENT]
+
+
+def test_parent_figures_have_the_stated_spread():
+    assert bench_pairs.spread(PARENT) == pytest.approx(0.12)
+    assert np.median(PARENT) == pytest.approx(0.187)
+
+
+@pytest.mark.parametrize("pairs, better, met", [
+    (scaled(0.166 / 0.187), "lower", False),  # 11% cut, 10/10 won
+    (scaled(0.80), "lower", True),            # 20% cut, 10/10 won
+    (scaled(0.80)[:8] + [(p, p) for p in PARENT[8:]], "lower", False),  # 8/10
+    (scaled(1.25), "higher", True),
+    (scaled(1.10), "higher", False),
+    (scaled(1.25), "lower", False),
+])
+def test_claim_rule(pairs, better, met):
+    assert bench_pairs.claim_met(pairs, better) is met
+
+
+def test_an_11_percent_cut_against_a_12_percent_spread_prints_not_met(
+        tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    values = {"parent": PARENT, "change": [c for _, c in scaled(0.166 / 0.187)]}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == sides["parent"] else "change"
+        return {"code": 0, "fingerprint": "f", "stderr": "",
+                "result": {"correct": True, "metrics": {
+                    "epoch_s": {"value": values[side][seed - 1]}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "train-small", "--seeds", "1-10", "--seconds", "30",
+            "--claim", "epoch_s"]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert " 10/10" in out
+    assert out.rstrip().splitlines()[-1].startswith("CLAIM NOT MET: epoch_s")
+    values["change"] = [c for _, c in scaled(0.80)]
+    assert bench_pairs.main(argv) == 0
+    assert capsys.readouterr().out.rstrip().splitlines()[-1].startswith(
+        "CLAIM MET: epoch_s")
+
+
+def test_claim_of_unknown_metric_is_a_usage_error(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").touch()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "epoch_s", "better": "lower", "bound": 0.25}]}))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "w", "--seeds", "1", "--seconds", "1",
+                          "--claim", "speed"])
+    assert exc.value.code == 2

@@ -50,6 +50,17 @@ class TestGen:
                                tmp_path / "b" / "features")
         assert not feats.diff_files and not feats.left_only
 
+    def test_regen_into_same_dir_leaves_only_manifest_files(self, tmp_path):
+        out = tmp_path / "store"
+        for bags in ("16", "10"):
+            assert run_cli("gen", "--out", str(out), "--bags", bags,
+                           "--dim", "4", "--seed", "7") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = sorted(p.relative_to(out).as_posix()
+                         for p in (out / "features").iterdir())
+        assert on_disk == sorted(e["path"] for e in manifest["bags"])
+        assert len(read_store(out)) == 10
+
     def test_zero_witness_rate_is_flag_error(self, tmp_path):
         assert run_cli("gen", "--out", str(tmp_path / "x"), "--bags", "10",
                        "--witness-rate", "0") == 2
@@ -541,6 +552,19 @@ class TestMalformedInputs:
                        "--out", str(tmp_path / "density.csv")) == 3
         err = capsys.readouterr().err
         assert "outside" in err and rel in err and "Traceback" not in err
+
+    def test_checkpoint_dim_other_than_store_exits_3(self, run_dir, tmp_path,
+                                                     capsys):
+        wide = tmp_path / "wide"
+        assert run_cli("gen", "--out", str(wide), "--bags", "12",
+                       "--dim", "16", "--seed", "7") == 0
+        capsys.readouterr()
+        ckpt = run_dir / "final.ckpt"  # trained at dim 8
+        assert run_cli("eval", "--data", str(wide), "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and str(wide) in err
+        assert "dim 8" in err and "dim 16" in err
+        assert "matmul" not in err and "Traceback" not in err
 
     def test_split_id_missing_from_store_exits_3(self, store_dir, tmp_path,
                                                  capsys):

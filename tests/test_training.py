@@ -1,17 +1,22 @@
 """Optimizer, metrics, checkpointing, and training-loop determinism."""
 
 import math
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frmil import model, training
-from frmil.autodiff import Tensor
+from frmil.autodiff import MaskError, Tensor
 from frmil.bagdata import (
+    BagStore,
     SingleClassError,
     SyntheticSpec,
     generate_synthetic,
+    make_bag,
     split_ids,
     write_split,
     write_store,
@@ -260,6 +265,157 @@ class TestEvaluate:
         params = init_params(store.dim, 2, seed=0)
         with pytest.raises(ValueError):
             evaluate(store, [], params)
+
+
+# D=512 bags of 256 rows and up hold at least PARALLEL_MIN_VALUES features,
+# so evaluate spreads them over the CPUs; the 40-row bag rides along
+WIDE_SIZES = (420, 256, 40, 600, 300)
+
+
+@pytest.fixture(scope="module")
+def wide_store():
+    rng = np.random.default_rng(12)
+    bags = {f"w{i}": make_bag(f"w{i}", i % 2,
+                              rng.standard_normal((n, 512)).astype(np.float32))
+            for i, n in enumerate(WIDE_SIZES)}
+    return BagStore(root=Path("wide"), dim=512, bags=bags)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """At least two usable CPUs; faked, with no pinning, on a one-CPU host."""
+    if len(training._usable_cpus()) < 2:
+        monkeypatch.setattr(training, "_usable_cpus", lambda: [None, None])
+
+
+def wide_params(kind):
+    if kind == "frmil":
+        return init_params(512, 8, seed=3)
+    return model.init_comparator(kind, 512, seed=3)
+
+
+def direct_prob(kind, bag, params):
+    if kind == "frmil":
+        return model.bag_forward(bag, params).bag_prob.item()
+    return model.comparator_forward(params, bag).item()
+
+
+def spy_forward(monkeypatch, kind, on_call):
+    """Route evaluate's forwards through on_call(result) on their way out."""
+    name = "bag_forward" if kind == "frmil" else "comparator_forward"
+    real = getattr(training, name)
+
+    def forward(*args, **kwargs):
+        out = real(*args, **kwargs)
+        on_call(out)
+        return out
+
+    monkeypatch.setattr(training, name, forward)
+
+
+KINDS = ("frmil", "mean_pool", "max_pool")
+
+
+class TestEvaluateParallel:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batched_rows_equal_one_bag_rows_bit_for_bit(self, wide_store,
+                                                          two_cpus, monkeypatch,
+                                                          kind):
+        params = wide_params(kind)
+        ids = wide_store.ids()
+        before = threading.active_count()
+        counts = []
+        spy_forward(monkeypatch, kind,
+                    lambda _: counts.append(threading.active_count()))
+        batched = evaluate(wide_store, ids, params).rows
+        assert max(counts) > before  # a helper thread ran alongside
+        single = [evaluate(wide_store, [i], params).rows[0] for i in ids]
+        direct = [direct_prob(kind, wide_store.bag(i), params) for i in ids]
+        hexes = [p.hex() for _, _, p in batched]
+        assert hexes == [p.hex() for _, _, p in single]
+        assert hexes == [p.hex() for p in direct]
+        assert [r[:2] for r in batched] == [(i, wide_store.bag(i).label)
+                                            for i in ids]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_builds_no_graph(self, wide_store, two_cpus, monkeypatch, kind):
+        params = wide_params(kind)
+        outs = []
+        spy_forward(monkeypatch, kind, outs.append)
+        evaluate(wide_store, wide_store.ids(), params)
+        probs = [o.bag_prob if kind == "frmil" else o for o in outs]
+        assert len(probs) == len(WIDE_SIZES)
+        assert all(p._parents == () and not p.requires_grad for p in probs)
+        assert all(t.grad is None for t in params.named().values())
+
+    def test_helper_failure_is_raised_and_threads_joined(self, wide_store,
+                                                         two_cpus,
+                                                         monkeypatch):
+        params = wide_params("frmil")
+        ids = wide_store.ids()
+        caller = threading.current_thread()
+        threads = threading.active_count()
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        evaluate(wide_store, ids, params)
+        assert threading.active_count() == threads
+        helper_failed = threading.Event()
+        real = training.bag_forward
+
+        def forward(bag, *args, **kwargs):
+            if threading.current_thread() is caller:
+                helper_failed.wait(timeout=5)  # a helper takes a bag first
+                return real(bag, *args, **kwargs)
+            helper_failed.set()
+            raise MaskError("empty bag: no unmasked instances")
+
+        monkeypatch.setattr(training, "bag_forward", forward)
+        with pytest.raises(MaskError):
+            evaluate(wide_store, ids, params)
+        assert helper_failed.is_set()
+        assert threading.active_count() == threads
+        if cpus is not None:
+            assert os.sched_getaffinity(0) == cpus  # the caller is unpinned
+
+    def test_many_workers_score_every_bag_once(self, monkeypatch):
+        # eight workers on any host, switching threads every microsecond,
+        # with a pure-Python forward so that they meet in the shared list:
+        # a bag taken twice or never shows in the calls or in the rows
+        features = np.zeros((256, 512), np.float32)
+        ids = [f"s{i}" for i in range(3000)]
+        store = BagStore(root=Path("stress"), dim=512, bags={
+            i: make_bag(i, 0, features) for i in ids})
+        calls = []
+
+        def prob(bag, params, pem_residual):
+            calls.append(bag.bag_id)
+            return int(bag.bag_id[1:]) % 100 / 100
+
+        monkeypatch.setattr(training, "_usable_cpus", lambda: [None] * 8)
+        monkeypatch.setattr(training, "_bag_prob", prob)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = evaluate(store, ids, wide_params("max_pool")).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(ids)
+        assert rows == [(i, 0, int(i[1:]) % 100 / 100) for i in ids]
+
+    def test_one_cpu_starts_no_thread(self, wide_store, monkeypatch):
+        params = wide_params("frmil")
+        ids = wide_store.ids()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        caller = threading.current_thread()
+        threads = threading.active_count()
+        seen = []
+        spy_forward(monkeypatch, "frmil",
+                    lambda _: seen.append((threading.current_thread(),
+                                           threading.active_count())))
+        rows = evaluate(wide_store, ids, params).rows
+        assert seen == [(caller, threads)] * len(ids)
+        assert [p.hex() for _, _, p in rows] == [
+            direct_prob("frmil", wide_store.bag(i), params).hex() for i in ids]
 
 
 class TestCheckpoint:

@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python tools/bench_pairs.py --parent DIR --change DIR \\
-           --workload W --seeds 71-75 --seconds 30
+           --workload W --seeds 71-75 --seconds 30 [--claim METRIC]
 
 For each seed, runs ``perfbench/run.py --trace 0`` once in each checkout,
 the parent first on even pairs and the change first on odd ones, so a
@@ -12,7 +12,8 @@ neither), and the parent's quartile spread over its median. A metric whose
 change median is worse than the parent median by more than its ``bound``,
 as a fraction of the parent median in the direction of ``better``, is
 marked OUT OF BOUND. Seeds whose output fingerprints differ between the
-two checkouts are flagged.
+two checkouts are flagged. With ``--claim METRIC`` it prints CLAIM MET or
+CLAIM NOT MET under the table, by the gain rule of ``claim_met``.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments.
@@ -73,6 +74,22 @@ def worse_by(old: float, new: float, better: str) -> float:
     return diff / abs(old)
 
 
+def pairs_won(pairs: list, better: str) -> int:
+    """Pairs (parent, change) in which the change is better; ties count
+    for neither."""
+    return sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+
+
+def claim_met(pairs: list, better: str) -> bool:
+    """The gain rule: the change wins at least 9 in 10 of the pairs, and
+    its median beats the parent's by more than the distance between the
+    parent's quartiles."""
+    old = [p for p, _ in pairs]
+    gain = -worse_by(statistics.median(old),
+                     statistics.median([c for _, c in pairs]), better)
+    return pairs_won(pairs, better) >= 0.9 * len(pairs) and gain > spread(old)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -80,6 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True)
     parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric the change claims to improve")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -90,6 +109,9 @@ def main(argv=None) -> int:
             parser.error(f"{side} has no perfbench/run.py")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim must name one of {sorted(metrics)}, "
+                     f"got {args.claim!r}")
 
     runs = {"parent": [], "change": []}
     ok = True
@@ -116,6 +138,7 @@ def main(argv=None) -> int:
     print(f"{'metric':22s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
           f"{'won':>6s} {'spread':>7s}")
     out_of_bound = []
+    claim = False  # stays so when no run reported the claimed metric
     for name, metric in metrics.items():
         direction = metric["better"]
         pairs = [(p["result"]["metrics"][name]["value"],
@@ -128,7 +151,7 @@ def main(argv=None) -> int:
         old = [p for p, _ in pairs]
         new = [c for _, c in pairs]
         old_med, new_med = statistics.median(old), statistics.median(new)
-        won = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+        won = pairs_won(pairs, direction)
         ratio = new_med / old_med if old_med else float("inf")
         worse = worse_by(old_med, new_med, direction)
         flag = ""
@@ -137,8 +160,14 @@ def main(argv=None) -> int:
             flag = f"  OUT OF BOUND ({worse:+.1%} worse, bound {metric['bound']:.0%})"
         print(f"{name:22s} {old_med:12.6g} {new_med:12.6g} {ratio:7.3f} "
               f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}{flag}")
+        if name == args.claim:
+            claim = claim_met(pairs, direction)
     if out_of_bound:
         print(f"out of bound: {', '.join(out_of_bound)}")
+    if args.claim is not None:  # a gain does not count over failed runs
+        print(f"CLAIM {'MET' if claim and ok else 'NOT MET'}: {args.claim} "
+              f"(at least 9 in 10 pairs won, a median gain above the "
+              f"parent's quartile spread, and no failed run)")
     return 0 if ok else 1
 
 
