@@ -3,18 +3,19 @@
 Just enough machinery to express the model forward pass and get exact
 gradients for every parameter: 2-D matmul, broadcast-aware elementwise
 arithmetic (add, sub, mul, scale), relu, sigmoid, log, clamp, layer norm,
-masked reductions and row norms, row concat/gather/reshape, dropout, the
-two fused ops below, and a finite-difference gradient checker.
+masked reductions and row norms, row gather/reshape, dropout, the two
+fused ops below, and a finite-difference gradient checker.
 
 Two fused ops carry the model's positional encoder and attention pooling,
 each one graph node with a hand-written backward:
 
-- ``grid_positional`` runs the depthwise 3x3 filter channels-last. The
-  (n, D) instance rows already are a row-major (g, g, D) grid, so they
-  are copied, with no transpose, into a buffer with a zero ring. The
-  forward and the input gradient run one einsum per L2-sized band of
-  grid rows over a strided view of the 3x3 windows, the gradient with
-  the taps flipped; the bias is added after the taps.
+- ``grid_positional`` builds the attention tokens: the class token, then
+  the depthwise 3x3 filter run channels-last. The (n, D) instance rows
+  already are a row-major (g, g, D) grid, so they are copied, with no
+  transpose, into a buffer with a zero ring. The forward and the input
+  gradient run one einsum per L2-sized band of grid rows over a strided
+  view of the 3x3 windows, the gradient with the taps flipped; the bias
+  is added after the taps. The filter writes into the token buffer.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -26,6 +27,16 @@ Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
 a backward closure), so there is no global tape and read-only tensors are
 safe to share across threads.
+
+Gradient ownership: a tensor's first gradient is ``0 + g``, which turns
+-0.0 into +0.0, and later ones add in place. ``_accumulate`` copies g on
+the first write, because g may be another tensor's gradient, a view of
+one, or a broadcast, and the in-place adds would then write through to
+it. A backward closure may hand over an array it has just allocated and
+keeps no other reference to, such as a GEMM or einsum result
+(``owned=True``): the first write then clears -0.0 in that array and
+keeps it, so a gradient costs no copy. A gradient never shares memory
+with another tensor's.
 """
 
 from __future__ import annotations
@@ -96,13 +107,17 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g to t's gradient. ``owned`` hands g over: the caller has just
+    allocated it and keeps no other reference, so a first write may keep
+    it instead of copying it."""
     if not t.requires_grad:
         return
     if t.grad is None:
         # 0 + g in one pass: the same cast, broadcast and -0.0 -> +0.0 as
-        # zeros_like followed by +=, and never an alias of g
-        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+        # zeros_like followed by +=; a copy unless g is handed over
+        keep = owned and g.shape == t.data.shape and g.dtype == t.data.dtype
+        t.grad = np.add(g, 0, out=g if keep else np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -165,9 +180,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _product(g, b.data.T))
+            _accumulate(a, _product(g, b.data.T), owned=True)
         if b.requires_grad:
-            _accumulate(b, _product(a.data.T, g))
+            _accumulate(b, _product(a.data.T, g), owned=True)
 
     return _result(out, (a, b), backward)
 
@@ -342,19 +357,23 @@ def _windows(pad: np.ndarray) -> np.ndarray:
         pad, (g, g, 3, 3, pad.shape[2]), (s0, s1, s0, s1, s2), writeable=False)
 
 
-def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool) -> np.ndarray:
+def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """taps (3, 3, D) over the (g, g, D) interior of a zero-ringed
-    (g + 2, g + 2, D) grid, then bias, then the interior when residual.
+    (g + 2, g + 2, D) grid, then bias, then the interior when residual,
+    written into out (g, g, D) when given.
 
     One einsum per band of ``_PEM_BAND_BYTES`` of output rows: it starts
     each output at 0 and adds the nine taps in (dy, dx) order, the channel
     axis innermost, so the bytes do not depend on the band size.
     """
     g, d = pad.shape[0] - 2, pad.shape[2]
+    if out is None:
+        out = np.empty((g, g, d), dtype=pad.dtype)
     if d == 1:
-        return _filter(_widen(pad), _widen(taps), bias, residual)[..., :1]
+        out[...] = _filter(_widen(pad), _widen(taps), bias, residual)[..., :1]
+        return out
     win = _windows(pad)
-    out = np.empty((g, g, d), dtype=pad.dtype)
     band = max(1, _PEM_BAND_BYTES // (g * d * pad.itemsize))
     for lo in range(0, g, band):
         hi = min(lo + band, g)
@@ -376,26 +395,32 @@ def _tap_gradient(gpad: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
-                    conv_b: Tensor, residual: bool) -> Tensor:
-    """Depthwise 3x3 filter over the unmasked rows of h laid out on a grid.
+                    conv_b: Tensor, class_token: Tensor,
+                    residual: bool) -> Tensor:
+    """The class token, then a depthwise 3x3 filter over the unmasked rows
+    of h laid out on a grid: the (n_rows + 1, D) attention tokens.
 
     The n unmasked rows of h (n_rows, D), in order, fill a g x g grid
     row-major with g = ceil(sqrt(n)) and zero trailing cells. Each channel
     is filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
-    then conv_b (D,) is added and, when residual, the grid itself. The
-    first n cells go back to the unmasked rows; masked rows of the output
+    then conv_b (D,) is added and, when residual, the grid itself. Row 0
+    of the output is class_token (1, D); the rows 1 + i for the unmasked
+    rows i of h take the first n cells in order, and those for masked rows
     are zero.
 
-    Equal to ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over the
-    transposed grid, computed channels-last by ``_filter``: the rows are
+    Rows 1.. equal ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over
+    the transposed grid, computed channels-last by ``_filter``: the rows are
     copied into the interior of a (g + 2, g + 2, D) buffer with a zero
     ring, and each band of output rows is one einsum over a strided view
-    of the 3x3 windows. The input gradient is ``_filter`` of the
-    zero-ringed output gradient with the taps flipped, ``taps[::-1, ::-1]``,
-    no bias and the same residual: out[y, x] takes w[dy, dx] in[y+dy-1,
-    x+dx-1], so in[y, x] gets w[dy, dx] g[y-dy+1, x-dx+1], which is
-    w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w gradient sums the output
-    gradient against the nine full (g, g) windows of the padded grid.
+    of the 3x3 windows. With no masked row the filter writes straight into
+    the token buffer, which has room for all g x g cells after row 0. The
+    input gradient is ``_filter`` of the zero-ringed output gradient with
+    the taps flipped, ``taps[::-1, ::-1]``, no bias and the same residual:
+    out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1], so in[y, x] gets w[dy, dx]
+    g[y-dy+1, x-dx+1], which is w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w
+    gradient sums the output gradient against the nine full (g, g) windows
+    of the padded grid. No backward reads the output, so it may be
+    overwritten in place.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -403,9 +428,11 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         raise ShapeError(f"grid_positional expects (n, D) rows and an (n,) "
                          f"mask, got {x.shape} and {m.shape}")
     n_rows, d = x.shape
-    if conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,):
+    if (conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,)
+            or class_token.data.shape != (1, d)):
         raise ShapeError(f"conv parameters {conv_w.data.shape} and "
-                         f"{conv_b.data.shape} do not match {d} channels")
+                         f"{conv_b.data.shape} and class token "
+                         f"{class_token.data.shape} do not match {d} channels")
     real = None if m.all() else np.flatnonzero(m)
     n = n_rows if real is None else len(real)
     if n == 0:
@@ -441,17 +468,27 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     pad = to_grid(x)
     taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
-    rows = to_rows(_filter(pad, taps, conv_b.data, residual))
+    if real is None:
+        buf = np.empty((1 + g * g, d), dtype=x.dtype)
+        _filter(pad, taps, conv_b.data, residual,
+                out=buf[1:].reshape(g, g, d))
+        tokens = buf[:n + 1]
+    else:
+        tokens = np.zeros((n_rows + 1, d), dtype=x.dtype)
+        tokens[1 + real] = _filter(pad, taps, conv_b.data,
+                                   residual).reshape(g * g, d)[:n]
+    tokens[0] = class_token.data[0]
 
     def backward(grad):
-        gpad = to_grid(grad)
+        _accumulate(class_token, grad[:1])
+        gpad = to_grid(grad[1:])
         _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:
             _accumulate(conv_w, _tap_gradient(gpad, pad).transpose(2, 0, 1))
         if h.requires_grad:
             _accumulate(h, to_rows(_filter(gpad, taps[::-1, ::-1], 0, residual)))
 
-    return _result(rows, (h, conv_w, conv_b), backward)
+    return _result(tokens, (h, conv_w, conv_b, class_token), backward)
 
 
 def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
@@ -498,7 +535,8 @@ def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
         gh = g.reshape(heads, dh)
         _accumulate(v_b, g.reshape(d))
         if v_w.requires_grad:
-            _accumulate(v_w, np.einsum("hd,hc->dhc", pooled, gh).reshape(d, d))
+            _accumulate(v_w, np.einsum("hd,hc->dhc", pooled, gh).reshape(d, d),
+                        owned=True)
         g_pooled = np.einsum("hc,dhc->hd", gh, vw)          # (heads, D)
         g_attn = (x @ g_pooled.T).T                           # (heads, n)
         dot = (g_attn * attn).sum(axis=1, keepdims=True)
@@ -506,11 +544,12 @@ def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
         if tokens.requires_grad:
             # attn.T @ g_pooled + g_logits.T @ u.T as one GEMM
             _accumulate(tokens, np.concatenate([attn, g_logits]).T
-                        @ np.concatenate([g_pooled, u.T]))
+                        @ np.concatenate([g_pooled, u.T]), owned=True)
         g_u = x.T @ g_logits.T                                # (D, heads)
         g_c = g_logits.sum(axis=1)[:, None]                   # (heads, 1)
         if k_w.requires_grad:
-            _accumulate(k_w, np.einsum("dh,hc->dhc", g_u, qh).reshape(d, d))
+            _accumulate(k_w, np.einsum("dh,hc->dhc", g_u, qh).reshape(d, d),
+                        owned=True)
         _accumulate(k_b, (g_c * qh).reshape(d))
         if q.requires_grad:
             g_q = np.einsum("dhc,dh->hc", kw, g_u) + g_c * kb
@@ -578,28 +617,6 @@ def l2_norm_rows(a: Tensor, squared: bool = False) -> Tensor:
 # structural ops
 
 
-def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def backward(g):
-        start = 0
-        for p, size in zip(parts, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + size)
-            _accumulate(p, g[tuple(sl)])
-            start += size
-
-    return _result(out, tuple(parts), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack along the leading (token/row) axis."""
-    return _concat(parts, axis=0)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
@@ -628,13 +645,16 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 
 def dropout(a: Tensor, rate: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
+            rng: Optional[np.random.Generator] = None,
+            inplace: bool = False) -> Tensor:
     """Inverted dropout: evaluation is the identity, no rescale needed.
 
     An element is dropped when a uniform 16-bit draw is below
     ``round(rate * 2**16)``, so the drop probability is within 2**-17 of
     ``rate``. Survivors are divided by ``1 - rate`` in the data's dtype.
     A 16-bit draw costs about half of a float64 one at (1025, 512).
+    ``inplace`` overwrites a's data with the output, for an a whose
+    backward does not read its own output.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -645,13 +665,13 @@ def dropout(a: Tensor, rate: float, training: bool,
     draws = rng.integers(0, 1 << 16, a.data.shape, dtype=np.uint16)
     keep = draws >= round(rate * (1 << 16))
     survive = a.data.dtype.type(1.0 - rate)
-    out = a.data / survive
+    out = np.divide(a.data, survive, out=a.data if inplace else None)
     out *= keep
 
     def backward(g):
         gx = g / survive
         gx *= keep
-        _accumulate(a, gx)
+        _accumulate(a, gx, owned=True)
 
     return _result(out, (a,), backward)
 

@@ -13,7 +13,7 @@ that into the bag probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -62,6 +62,9 @@ class ModelParams:
     ln_bias: Tensor
     clf_w: Tensor      # bag classifier
     clf_b: Tensor
+    # the same arrays as tensors that need no gradient (training._detached)
+    detached_view: Optional[ModelParams] = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def named(self) -> Dict[str, Tensor]:
         return {k: getattr(self, k) for k in param_shapes(self.dim)}
@@ -167,12 +170,14 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
     out row-major with features as channels, filtered depthwise 3x3 with a
     ring of zero padding (optionally plus an identity residual), flattened
     back, and cut to the first n rows. Padding rows of the input stay
-    zero. Output is (n_rows + 1, D) with the class token at row 0.
+    zero. Output is (n_rows + 1, D) with the class token at row 0, built
+    in one buffer by ``grid_positional``; training dropout overwrites that
+    buffer, since no backward reads it.
     """
-    positional = ad.grid_positional(h_recal, mask, params.conv_w,
-                                    params.conv_b, residual=residual)
-    tokens = ad.concat_rows([params.class_token, positional])
-    return ad.dropout(tokens, dropout, training=training, rng=rng)
+    tokens = ad.grid_positional(h_recal, mask, params.conv_w, params.conv_b,
+                                params.class_token, residual=residual)
+    return ad.dropout(tokens, dropout, training=training, rng=rng,
+                      inplace=True)
 
 
 def pmsa_forward(h_q: Tensor, tokens: Tensor, token_mask: np.ndarray,
@@ -232,6 +237,8 @@ class ComparatorParams:
     dim: int
     w: Tensor  # (D, 1)
     b: Tensor  # (1,)
+    detached_view: Optional[ComparatorParams] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def named(self) -> Dict[str, Tensor]:
         return {"w": self.w, "b": self.b}

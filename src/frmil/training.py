@@ -326,9 +326,20 @@ def _usable_cpus() -> List[Optional[int]]:
 def _detached(params: ModelParams | ComparatorParams):
     """The same parameter arrays as tensors that need no gradient, so a
     forward through them records no graph and frees each intermediate
-    once it has been used."""
-    return replace(params, **{name: Tensor(t.data)
-                              for name, t in params.named().items()})
+    once it has been used.
+
+    Built once per parameter set and kept in ``params.detached_view``. In
+    place updates (``adam_step``) reach it through the shared arrays; a
+    parameter whose ``data`` was rebound to another array gets a new view.
+    """
+    named = params.named()
+    view = params.detached_view
+    if view is None or any(v.data is not t.data for v, t in
+                           zip(view.named().values(), named.values())):
+        view = replace(params, **{name: Tensor(t.data)
+                                  for name, t in named.items()})
+        params.detached_view = view
+    return view
 
 
 def _bag_prob(bag, params: ModelParams | ComparatorParams,

@@ -2,8 +2,8 @@
 
 General autodiff ops that no product path uses, built on
 ``autodiff._result`` and ``autodiff._accumulate`` like the product ops:
-``softmax_lastdim``, ``depthwise_conv2d_3x3``, ``concat_cols``,
-``transpose2d`` and ``slice_cols``.
+``softmax_lastdim``, ``depthwise_conv2d_3x3``, ``concat_rows``,
+``concat_cols``, ``transpose2d`` and ``slice_cols``.
 
 ``pem_composite`` and ``pmsa_composite`` build the positional encoder and
 the attention pooling from those general ops (gather, transpose,
@@ -34,7 +34,6 @@ from frmil.autodiff import (
     ShapeError,
     Tensor,
     _accumulate,
-    _concat,
     _masked_softmax,
     _result,
 )
@@ -94,6 +93,28 @@ def depthwise_conv2d_3x3(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _result(out, (a, w, bias), backward)
 
 
+def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.data.shape[axis] for p in parts]
+
+    def backward(g):
+        start = 0
+        for p, size in zip(parts, sizes):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(start, start + size)
+            _accumulate(p, g[tuple(sl)])
+            start += size
+
+    return _result(out, tuple(parts), backward)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack along the leading (token/row) axis."""
+    return _concat(parts, axis=0)
+
+
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Stack along the trailing (feature) axis; used to rejoin heads."""
     return _concat(parts, axis=1)
@@ -139,7 +160,7 @@ def pem_composite(h_recal, mask, params, residual=True):
     rows = ad.take_rows(h_recal, real)
     if g * g > n:
         pad = Tensor(np.zeros((g * g - n, d), dtype=h_recal.dtype))
-        rows = ad.concat_rows([rows, pad])
+        rows = concat_rows([rows, pad])
     grid = ad.reshape(transpose2d(rows), (1, d, g, g))
     conv = depthwise_conv2d_3x3(grid, params.conv_w, params.conv_b)
     if residual:
@@ -148,11 +169,11 @@ def pem_composite(h_recal, mask, params, residual=True):
     restored = ad.take_rows(flat, np.arange(n))
     if n < n_rows:
         zero_row = Tensor(np.zeros((1, d), dtype=h_recal.dtype))
-        stacked = ad.concat_rows([restored, zero_row])
+        stacked = concat_rows([restored, zero_row])
         route = np.full(n_rows, n, dtype=np.intp)
         route[real] = np.arange(n)
         restored = ad.take_rows(stacked, route)
-    return ad.concat_rows([params.class_token, restored])
+    return concat_rows([params.class_token, restored])
 
 
 def pmsa_composite(h_q, tokens, token_mask, params):
@@ -205,7 +226,7 @@ def reference_op_checks():
         a, b = _t(rng, (n, d)), _t(rng, (n, d))
         idx = rng.integers(0, 2 * n, size=n + 1)
         def f():
-            cat = ad.concat_rows([a, b])
+            cat = concat_rows([a, b])
             picked = ad.take_rows(cat, idx)
             wide = concat_cols([picked, ad.scale(picked, 0.5)])
             cols = slice_cols(wide, 1, d + 1)

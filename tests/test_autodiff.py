@@ -17,7 +17,6 @@ from frmil.autodiff import (
     add,
     backward,
     clamp,
-    concat_rows,
     dropout,
     grad_check,
     l2_norm_rows,
@@ -36,6 +35,7 @@ from frmil.autodiff import (
 from frmil.selftest import _naive_conv
 from oracles import (
     concat_cols,
+    concat_rows,
     depthwise_conv2d_3x3,
     slice_cols,
     softmax_lastdim,

@@ -79,3 +79,57 @@ def test_claim_of_unknown_metric_is_a_usage_error(tmp_path):
                           "--workload", "w", "--seeds", "1", "--seconds", "1",
                           "--claim", "speed"])
     assert exc.value.code == 2
+
+
+def test_out_writes_runs_and_summary_and_keeps_other_workloads(
+        tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    values = {"parent": PARENT, "change": [c for _, c in scaled(0.80)]}
+    env = {"cpu": "test cpu", "numpy": "1.0", "blas_threads": 1}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == sides["parent"] else "change"
+        return {"code": 0, "fingerprint": f"{workload}-{seed}", "stderr": "",
+                "environment": dict(env, side=side),
+                "result": {"correct": True, "metrics": {
+                    "epoch_s": {"value": values[side][seed - 1]},
+                    "peak_rss_mb": {"value": 200.0}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    base = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--seconds", "30", "--out", str(out)]
+    assert bench_pairs.main(base + ["--workload", "train-wsi", "--seeds", "1-10",
+                                    "--claim", "epoch_s"]) == 0
+    assert bench_pairs.main(base + ["--workload", "score-wsi",
+                                    "--seeds", "2-4"]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]) == ["score-wsi", "train-wsi"]
+    wsi = doc["workloads"]["train-wsi"]
+    assert wsi["seeds"] == list(range(1, 11)) and wsi["seconds"] == 30
+    assert wsi["claim"] == {"metric": "epoch_s", "met": True}
+    assert wsi["fingerprints_differ"] == 0
+    for side in ("parent", "change"):
+        runs = wsi["runs"][side]
+        assert [r["seed"] for r in runs] == list(range(1, 11))
+        assert [r["metrics"]["epoch_s"] for r in runs] == values[side]
+        assert all(r["fingerprint"] == f"train-wsi-{r['seed']}"
+                   and r["environment"] == dict(env, side=side)
+                   and r["code"] == 0 and r["correct"] for r in runs)
+    epoch = wsi["metrics"]["epoch_s"]
+    q1, median, q3 = epoch["parent_quartiles"]
+    assert median == pytest.approx(0.187) and (q3 - q1) / median == pytest.approx(0.12)
+    assert epoch["change_quartiles"][1] == pytest.approx(0.187 * 0.80)
+    assert epoch["ratio"] == pytest.approx(0.80)
+    assert (epoch["won"], epoch["pairs"]) == (10, 10)
+    assert epoch["spread"] == pytest.approx(0.12) and not epoch["out_of_bound"]
+    assert wsi["metrics"]["peak_rss_mb"]["won"] == 0
+    assert doc["workloads"]["score-wsi"]["claim"] is None
+    assert [r["seed"] for r in doc["workloads"]["score-wsi"]["runs"]["parent"]] \
+        == [2, 3, 4]

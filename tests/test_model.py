@@ -319,6 +319,71 @@ class TestFusedOpsMatchComposite:
                             _grads_of(z_ref, weights, wrt)):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_fused_tokens_equal_class_token_concat_exactly(self, d, masked):
+        # float32, as in training: the one-buffer tokens against the class
+        # token concatenated over the composite positional rows
+        rng = np.random.default_rng(25 + d)
+        params = init_params(d, 1, seed=d)
+        params.conv_b.data[:] = rng.normal(size=d)
+        for n_rows in (1, 7, 9, 30):
+            mask = np.ones(n_rows, bool)
+            if masked and n_rows > 1:
+                mask[rng.choice(n_rows, size=n_rows // 2, replace=False)] = False
+            h = Tensor((rng.normal(size=(n_rows, d)) * mask[:, None])
+                       .astype(np.float32))
+            for residual in (True, False):
+                fused = pem_forward(h, mask, params, residual=residual)
+                ref = pem_composite(h, mask, params, residual=residual)
+                assert fused.data.dtype == ref.data.dtype == np.float32
+                assert fused.data.tobytes() == ref.data.tobytes()
+                weights = rng.normal(size=fused.shape).astype(np.float32)
+                token_grads = [_grads_of(out, weights, [params.class_token])[0]
+                               for out in (fused, ref)]
+                assert token_grads[0].tobytes() == token_grads[1].tobytes()
+
+    def test_pem_forward_grad_check_with_class_token(self):
+        rng = np.random.default_rng(26)
+        for trial in range(6):
+            d = (1, 3)[trial % 2]
+            params = _float64_params(rng, d, 1, seed=trial)
+            n_rows = int(rng.integers(2, 12))
+            mask = _random_mask(rng, n_rows)
+            h = Tensor(rng.normal(size=(n_rows, d)), requires_grad=True,
+                       dtype=np.float64)
+            weights = Tensor(rng.normal(size=(n_rows + 1, d)))
+
+            def f():
+                out = ad.mul(pem_forward(h, mask, params, residual=trial < 3),
+                             weights)
+                return ad.masked_reduce("sum", ad.reshape(out, (out.data.size,)),
+                                        np.ones(out.data.size, bool))
+            wrt = [h, params.conv_w, params.conv_b, params.class_token]
+            assert ad.grad_check(f, wrt) <= 1e-6
+            assert np.abs(params.class_token.grad).sum() > 0
+
+    def test_in_place_dropout_gives_out_of_place_bytes(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        params = init_params(16, 4, seed=2)
+        bag = random_bag(rng, n=23, dim=16)
+
+        def step():
+            for t in params.named().values():
+                t.grad = None
+            trace = bag_forward(bag, params, training=True,
+                                rng=np.random.default_rng(5), dropout=0.3)
+            backward(ad.log(trace.bag_prob))
+            return [trace.tokens.data.tobytes(), trace.bag_prob.data.tobytes()] \
+                + [t.grad.tobytes() for t in params.named().values()
+                   if t.grad is not None]
+
+        in_place = step()
+        out_of_place = ad.dropout
+        monkeypatch.setattr(ad, "dropout",
+                            lambda *a, inplace=False, **k: out_of_place(*a, **k))
+        assert step() == in_place
+
     def test_fully_masked_attention_raises(self):
         params = init_params(4, 2, seed=0)
         tokens = Tensor(np.ones((3, 4), dtype=np.float32))
@@ -336,11 +401,14 @@ def _grid_positional_bytes(rng, n_rows, d, dtype, residual, mask=None):
     b = rng.normal(size=d).astype(dtype)
     mask = np.ones(n_rows, bool) if mask is None else mask
     # drawn from its own generator, so the cases stay those of rng
-    upstream = np.random.default_rng(n_rows).normal(size=x.shape).astype(dtype)
+    own = np.random.default_rng(n_rows)
+    upstream = own.normal(size=(n_rows + 1, d)).astype(dtype)
+    token = own.normal(size=(1, d)).astype(dtype)
 
     def run():
         h = Tensor(x, requires_grad=True)
-        out = ad.grid_positional(h, mask, Tensor(w), Tensor(b), residual)
+        out = ad.grid_positional(h, mask, Tensor(w), Tensor(b), Tensor(token),
+                                 residual)
         out.grad = upstream
         backward(out)
         return out.data.tobytes(), h.grad.tobytes()
@@ -405,7 +473,8 @@ class TestGridPositionalSumOrder:
                        for s in ((n_rows, d), (d, 3, 3), (d,)))
             residual = trial % 2 == 1
             fast = ad.grid_positional(Tensor(x), mask, Tensor(w), Tensor(b),
-                                      residual).data
+                                      Tensor(np.zeros((1, d), dtype)),
+                                      residual).data[1:]
             n = int(mask.sum())
             g = math.isqrt(n - 1) + 1
             cells = np.vstack([x[mask], np.zeros((g * g - n, d), dtype)])
@@ -433,8 +502,9 @@ class TestGridPositionalSumOrder:
                 expect += w[:, dy, dx] * pad[dy:dy + g, dx:dx + g]
         expect += pad[1:g + 1, 1:g + 1]
         out = ad.grid_positional(Tensor(x), np.ones(n, bool), Tensor(w),
-                                 Tensor(np.zeros(d, np.float32)), True)
-        assert out.data.tobytes() == expect.reshape(g * g, d)[:n].tobytes()
+                                 Tensor(np.zeros(d, np.float32)),
+                                 Tensor(np.zeros((1, d), np.float32)), True)
+        assert out.data[1:].tobytes() == expect.reshape(g * g, d)[:n].tobytes()
 
 
 class TestBagForward:

@@ -1,5 +1,6 @@
 """Optimizer, metrics, checkpointing, and training-loop determinism."""
 
+import copy
 import math
 import os
 import sys
@@ -314,6 +315,66 @@ def spy_forward(monkeypatch, kind, on_call):
 
 
 KINDS = ("frmil", "mean_pool", "max_pool")
+
+
+class TestDetachedView:
+    """evaluate's detached parameters: built once per parameter set, never
+    stale."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_second_call_builds_no_tensors(self, monkeypatch, kind):
+        params = wide_params(kind)
+        first = training._detached(params)
+        built = []
+        monkeypatch.setattr(training, "Tensor",
+                            lambda *a, **k: built.append(a) or Tensor(*a, **k))
+        assert training._detached(params) is first
+        assert built == []
+        for name, t in params.named().items():
+            view = first.named()[name]
+            assert view.data is t.data and not view.requires_grad
+
+    def test_in_place_adam_updates_are_seen(self, tiny_store):
+        store, split = tiny_store
+        params = init_params(store.dim, 2, seed=0)
+        before = evaluate(store, split["test"], params).rows
+        view = training._detached(params)
+        named = params.named()
+        rng = np.random.default_rng(3)
+        adam_step(named, {k: rng.normal(size=t.shape).astype(np.float32)
+                          for k, t in named.items()},
+                  AdamState.for_params(named), lr=0.1)
+        after = evaluate(store, split["test"], params).rows
+        assert training._detached(params) is view
+        assert after != before
+        assert after == evaluate(store, split["test"],
+                                 copy.deepcopy(params)).rows
+
+    def test_rebound_data_is_never_served_stale(self, tiny_store):
+        store, split = tiny_store
+        params = init_params(store.dim, 2, seed=0)
+        evaluate(store, split["test"], params)
+        old = training._detached(params)
+        params.clf_b.data = params.clf_b.data + np.float32(3.0)
+        view = training._detached(params)
+        assert view is not old and view.clf_b.data is params.clf_b.data
+        fresh = init_params(store.dim, 2, seed=0)
+        fresh.clf_b.data += np.float32(3.0)
+        assert (evaluate(store, split["test"], params).rows
+                == evaluate(store, split["test"], fresh).rows)
+
+    def test_deep_copy_uses_its_own_arrays(self, tiny_store):
+        store, split = tiny_store
+        params = init_params(store.dim, 2, seed=0)
+        before = evaluate(store, split["test"], params).rows
+        twin = copy.deepcopy(params)
+        twin.clf_b.data += np.float32(3.0)  # in place: only the copy moves
+        view = training._detached(twin)
+        for name, t in twin.named().items():
+            assert view.named()[name].data is t.data
+            assert not np.shares_memory(t.data, params.named()[name].data)
+        assert evaluate(store, split["test"], params).rows == before
+        assert evaluate(store, split["test"], twin).rows != before
 
 
 class TestEvaluateParallel:

@@ -1,7 +1,8 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python tools/bench_pairs.py --parent DIR --change DIR \\
-           --workload W --seeds 71-75 --seconds 30 [--claim METRIC]
+           --workload W --seeds 71-75 --seconds 30 [--claim METRIC] \\
+           [--out FILE]
 
 For each seed, runs ``perfbench/run.py --trace 0`` once in each checkout,
 the parent first on even pairs and the change first on odd ones, so a
@@ -14,6 +15,12 @@ as a fraction of the parent median in the direction of ``better``, is
 marked OUT OF BOUND. Seeds whose output fingerprints differ between the
 two checkouts are flagged. With ``--claim METRIC`` it prints CLAIM MET or
 CLAIM NOT MET under the table, by the gain rule of ``claim_met``.
+
+With ``--out FILE`` it also writes the table as JSON, under
+``"workloads"`` and the workload's name, keeping the other workloads
+already in FILE: every run's seed, exit code, metrics, fingerprint and
+environment line, and per metric each side's median and quartiles, the
+ratio, the pairs won, the parent's spread and the bound check.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments.
@@ -53,8 +60,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     prefix = f"fingerprint {workload} seed {seed}: "
     fingerprint = next((ln[len(prefix):] for ln in lines if ln.startswith(prefix)),
                        None)
+    env = next((ln[len("environment "):] for ln in lines
+                if ln.startswith("environment ")), None)
     return {"code": proc.returncode, "result": result,
-            "fingerprint": fingerprint, "stderr": proc.stderr}
+            "fingerprint": fingerprint, "stderr": proc.stderr,
+            "environment": None if env is None else json.loads(env)}
+
+
+def quartiles(values: list) -> list:
+    """[q1, median, q3], inclusive method; all three equal for one value."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def spread(values: list) -> float:
@@ -99,6 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--claim", metavar="METRIC",
                         help="end-to-end metric the change claims to improve")
+    parser.add_argument("--out", type=Path, metavar="FILE",
+                        help="JSON file to write this workload's table into")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -139,6 +158,7 @@ def main(argv=None) -> int:
           f"{'won':>6s} {'spread':>7s}")
     out_of_bound = []
     claim = False  # stays so when no run reported the claimed metric
+    table = {}
     for name, metric in metrics.items():
         direction = metric["better"]
         pairs = [(p["result"]["metrics"][name]["value"],
@@ -162,12 +182,35 @@ def main(argv=None) -> int:
               f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}{flag}")
         if name == args.claim:
             claim = claim_met(pairs, direction)
+        table[name] = {"better": direction, "bound": metric["bound"],
+                       "parent_quartiles": quartiles(old),
+                       "change_quartiles": quartiles(new), "ratio": ratio,
+                       "won": won, "pairs": len(pairs), "spread": spread(old),
+                       "out_of_bound": worse > metric["bound"]}
     if out_of_bound:
         print(f"out of bound: {', '.join(out_of_bound)}")
-    if args.claim is not None:  # a gain does not count over failed runs
-        print(f"CLAIM {'MET' if claim and ok else 'NOT MET'}: {args.claim} "
+    claim = claim and ok  # a gain does not count over failed runs
+    if args.claim is not None:
+        print(f"CLAIM {'MET' if claim else 'NOT MET'}: {args.claim} "
               f"(at least 9 in 10 pairs won, a median gain above the "
               f"parent's quartile spread, and no failed run)")
+    if args.out is not None:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        doc.setdefault("workloads", {})[args.workload] = {
+            "seeds": seeds, "seconds": args.seconds,
+            "fingerprints_differ": differ,
+            "claim": None if args.claim is None else {"metric": args.claim,
+                                                      "met": claim},
+            "metrics": table,
+            "runs": {side: [{"seed": seed, "code": run["code"],
+                             "correct": run["result"].get("correct"),
+                             "fingerprint": run["fingerprint"],
+                             "environment": run["environment"],
+                             "metrics": {k: v["value"] for k, v in
+                                         run["result"].get("metrics", {}).items()}}
+                            for seed, run in zip(seeds, side_runs)]
+                     for side, side_runs in runs.items()}}
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
