@@ -26,7 +26,12 @@ each one graph node with a hand-written backward:
 Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
 a backward closure), so there is no global tape and read-only tensors are
-safe to share across threads.
+safe to share across threads. Threads may build and differentiate graphs
+at the same time when each thread's graph has leaf tensors of its own:
+``backward`` writes the ``grad`` of every tensor it reaches, so no two
+threads may reach one tensor. Two graphs over the same parameter arrays
+use two sets of leaves wrapping those arrays (``training`` steps a pair
+of bags that way, then adds the two gradients).
 
 Gradient ownership: a tensor's first gradient is ``0 + g``, which turns
 -0.0 into +0.0, and later ones add in place. ``_accumulate`` copies g on
@@ -644,6 +649,12 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _result(out, (a,), backward)
 
 
+def dropout_draws(rng, shape: Tuple[int, ...]) -> np.ndarray:
+    """The uniform 16-bit draws ``dropout`` takes from rng for an input of
+    this shape."""
+    return rng.integers(0, 1 << 16, shape, dtype=np.uint16)
+
+
 def dropout(a: Tensor, rate: float, training: bool,
             rng: Optional[np.random.Generator] = None,
             inplace: bool = False) -> Tensor:
@@ -662,8 +673,7 @@ def dropout(a: Tensor, rate: float, training: bool,
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    draws = rng.integers(0, 1 << 16, a.data.shape, dtype=np.uint16)
-    keep = draws >= round(rate * (1 << 16))
+    keep = dropout_draws(rng, a.data.shape) >= round(rate * (1 << 16))
     survive = a.data.dtype.type(1.0 - rate)
     out = np.divide(a.data, survive, out=a.data if inplace else None)
     out *= keep
@@ -680,11 +690,12 @@ def dropout(a: Tensor, rate: float, training: bool,
 # backward pass and gradient checking
 
 
-def _topo_order(root: Tensor) -> list:
-    """Parents-before-children ordering of the graph reachable from root."""
+def _topo_order(roots: Sequence[Tensor]) -> list:
+    """Parents-before-children ordering of the graph reachable from the
+    roots."""
     order: list = []
     visited: set = set()
-    stack: list = [(root, False)]
+    stack: list = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -700,17 +711,26 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(root: Tensor) -> None:
-    """Populate grads of every reachable requires_grad tensor.
+def backward(*roots: Tensor) -> None:
+    """Populate grads of every requires_grad tensor reachable from the
+    roots.
 
-    The root is seeded with ones, so a scalar root yields plain
-    derivatives and a non-scalar root yields sum-of-outputs derivatives.
+    One root whose grad is unset is seeded with ones, so a scalar root
+    yields plain derivatives and a non-scalar root yields sum-of-outputs
+    derivatives. With several roots the caller seeds every root's grad,
+    for example with a loss's gradients with respect to them, and the
+    backward is that of the sum of the roots weighted by their seeds.
     """
-    if not root.requires_grad:
+    if not roots:
+        raise ValueError("backward needs at least one root")
+    if not all(root.requires_grad for root in roots):
         raise ValueError("backward from a tensor outside the computation graph")
-    order = _topo_order(root)
-    if root.grad is None:
-        root.grad = np.ones_like(root.data)
+    if len(roots) > 1 and any(root.grad is None for root in roots):
+        raise ValueError("backward from several roots needs every root's "
+                         "grad seeded")
+    order = _topo_order(roots)
+    if roots[0].grad is None:
+        roots[0].grad = np.ones_like(roots[0].data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -4,7 +4,7 @@ One loop trains the full model and the mean-/max-pooling heads on
 balanced (one positive, one negative) bag pairs with bias-corrected Adam,
 evaluating train and val after every epoch; one ``evaluate`` scores
 either. Runs are bitwise deterministic given the store bytes, the
-config, and the seed.
+config, and the seed, on any number of CPUs.
 
 Checkpoint format (version 2): magic "FRML", one version byte, a
 little-endian uint32 header length, a JSON header
@@ -25,10 +25,9 @@ import numbers
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .model import (
     ModelParams,
     bag_forward,
     comparator_forward,
+    dropout_shapes,
     init_comparator,
     init_params,
     param_shapes,
@@ -323,6 +323,68 @@ def _usable_cpus() -> List[Optional[int]]:
     return [None] * (os.cpu_count() or 1)
 
 
+def _worker_cpus(bags) -> List[Optional[int]]:
+    """One usable CPU per bag of at least ``PARALLEL_MIN_VALUES`` feature
+    values, the caller's first; none unless two bags are that large."""
+    large = sum(b.features.size >= PARALLEL_MIN_VALUES for b in bags)
+    return _usable_cpus()[:large] if large > 1 else []
+
+
+def _pin(cpus: set) -> None:
+    if None not in cpus:
+        with contextlib.suppress(OSError):  # a CPU gone offline
+            os.sched_setaffinity(0, cpus)
+
+
+def _on_cpus(cpus: List[Optional[int]], work: Callable[[int], None],
+             stop: Callable[[], None], name: str) -> None:
+    """Run ``work(0)`` on the caller and ``work(i)`` on one helper thread
+    for each further ``cpus[i]``, each pinned to its CPU while it works.
+
+    The first failure calls ``stop()``, which must make the other workers
+    return soon, and is re-raised once every helper has been joined. The
+    caller gets its CPU set back.
+
+    Each worker is pinned to a CPU of its own. Left to itself, Linux often
+    starts a thread on its creator's CPU and, while the two hand the
+    interpreter lock back and forth, keeps both there: on a 2-core VM, 3
+    of 4 fresh processes scored at 1.0 CPU-second per second, slower than
+    one thread. Pinning the helper alone did not move the caller off its
+    CPU. With both pinned, 23 of 24 passes in 8 fresh processes ran at
+    1.45-1.87 CPU-seconds per second.
+    """
+    failures: List[BaseException] = []
+    lock = threading.Lock()
+
+    def run(i: int) -> None:
+        _pin({cpus[i]})
+        try:
+            work(i)
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+            stop()
+
+    own = _usable_cpus()
+    helpers = [threading.Thread(target=run, args=(i,), name=f"{name}-{i}")
+               for i in range(1, len(cpus))]
+    started = []
+    try:
+        for thread in helpers:
+            thread.start()
+            started.append(thread)
+        run(0)
+    except BaseException:  # a helper did not start
+        stop()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+        _pin(set(own))
+    if failures:
+        raise failures[0]
+
+
 def _detached(params: ModelParams | ComparatorParams):
     """The same parameter arrays as tensors that need no gradient, so a
     forward through them records no graph and frees each intermediate
@@ -357,62 +419,33 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
 
     With two or more large bags and more than one usable CPU, the caller
     and one helper thread per further CPU (at most one per further large
-    bag), each pinned to a CPU of its own while it works, take bags,
-    largest first, from one shared list; numpy
-    releases the interpreter lock inside the big products and filters.
-    BLAS runs one thread per product, so every product rounds the same way
-    on any thread and the bytes equal those of scoring the bags one by
-    one. The helpers are joined before this returns; the first failure
+    bag), each pinned to a CPU of its own (``_on_cpus``), take bags,
+    largest first, from one shared list; numpy releases the interpreter
+    lock inside the big products and filters. BLAS runs one thread per
+    product, so every product rounds the same way on any thread and the
+    bytes equal those of scoring the bags one by one. The first failure
     stops further bags and is re-raised.
     """
-    large = sum(b.features.size >= PARALLEL_MIN_VALUES for b in bags)
-    usable = _usable_cpus() if large > 1 else []
-    cpus = usable[:large]  # the caller's, then one per helper
+    cpus = _worker_cpus(bags)
     if len(cpus) < 2:
         return [_bag_prob(b, params, pem_residual) for b in bags]
     probs: List[Optional[float]] = [None] * len(bags)
     pending = sorted(range(len(bags)), key=lambda i: bags[i].features.size)
     lock = threading.Lock()
 
-    def work() -> None:
+    def work(_: int) -> None:
         while True:
             with lock:
                 if not pending:
                     return
                 i = pending.pop()
-            try:
-                probs[i] = _bag_prob(bags[i], params, pem_residual)
-            except BaseException:
-                with lock:
-                    pending.clear()
-                raise
+            probs[i] = _bag_prob(bags[i], params, pem_residual)
 
-    def pin(cpu_set: set) -> None:
-        if None not in cpu_set:
-            with contextlib.suppress(OSError):  # a CPU gone offline
-                os.sched_setaffinity(0, cpu_set)
+    def stop() -> None:
+        with lock:
+            pending.clear()
 
-    def helper(cpu: Optional[int]) -> None:
-        pin({cpu})
-        work()
-
-    # Each worker is pinned to a CPU of its own. Left to itself, Linux often
-    # starts a thread on its creator's CPU and, while the two hand the
-    # interpreter lock back and forth, keeps both there: on a 2-core VM, 3
-    # of 4 fresh processes scored at 1.0 CPU-second per second, slower than
-    # one thread. Pinning the helper alone did not move the caller off its
-    # CPU. With both pinned, 23 of 24 passes in 8 fresh processes ran at
-    # 1.45-1.87 CPU-seconds per second.
-    pin({cpus[0]})
-    try:
-        with ThreadPoolExecutor(len(cpus) - 1,
-                                thread_name_prefix="evaluate") as pool:
-            futures = [pool.submit(helper, cpu) for cpu in cpus[1:]]
-            work()
-    finally:
-        pin(set(usable))
-    for future in futures:
-        future.result()
+    _on_cpus(cpus, work, stop, "evaluate")
     return probs
 
 
@@ -492,11 +525,108 @@ def _epoch_rows(epoch, parts_mean, weights, train_report, val_report):
     return rows
 
 
+def _check_loss(parts: Dict[str, float], batch: str) -> None:
+    if not np.isfinite(parts["total"]):
+        raise TrainingError(f"non-finite loss {batch}")
+
+
+class _Draws:
+    """Stands in for the dropout generator of one bag's training forward:
+    hands out draws taken beforehand, in order, each of the shape it was
+    taken for."""
+
+    def __init__(self, draws: List[np.ndarray]):
+        self.draws = draws
+
+    def integers(self, low, high, size, dtype) -> np.ndarray:
+        if not self.draws or self.draws[0].shape != tuple(size):
+            expected = self.draws[0].shape if self.draws else "none"
+            raise TrainingError(f"a dropout draw of shape {tuple(size)}, where "
+                                f"{expected} was taken beforehand")
+        return self.draws.pop(0)
+
+
+def _leaf_views(params: ModelParams) -> List[ModelParams]:
+    """Two sets of leaves over the parameter arrays, one per bag of a
+    ``_split_step``, each with a ``grad`` of its own. ``adam_step`` updates
+    the arrays in place, so they stay valid for a whole run."""
+    return [replace(params, **{name: Tensor(t.data, requires_grad=True)
+                               for name, t in params.named().items()})
+            for _ in range(2)]
+
+
+def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
+                rng: np.random.Generator, config: TrainConfig,
+                cpus: List[Optional[int]], batch: str) -> Dict[str, float]:
+    """One training step over a balanced pair, each bag's forward and
+    backward on a CPU of its own: the positive bag's on the caller, the
+    negative bag's on a helper thread (``_on_cpus``). Leaves every
+    parameter's gradient in its ``grad`` and returns the loss parts.
+
+    ``views`` are two sets of leaves over the parameter arrays, one per
+    bag, so that no two threads write one ``grad``. The caller takes the
+    dropout draws in the order of two forwards in turn, so the stream is
+    unchanged. Once both forwards are done it runs ``total_loss`` over
+    stand-in leaves for each bag's ``bag_prob`` and ``a_max``, the only
+    tensors through which the loss reaches a parameter, and seeds those
+    roots with their gradients; each bag then runs its own backward. Each
+    parameter is used once per bag, so its gradient in one graph over both
+    bags is the sum of two terms, and ``g_pos + g_neg`` has the same bytes
+    whichever term comes first.
+    """
+    sides = [(bag, view, _Draws([
+                 ad.dropout_draws(rng, shape)
+                 for shape in dropout_shapes(bag, params.dim, config.dropout)]))
+             for bag, view in zip((pos, neg), views)]
+    traces: list = [None, None]
+    parts: Dict[str, float] = {}
+    barrier = threading.Barrier(2)
+
+    def work(i: int) -> None:
+        bag, view, draws = sides[i]
+        traces[i] = trace = bag_forward(bag, view, training=True, rng=draws,
+                                        dropout=config.dropout,
+                                        pem_residual=config.pem_residual)
+        if draws.draws:
+            raise TrainingError(f"{len(draws.draws)} dropout draws taken "
+                                f"beforehand were not used")
+        barrier.wait()  # both forwards are done
+        if i == 0:
+            stand_ins = [replace(t, **{root: Tensor(getattr(t, root).data,
+                                                    requires_grad=True)
+                                       for root in ("bag_prob", "a_max")})
+                         for t in traces]
+            loss, loss_parts = total_loss(*stand_ins, (1, 0),
+                                          config.loss_weights(),
+                                          fm_squared=config.fm_squared)
+            parts.update(loss_parts)
+            _check_loss(parts, batch)
+            backward(loss)
+            for t, stand_in in zip(traces, stand_ins):
+                t.bag_prob.grad = stand_in.bag_prob.grad
+                t.a_max.grad = stand_in.a_max.grad
+        barrier.wait()  # both bags' roots are seeded
+        backward(trace.bag_prob, trace.a_max)
+
+    _on_cpus(cpus, work, barrier.abort, "train")
+    pos_leaves, neg_leaves = (view.named() for view in views)
+    for name, t in params.named().items():
+        g_pos, g_neg = pos_leaves[name].grad, neg_leaves[name].grad
+        t.grad = np.add(g_pos, g_neg, out=g_pos)
+        pos_leaves[name].grad = neg_leaves[name].grad = None
+    return parts
+
+
 def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
           kind: str = "frmil") -> TrainResult:
     """Train on the train split, tracking val each epoch. kind "frmil" is
     the full model on the weighted objective; "mean_pool" and "max_pool"
-    are pooling heads on plain bag cross-entropy."""
+    are pooling heads on plain bag cross-entropy.
+
+    A model step whose two bags both hold ``PARALLEL_MIN_VALUES`` feature
+    values or more runs on two CPUs when the process may use two
+    (``_split_step``), with the bytes of the one-graph step that every
+    other step takes."""
     config.validate()
     if config.dim is not None and config.dim != store.dim:
         raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
@@ -511,6 +641,7 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
         weights = config.loss_weights()
         drop_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
+        views = _leaf_views(params)
 
         def pair_loss(pos, neg):
             tp, tn = (bag_forward(bag, params, training=True, rng=drop_rng,
@@ -520,6 +651,7 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
             return total_loss(tp, tn, (1, 0), weights,
                               fm_squared=config.fm_squared)
     else:
+        views = None
         params = init_comparator(kind, store.dim, config.seed)
         weights = LossWeights(1.0, 0.0, 0.0)
 
@@ -536,13 +668,18 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
         sums = {"bag": 0.0, "max": 0.0, "fm": 0.0}
         pairs = balanced_batches(labeled, config.seed, epoch)
         for pos_id, neg_id in pairs:
-            loss, parts = pair_loss(store.bag(pos_id), store.bag(neg_id))
-            if not np.isfinite(parts["total"]):
-                raise TrainingError(f"non-finite loss at epoch {epoch} on "
-                                    f"batch ({pos_id}, {neg_id})")
-            for t in named.values():
-                t.grad = None
-            backward(loss)
+            pos, neg = store.bag(pos_id), store.bag(neg_id)
+            batch = f"at epoch {epoch} on batch ({pos_id}, {neg_id})"
+            cpus = [] if views is None else _worker_cpus((pos, neg))
+            if len(cpus) == 2:
+                parts = _split_step(pos, neg, params, views, drop_rng, config,
+                                    cpus, batch)
+            else:
+                loss, parts = pair_loss(pos, neg)
+                _check_loss(parts, batch)
+                for t in named.values():
+                    t.grad = None
+                backward(loss)
             adam_step(named, {k: t.grad for k, t in named.items()}, state,
                       config.lr)
             for key in sums:

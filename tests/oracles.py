@@ -21,6 +21,10 @@ baseline's predictions as plain per-bag Python loops.
 
 ``adam_step_reference`` is ``training.adam_step`` as it was before it
 moved onto in-place ufuncs, one temporary array per operation.
+
+``pair_step_reference`` is the model's training step over one balanced
+pair as one graph over both bags, on one thread, as ``training.train``
+took it before large pairs were split over two CPUs.
 """
 
 import math
@@ -37,6 +41,8 @@ from frmil.autodiff import (
     _masked_softmax,
     _result,
 )
+from frmil.model import bag_forward
+from frmil.objectives import total_loss
 from frmil.selftest import _check, _dims, _scalarize, _t
 
 
@@ -276,3 +282,19 @@ def adam_step_reference(named, grads, state, lr):
         v += (1.0 - state.beta2) * g * g
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         tensor.data = tensor.data - update.astype(tensor.data.dtype)
+
+
+def pair_step_reference(pos, neg, params, rng, config):
+    """Both training forwards in turn, ``total_loss`` and one backward from
+    it: leaves every parameter's gradient in its grad, returns the loss
+    parts."""
+    traces = [bag_forward(bag, params, training=True, rng=rng,
+                          dropout=config.dropout,
+                          pem_residual=config.pem_residual)
+              for bag in (pos, neg)]
+    loss, parts = total_loss(*traces, (1, 0), config.loss_weights(),
+                             fm_squared=config.fm_squared)
+    for t in params.named().values():
+        t.grad = None
+    ad.backward(loss)
+    return parts

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,3 +134,60 @@ def test_out_writes_runs_and_summary_and_keeps_other_workloads(
     assert doc["workloads"]["score-wsi"]["claim"] is None
     assert [r["seed"] for r in doc["workloads"]["score-wsi"]["runs"]["parent"]] \
         == [2, 3, 4]
+
+
+def canned_stdout(seed, scale, epoch_s):
+    """perfbench/run.py's output for an untraced run, trimmed to one metric."""
+    probe_ms = 20.0 / scale
+    return "\n".join([
+        f"workload train-wsi seed {seed} trace 0",
+        'environment {"blas_threads": 1, "commit": "abc1234"}',
+        f"host speed: probe median {probe_ms:.3f} ms over {40 + seed} probes, "
+        f"reference 20.000 ms, scale {scale:.4f}; window timings are scaled",
+        f"  epoch_s {epoch_s:14.6f} s      (n=12; raw {epoch_s / scale:.6f})",
+        f"fingerprint train-wsi seed {seed}: f{seed}",
+        "attempted 96 (train pairs 96, bags scored 0), failed 0",
+        json.dumps({"correct": True, "attempted": 96, "failed": 0,
+                    "metrics": {"epoch_s": {"value": epoch_s, "unit": "s",
+                                            "n": 12}}}),
+        ""])
+
+
+def test_host_speed_of_each_run_is_kept_and_its_median_printed(
+        tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    scales = {"parent": [0.80, 0.84, 0.90], "change": [0.85, 0.95, 0.70]}
+
+    def run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        side = "parent" if cwd == sides["parent"] else "change"
+        return SimpleNamespace(returncode=0, stderr="", stdout=canned_stdout(
+            seed, scales[side][seed - 1], 0.3))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    one = bench_pairs.run_once(sides["parent"], "train-wsi", 2, 30)
+    assert one["host_speed"] == {"probe_median_ms": 23.81,
+                                 "probes": 42, "scale": 0.84}
+    assert one["fingerprint"] == "f2" and one["code"] == 0
+    assert one["environment"] == {"blas_threads": 1, "commit": "abc1234"}
+    assert bench_pairs.host_speed(["no probe here"]) is None
+
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change",
+                             str(sides["change"]), "--workload", "train-wsi",
+                             "--seeds", "1-3", "--seconds", "30",
+                             "--out", str(out)]) == 0
+    assert "host speed scale, median: parent 0.8400, change 0.8500" in \
+        capsys.readouterr().out
+    doc = json.loads(out.read_text())["workloads"]["train-wsi"]
+    assert doc["host_speed_scale"] == {"parent": 0.84, "change": 0.85}
+    for side in ("parent", "change"):
+        assert [r["host_speed"]["scale"] for r in doc["runs"][side]] \
+            == scales[side]
+        assert [r["host_speed"]["probes"] for r in doc["runs"][side]] \
+            == [41, 42, 43]

@@ -1,6 +1,7 @@
 """Optimizer, metrics, checkpointing, and training-loop determinism."""
 
 import copy
+import hashlib
 import math
 import os
 import sys
@@ -18,6 +19,7 @@ from frmil.bagdata import (
     SyntheticSpec,
     generate_synthetic,
     make_bag,
+    pad_to,
     split_ids,
     write_split,
     write_store,
@@ -32,6 +34,7 @@ from frmil.training import (
     CheckpointVersionError,
     ConfigError,
     TrainConfig,
+    TrainingError,
     adam_step,
     auc,
     evaluate,
@@ -40,7 +43,7 @@ from frmil.training import (
     train,
     write_metrics_csv,
 )
-from oracles import adam_step_reference, pairwise_auc
+from oracles import adam_step_reference, pair_step_reference, pairwise_auc
 
 
 class TestAdam:
@@ -282,6 +285,11 @@ def wide_store():
     return BagStore(root=Path("wide"), dim=512, bags=bags)
 
 
+# the CPU set the test process started with, read before any test pins
+START_CPUS = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+              else None)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """At least two usable CPUs; faked, with no pinning, on a one-CPU host."""
@@ -416,7 +424,7 @@ class TestEvaluateParallel:
         ids = wide_store.ids()
         caller = threading.current_thread()
         threads = threading.active_count()
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        cpus = START_CPUS
         evaluate(wide_store, ids, params)
         assert threading.active_count() == threads
         helper_failed = threading.Event()
@@ -477,6 +485,179 @@ class TestEvaluateParallel:
         assert seen == [(caller, threads)] * len(ids)
         assert [p.hex() for _, _, p in rows] == [
             direct_prob("frmil", wide_store.bag(i), params).hex() for i in ids]
+
+
+def param_digest(params):
+    return hashlib.sha256(b"".join(t.data.tobytes() for t in
+                                   params.named().values())).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pair_store():
+    """One positive and one negative D=512 bag, both above the
+    two-CPU gate."""
+    rng = np.random.default_rng(31)
+    bags = {bag_id: make_bag(bag_id, label, rng.standard_normal(
+                (n, 512)).astype(np.float32))
+            for bag_id, label, n in (("p", 1, 300), ("n", 0, 420))}
+    return BagStore(root=Path("pair"), dim=512, bags=bags)
+
+
+PAIR_SPLIT = {"train": ["p", "n"]}
+
+
+def wide_config(**kw):
+    return TrainConfig(**dict(dict(tau=20.0, lr=1e-3, epochs=1, dropout=0.2,
+                                   seed=3), **kw))
+
+
+def spy_split_steps(monkeypatch):
+    """A list that gets the bag ids of each split step train takes."""
+    calls = []
+    real = training._split_step
+
+    def step(pos, neg, *args, **kwargs):
+        calls.append((pos.bag_id, neg.bag_id))
+        return real(pos, neg, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_split_step", step)
+    return calls
+
+
+class TestSplitStep:
+    """A pair of large bags steps on two CPUs with the bytes of one graph
+    over both bags on one."""
+
+    def test_three_steps_equal_the_one_graph_step(self, two_cpus,
+                                                  monkeypatch):
+        rng = np.random.default_rng(21)
+        pos = make_bag("p", 1, rng.standard_normal((300, 512)).astype(np.float32))
+        neg = pad_to(make_bag("n", 0, rng.standard_normal(
+            (256, 512)).astype(np.float32)), 290)  # 34 masked rows
+        config = wide_config(tau=8.0)
+        cpus = training._worker_cpus((pos, neg))
+        assert len(cpus) == 2
+        caller = threading.current_thread()
+        threads = {}
+        spy_forward(monkeypatch, "frmil", lambda out: threads.setdefault(
+            out.mask.size, threading.current_thread()))
+
+        def split_step(params, views, drop):
+            return training._split_step(pos, neg, params, views, drop, config,
+                                        cpus, "batch")
+
+        runs = []
+        for split in (False, True):
+            params = init_params(512, 8, seed=4)
+            views = training._leaf_views(params)
+            named = params.named()
+            state = AdamState.for_params(named)
+            drop = np.random.default_rng(9)
+            parts = []
+            for _ in range(3):
+                parts.append(split_step(params, views, drop) if split else
+                             pair_step_reference(pos, neg, params, drop, config))
+                adam_step(named, {k: t.grad for k, t in named.items()}, state,
+                          config.lr)
+            runs.append((parts, named, state))
+        (ref_parts, ref, ref_state), (parts, named, state) = runs
+        assert threads[300] is caller and threads[290] is not caller
+        assert [{k: v.hex() for k, v in p.items()} for p in parts] == \
+            [{k: v.hex() for k, v in p.items()} for p in ref_parts]
+        for name, t in named.items():
+            assert t.data.tobytes() == ref[name].data.tobytes(), name
+            assert t.grad.tobytes() == ref[name].grad.tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    def test_train_on_one_cpu_gives_the_same_parameters(self, wide_store,
+                                                        two_cpus,
+                                                        monkeypatch):
+        split = {"train": wide_store.ids()}
+        config = wide_config(epochs=2)
+        calls = spy_split_steps(monkeypatch)
+        two = train(wide_store, split, config)
+        assert calls  # the pairs without the 40-row bag took two CPUs
+        monkeypatch.setattr(training, "_usable_cpus", lambda: [0])
+        calls.clear()
+        one = train(wide_store, split, config)
+        assert calls == []
+        assert param_digest(two.params) == param_digest(one.params)
+        assert two.history == one.history
+
+    def test_draw_of_another_shape_raises(self):
+        draws = training._Draws([np.zeros((5, 4), np.uint16)])
+        with pytest.raises(TrainingError, match=r"\(6, 4\)"):
+            draws.integers(0, 1 << 16, (6, 4), np.uint16)
+        assert draws.integers(0, 1 << 16, (5, 4), np.uint16).shape == (5, 4)
+        with pytest.raises(TrainingError):
+            draws.integers(0, 1 << 16, (1, 4), np.uint16)
+
+
+class TestSplitStepThreads:
+    """The split step's helper thread is joined and the caller unpinned,
+    whatever happens."""
+
+    @staticmethod
+    def state():
+        return (threading.active_count(),
+                None if START_CPUS is None else os.sched_getaffinity(0))
+
+    def test_helper_mask_error_is_raised(self, pair_store, two_cpus,
+                                         monkeypatch):
+        before = (threading.active_count(), START_CPUS)
+        caller = threading.current_thread()
+        real = training.bag_forward
+
+        def forward(bag, *args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise MaskError("empty bag: no unmasked instances")
+            return real(bag, *args, **kwargs)
+
+        monkeypatch.setattr(training, "bag_forward", forward)
+        calls = spy_split_steps(monkeypatch)
+        with pytest.raises(MaskError):
+            train(pair_store, PAIR_SPLIT, wide_config())
+        assert calls == [("p", "n")]
+        assert self.state() == before
+
+    def test_non_finite_loss_names_the_batch(self, pair_store, two_cpus,
+                                             monkeypatch):
+        before = (threading.active_count(), START_CPUS)
+        real = training.total_loss
+
+        def nan_loss(*args, **kwargs):
+            loss, parts = real(*args, **kwargs)
+            return loss, dict(parts, total=float("nan"))
+
+        monkeypatch.setattr(training, "total_loss", nan_loss)
+        calls = spy_split_steps(monkeypatch)
+        with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0 "
+                           r"on batch \(p, n\)"):
+            train(pair_store, PAIR_SPLIT, wide_config())
+        assert calls == [("p", "n")]
+        assert self.state() == before
+
+    @pytest.mark.parametrize("case", ["one_cpu", "small_bags"])
+    def test_starts_no_thread(self, case, pair_store, tiny_store, request,
+                              monkeypatch):
+        if case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+            store, split, config = pair_store, PAIR_SPLIT, wide_config()
+        else:
+            request.getfixturevalue("two_cpus")
+            (store, split), config = tiny_store, tiny_config(epochs=1)
+        caller = threading.current_thread()
+        threads = threading.active_count()
+        seen = []
+        spy_forward(monkeypatch, "frmil",
+                    lambda _: seen.append((threading.current_thread(),
+                                           threading.active_count())))
+        calls = spy_split_steps(monkeypatch)
+        train(store, split, config)
+        assert calls == []
+        assert seen and set(seen) == {(caller, threads)}
 
 
 class TestCheckpoint:

@@ -16,11 +16,18 @@ marked OUT OF BOUND. Seeds whose output fingerprints differ between the
 two checkouts are flagged. With ``--claim METRIC`` it prints CLAIM MET or
 CLAIM NOT MET under the table, by the gain rule of ``claim_met``.
 
+Under the table it prints each side's median host speed scale, read from
+every run's ``host speed:`` line (perfbench/hostspeed.py): the run's
+window timings were multiplied by that scale, so two sides that ran at
+different host speeds show here.
+
 With ``--out FILE`` it also writes the table as JSON, under
 ``"workloads"`` and the workload's name, keeping the other workloads
-already in FILE: every run's seed, exit code, metrics, fingerprint and
-environment line, and per metric each side's median and quartiles, the
-ratio, the pairs won, the parent's spread and the bound check.
+already in FILE: every run's seed, exit code, metrics, fingerprint,
+environment line and host speed (probe median, probe count and scale),
+each side's median scale, and per metric each side's median and
+quartiles, the ratio, the pairs won, the parent's spread and the bound
+check.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments.
@@ -29,6 +36,7 @@ Exits 1 when any run exits non-zero or reports ``"correct": false``,
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -46,8 +54,24 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+HOST_SPEED = re.compile(r"host speed: probe median ([0-9.]+) ms over ([0-9]+) "
+                        r"probes, .*scale ([0-9.]+)")
+
+
+def host_speed(lines: list):
+    """The probe median (ms), the probe count and the scale of a run's
+    ``host speed:`` line; None without one."""
+    for line in lines:
+        match = HOST_SPEED.match(line)
+        if match:
+            return {"probe_median_ms": float(match[1]),
+                    "probes": int(match[2]), "scale": float(match[3])}
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its result line, fingerprint and exit code."""
+    """One untraced benchmark run: its result line, fingerprint, environment
+    line, host speed and exit code."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +88,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                 if ln.startswith("environment ")), None)
     return {"code": proc.returncode, "result": result,
             "fingerprint": fingerprint, "stderr": proc.stderr,
-            "environment": None if env is None else json.loads(env)}
+            "environment": None if env is None else json.loads(env),
+            "host_speed": host_speed(lines)}
 
 
 def quartiles(values: list) -> list:
@@ -187,6 +212,14 @@ def main(argv=None) -> int:
                        "change_quartiles": quartiles(new), "ratio": ratio,
                        "won": won, "pairs": len(pairs), "spread": spread(old),
                        "out_of_bound": worse > metric["bound"]}
+    scales = {side: [run["host_speed"]["scale"] for run in side_runs
+                     if run.get("host_speed")]
+              for side, side_runs in runs.items()}
+    median_scale = {side: statistics.median(values) if values else None
+                    for side, values in scales.items()}
+    print("host speed scale, median: " + ", ".join(
+        f"{side} " + ("n/a" if value is None else f"{value:.4f}")
+        for side, value in median_scale.items()))
     if out_of_bound:
         print(f"out of bound: {', '.join(out_of_bound)}")
     claim = claim and ok  # a gain does not count over failed runs
@@ -201,11 +234,12 @@ def main(argv=None) -> int:
             "fingerprints_differ": differ,
             "claim": None if args.claim is None else {"metric": args.claim,
                                                       "met": claim},
-            "metrics": table,
+            "metrics": table, "host_speed_scale": median_scale,
             "runs": {side: [{"seed": seed, "code": run["code"],
                              "correct": run["result"].get("correct"),
                              "fingerprint": run["fingerprint"],
                              "environment": run["environment"],
+                             "host_speed": run.get("host_speed"),
                              "metrics": {k: v["value"] for k, v in
                                          run["result"].get("metrics", {}).items()}}
                             for seed, run in zip(seeds, side_runs)]
