@@ -136,18 +136,6 @@ def make_bag(bag_id: str, label: int, features) -> InstanceBag:
     return InstanceBag(bag_id, label, features, np.ones(features.shape[0], bool))
 
 
-def pad_to(bag: InstanceBag, target_n: int) -> InstanceBag:
-    """Append zero rows up to target_n; the mask marks them invalid."""
-    if target_n < bag.n_rows:
-        raise ValueError(f"cannot pad bag {bag.bag_id} of {bag.n_rows} rows "
-                         f"down to {target_n}")
-    extra = target_n - bag.n_rows
-    feats = np.vstack([bag.features,
-                       np.zeros((extra, bag.dim), dtype=np.float32)])
-    mask = np.concatenate([bag.mask, np.zeros(extra, dtype=bool)])
-    return InstanceBag(bag.bag_id, bag.label, feats, mask)
-
-
 @dataclass
 class BagStore:
     """All bags of one store, loaded and validated."""

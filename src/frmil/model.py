@@ -74,34 +74,71 @@ class ModelParams:
         return self.dim // self.heads
 
 
-def _uniform_init(rng, shape, fan_in, dtype):
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
+# Every view of an arena starts on a cache line: score-wsi scoring read 8%
+# fewer bags per second from parameter views 4 bytes apart.
+ARENA_ALIGN = 64
+
+
+def arena(shapes: Dict[str, Tuple[int, ...]], dtype=np.float32,
+          flat: Optional[np.ndarray] = None):
+    """A flat array and a view of it per shape, in order, each starting a
+    whole number of ``ARENA_ALIGN``-byte blocks into it; nothing writes the
+    pads between them. A new flat array is zeroed, starts on an
+    ``ARENA_ALIGN`` boundary and is built over a memoryview, so that it
+    stays its views' ``base``. None when a given one is not as long as the
+    layout."""
+    itemsize = np.dtype(dtype).itemsize
+    block, offsets, size = ARENA_ALIGN // itemsize, {}, 0
+    for name, shape in shapes.items():
+        offsets[name], size = size, size - (-math.prod(shape) // block) * block
+    if flat is None:
+        raw = np.zeros(size * itemsize + ARENA_ALIGN, np.uint8)
+        flat = np.frombuffer(raw.data, dtype, size,
+                             -raw.ctypes.data % ARENA_ALIGN)
+    elif flat.shape != (size,):
+        return None
+    return flat, {name: flat[at:at + math.prod(shapes[name])]
+                  .reshape(shapes[name]) for name, at in offsets.items()}
+
+
+def arena_of(arrays: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
+    """The flat array of the arena whose views the arrays are, or None."""
+    flat = next(iter(arrays.values())).base
+    found = isinstance(flat, np.ndarray) and arena(
+        {name: a.shape for name, a in arrays.items()}, flat.dtype, flat)
+    return flat if found and all(
+        a.__array_interface__ == found[1][name].__array_interface__
+        for name, a in arrays.items()) else None
 
 
 def init_params(dim: int, heads: int, seed: int,
                 dtype=np.float32) -> ModelParams:
-    """Deterministic initialization under seed, drawn in table order.
-
-    The class token is standard normal; linear and convolution weights are
-    uniform in +-1/sqrt(fan_in); biases start at zero; layer-norm gain at
-    one.
-    """
+    """Deterministic initialization under seed, drawn in table order into
+    one arena (``_init_tensors``)."""
     if dim % heads != 0:
         raise ValueError(f"feature dim {dim} is not divisible by {heads} heads")
+    return ModelParams(dim=dim, heads=heads,
+                       **_init_tensors(param_shapes(dim), dim, seed, dtype))
+
+
+def _init_tensors(shapes: Dict[str, Tuple[int, ...]], dim: int, seed: int,
+                 dtype) -> Dict[str, Tensor]:
+    """Leaves over one new arena, drawn under seed in table order: the
+    class token is standard normal; linear and convolution weights are
+    uniform in +-1/sqrt(fan_in); biases start at zero; layer-norm gain at
+    one."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(dim).items():
-        if name.endswith("_w"):
+    _, views = arena(shapes, dtype)
+    for name, view in views.items():
+        if name.endswith("w"):
             bound = 1.0 / math.sqrt(9 if name == "conv_w" else dim)  # fan-in
-            data = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
         elif name == "class_token":
-            data = rng.standard_normal(size=shape).astype(dtype)
-        else:
-            data = (np.ones if name == "ln_gain" else np.zeros)(shape, dtype)
-        params[name] = Tensor(data, requires_grad=True)
-    return ModelParams(dim=dim, heads=heads, **params)
+            view[...] = rng.standard_normal(size=view.shape)
+        elif name == "ln_gain":
+            view[...] = 1
+    return {name: Tensor(view, requires_grad=True)
+            for name, view in views.items()}
 
 
 @dataclass
@@ -261,10 +298,8 @@ def init_comparator(kind: str, dim: int, seed: int,
                     dtype=np.float32) -> ComparatorParams:
     if kind not in COMPARATOR_KINDS:
         raise ValueError(f"unknown comparator {kind!r}")
-    rng = np.random.default_rng(seed)
-    return ComparatorParams(kind=kind, dim=dim,
-                            w=_uniform_init(rng, (dim, 1), dim, dtype),
-                            b=Tensor(np.zeros(1, dtype=dtype), requires_grad=True))
+    return ComparatorParams(kind=kind, dim=dim, **_init_tensors(
+        {"w": (dim, 1), "b": (1,)}, dim, seed, dtype))
 
 
 def comparator_forward(cparams: ComparatorParams, bag: InstanceBag) -> Tensor:

@@ -6,6 +6,10 @@ evaluating train and val after every epoch; one ``evaluate`` scores
 either. Runs are bitwise deterministic given the store bytes, the
 config, and the seed, on any number of CPUs.
 
+Every parameter set is the views of one arena (``model.arena``), and
+``adam_step`` updates the whole arena in one banded pass over it and over
+gradient and moment arenas of the same layout.
+
 Checkpoint format (version 2): magic "FRML", one version byte, a
 little-endian uint32 header length, a JSON header
 ``{"config": <every TrainConfig field, dim set>, "params": [[name, shape],
@@ -18,7 +22,6 @@ offsets.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import numbers
@@ -44,6 +47,8 @@ from .bagdata import (
 from .model import (
     ComparatorParams,
     ModelParams,
+    arena,
+    arena_of,
     bag_forward,
     comparator_forward,
     dropout_shapes,
@@ -192,10 +197,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter plus the step count."""
+    """Views of the parameter arena (``model.arena``) and of moment and
+    gradient arenas laid out like it; ``arenas`` holds the flat p, g, m, v."""
 
+    params: Dict[str, np.ndarray]
     m: Dict[str, np.ndarray]
     v: Dict[str, np.ndarray]
+    g: Dict[str, np.ndarray]
+    arenas: Tuple[np.ndarray, ...]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -203,67 +212,90 @@ class AdamState:
 
     @classmethod
     def for_params(cls, named: Dict[str, Tensor]) -> "AdamState":
-        return cls(m={k: np.zeros_like(t.data) for k, t in named.items()},
-                   v={k: np.zeros_like(t.data) for k, t in named.items()})
+        """State over the parameters' arena. Parameters that are not the
+        views of one, such as hand-built tensors, move into a new one once,
+        by rebinding their ``data``."""
+        params = {name: t.data for name, t in named.items()}
+        shapes = {name: a.shape for name, a in params.items()}
+        flat = arena_of(params)
+        if flat is None:
+            flat, params = arena(shapes, np.result_type(*params.values()))
+            for name, t in named.items():
+                params[name][...] = t.data
+                t.data = params[name]
+        (g, gv), (m, mv), (v, vv) = (arena(shapes, flat.dtype) for _ in range(3))
+        return cls(params, mv, vv, gv, (flat, g, m, v))
 
 
 # Elements adam_step updates at a time. A band of p, g, m, v and the two
-# scratch arrays (6 x 256 KiB in float32) stays in a 2 MB L2 cache, where a
-# whole (512, 512) matrix (6 MB of them) is streamed through memory once
-# per operation.
+# scratch arrays (6 x 256 KiB in float32) stays in a 2 MB L2 cache, where
+# the D=512 arena (6 x 4 MB of them) is streamed through memory once per
+# operation.
 _ADAM_BAND = 64 * 1024
+
+
+def _first_non_finite(views: Dict[str, np.ndarray]) -> str:
+    return next(name for name, a in views.items() if not np.isfinite(a).all())
 
 
 def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of the whole parameter arena, in place.
 
-    Parameters and moments change in place, through two scratch arrays
-    per parameter, rounding in the order of ``m += (1 - b1) g``,
-    ``v += ((1 - b2) g) g`` and ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
-    The sequence runs over bands of leading-axis rows of about
-    ``_ADAM_BAND`` elements; every element gets the same operations in the
-    same order, so the bytes do not depend on the band size.
+    Each gradient is copied into the gradient arena unless it is its view
+    there already (``_split_step``); a missing one is zeros. Parameters and
+    moments change in place, through two scratch arrays, rounding in the
+    order of ``m += (1 - b1) g``, ``v += ((1 - b2) g) g`` and
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, over bands of about
+    ``_ADAM_BAND`` elements of the arenas. Every element gets the same
+    operations in the same order, so the bytes depend on neither the band
+    size nor the layout, and the pads stay zero: 0 / (0 + eps).
 
-    Aborts on any non-finite gradient or resulting parameter, naming the
-    offender.
+    Aborts on a parameter rebound since ``AdamState.for_params`` and on a
+    non-finite gradient or resulting parameter, naming the first offender.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, tensor in named.items():
-        p = tensor.data
+        if tensor.data is not state.params.get(name):
+            raise TrainingError(f"parameter {name} was rebound after "
+                                f"AdamState.for_params")
+    for name, view in state.g.items():
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(p)
-        if g.shape != p.shape:
-            raise TrainingError(f"gradient shape {g.shape} != parameter "
-                                f"{name} shape {p.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name} "
-                                f"at step {t}")
-        rows = max(1, _ADAM_BAND // p[:1].size)
-        scratch = np.empty_like(p[:rows]), np.empty_like(p[:rows])
-        finite = True
-        for lo in range(0, len(p), rows):
-            band = slice(lo, lo + rows)
-            pb, gb, m, v = p[band], g[band], state.m[name][band], state.v[name][band]
-            update, denom = (s[:len(pb)] for s in scratch)
-            m *= state.beta1
-            m += np.multiply(1.0 - state.beta1, gb, out=update)
-            v *= state.beta2
-            np.multiply(1.0 - state.beta2, gb, out=update)
-            v += np.multiply(update, gb, out=update)
-            np.divide(m, bc1, out=update)
-            np.multiply(lr, update, out=update)
-            np.divide(v, bc2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += state.eps
-            pb -= np.divide(update, denom, out=update)
-            finite = finite and bool(np.isfinite(pb).all())
-        if not finite:
-            raise TrainingError(f"non-finite parameter {name} after step {t}")
+            view.fill(0)
+        elif g is not view:
+            if g.shape != view.shape:
+                raise TrainingError(f"gradient shape {g.shape} != parameter "
+                                    f"{name} shape {view.shape}")
+            np.copyto(view, g)
+    p, g, m, v = state.arenas
+    if not np.isfinite(g).all():
+        raise TrainingError(f"non-finite gradient for parameter "
+                            f"{_first_non_finite(state.g)} at step {t}")
+    scratch = np.empty_like(p[:_ADAM_BAND]), np.empty_like(p[:_ADAM_BAND])
+    finite = True
+    for lo in range(0, len(p), _ADAM_BAND):
+        band = slice(lo, lo + _ADAM_BAND)
+        pb, gb, mb, vb = p[band], g[band], m[band], v[band]
+        update, denom = (s[:len(pb)] for s in scratch)
+        mb *= state.beta1
+        mb += np.multiply(1.0 - state.beta1, gb, out=update)
+        vb *= state.beta2
+        np.multiply(1.0 - state.beta2, gb, out=update)
+        vb += np.multiply(update, gb, out=update)
+        np.divide(mb, bc1, out=update)
+        np.multiply(lr, update, out=update)
+        np.divide(vb, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        pb -= np.divide(update, denom, out=update)
+        finite = finite and bool(np.isfinite(pb).all())
+    if not finite:
+        raise TrainingError(f"non-finite parameter "
+                            f"{_first_non_finite(state.params)} after step {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +417,15 @@ def _on_cpus(cpus: List[Optional[int]], work: Callable[[int], None],
         raise failures[0]
 
 
+def _wrap(params: ModelParams | ComparatorParams, requires_grad: bool,
+          arrays: Optional[Dict[str, np.ndarray]] = None):
+    """The parameters as new tensors over ``arrays``, by default their own:
+    detached for scoring, a thread's own leaves, or a copy."""
+    arrays = arrays or {name: t.data for name, t in params.named().items()}
+    return replace(params, **{name: Tensor(a, requires_grad=requires_grad)
+                              for name, a in arrays.items()})
+
+
 def _detached(params: ModelParams | ComparatorParams):
     """The same parameter arrays as tensors that need no gradient, so a
     forward through them records no graph and frees each intermediate
@@ -394,13 +435,10 @@ def _detached(params: ModelParams | ComparatorParams):
     place updates (``adam_step``) reach it through the shared arrays; a
     parameter whose ``data`` was rebound to another array gets a new view.
     """
-    named = params.named()
     view = params.detached_view
     if view is None or any(v.data is not t.data for v, t in
-                           zip(view.named().values(), named.values())):
-        view = replace(params, **{name: Tensor(t.data)
-                                  for name, t in named.items()})
-        params.detached_view = view
+                           zip(view.named().values(), params.named().values())):
+        view = params.detached_view = _wrap(params, False)
     return view
 
 
@@ -546,22 +584,15 @@ class _Draws:
         return self.draws.pop(0)
 
 
-def _leaf_views(params: ModelParams) -> List[ModelParams]:
-    """Two sets of leaves over the parameter arrays, one per bag of a
-    ``_split_step``, each with a ``grad`` of its own. ``adam_step`` updates
-    the arrays in place, so they stay valid for a whole run."""
-    return [replace(params, **{name: Tensor(t.data, requires_grad=True)
-                               for name, t in params.named().items()})
-            for _ in range(2)]
-
-
 def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
-                rng: np.random.Generator, config: TrainConfig,
-                cpus: List[Optional[int]], batch: str) -> Dict[str, float]:
+                grads: Dict[str, np.ndarray], rng: np.random.Generator,
+                config: TrainConfig, cpus: List[Optional[int]],
+                batch: str) -> Dict[str, float]:
     """One training step over a balanced pair, each bag's forward and
     backward on a CPU of its own: the positive bag's on the caller, the
-    negative bag's on a helper thread (``_on_cpus``). Leaves every
-    parameter's gradient in its ``grad`` and returns the loss parts.
+    negative bag's on a helper thread (``_on_cpus``). Writes every
+    parameter's gradient into ``grads`` (``AdamState.g``), leaves it in its
+    ``grad`` too, and returns the loss parts.
 
     ``views`` are two sets of leaves over the parameter arrays, one per
     bag, so that no two threads write one ``grad``. The caller takes the
@@ -612,7 +643,7 @@ def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
     pos_leaves, neg_leaves = (view.named() for view in views)
     for name, t in params.named().items():
         g_pos, g_neg = pos_leaves[name].grad, neg_leaves[name].grad
-        t.grad = np.add(g_pos, g_neg, out=g_pos)
+        t.grad = np.add(g_pos, g_neg, out=grads[name])
         pos_leaves[name].grad = neg_leaves[name].grad = None
     return parts
 
@@ -641,7 +672,6 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
         weights = config.loss_weights()
         drop_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
-        views = _leaf_views(params)
 
         def pair_loss(pos, neg):
             tp, tn = (bag_forward(bag, params, training=True, rng=drop_rng,
@@ -651,7 +681,6 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
             return total_loss(tp, tn, (1, 0), weights,
                               fm_squared=config.fm_squared)
     else:
-        views = None
         params = init_comparator(kind, store.dim, config.seed)
         weights = LossWeights(1.0, 0.0, 0.0)
 
@@ -663,6 +692,7 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
             return loss, {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
     named = params.named()
     state = AdamState.for_params(named)
+    views = [_wrap(params, True) for _ in range(2)] if kind == "frmil" else None
     result = TrainResult(params=params)
     for epoch in range(config.epochs):
         sums = {"bag": 0.0, "max": 0.0, "fm": 0.0}
@@ -672,8 +702,8 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
             batch = f"at epoch {epoch} on batch ({pos_id}, {neg_id})"
             cpus = [] if views is None else _worker_cpus((pos, neg))
             if len(cpus) == 2:
-                parts = _split_step(pos, neg, params, views, drop_rng, config,
-                                    cpus, batch)
+                parts = _split_step(pos, neg, params, views, state.g, drop_rng,
+                                    config, cpus, batch)
             else:
                 loss, parts = pair_loss(pos, neg)
                 _check_loss(parts, batch)
@@ -698,7 +728,9 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
                     or val_report.auc > result.best_val_auc):
                 result.best_val_auc = val_report.auc
                 result.best_epoch = epoch
-                result.best_params = copy.deepcopy(params)
+                flat, best = arena({k: a.shape for k, a in state.params.items()})
+                flat[...] = state.arenas[0]  # one copy, pads included
+                result.best_params = _wrap(params, True, best)
         result.history.extend(
             _epoch_rows(epoch, parts_mean, weights, train_report, val_report))
     return result
@@ -771,11 +803,11 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
         raise error(f"{path}: blob is {len(blob)} bytes, expected {need} "
                     f"for dim {config.dim}")
     values = np.frombuffer(blob, dtype="<f4")
-    loaded, start = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        arr = values[start:start + size].reshape(shape)
-        if not np.isfinite(arr).all():
+    _, views = arena(shapes)
+    for name, view in views.items():
+        view.flat, values = values[:view.size], values[view.size:]
+        if not np.isfinite(view).all():
             raise CheckpointValueError(f"{path}: non-finite values in {name}")
-        loaded[name] = Tensor(arr.copy(), requires_grad=True)
-        start += size
-    return ModelParams(dim=config.dim, heads=config.heads, **loaded), config
+    return ModelParams(dim=config.dim, heads=config.heads, **{
+        name: Tensor(view, requires_grad=True)
+        for name, view in views.items()}), config

@@ -22,6 +22,9 @@ baseline's predictions as plain per-bag Python loops.
 ``adam_step_reference`` is ``training.adam_step`` as it was before it
 moved onto in-place ufuncs, one temporary array per operation.
 
+``pad_to`` appends masked zero rows to a bag, which no product path
+does: the tests use it to check that padding changes nothing.
+
 ``pair_step_reference`` is the model's training step over one balanced
 pair as one graph over both bags, on one thread, as ``training.train``
 took it before large pairs were split over two CPUs.
@@ -41,6 +44,7 @@ from frmil.autodiff import (
     _masked_softmax,
     _result,
 )
+from frmil.bagdata import InstanceBag
 from frmil.model import bag_forward
 from frmil.objectives import total_loss
 from frmil.selftest import _check, _dims, _scalarize, _t
@@ -298,3 +302,15 @@ def pair_step_reference(pos, neg, params, rng, config):
         t.grad = None
     ad.backward(loss)
     return parts
+
+
+def pad_to(bag: InstanceBag, target_n: int) -> InstanceBag:
+    """Append zero rows up to target_n; the mask marks them invalid."""
+    if target_n < bag.n_rows:
+        raise ValueError(f"cannot pad bag {bag.bag_id} of {bag.n_rows} rows "
+                         f"down to {target_n}")
+    extra = target_n - bag.n_rows
+    feats = np.vstack([bag.features,
+                       np.zeros((extra, bag.dim), dtype=np.float32)])
+    mask = np.concatenate([bag.mask, np.zeros(extra, dtype=bool)])
+    return InstanceBag(bag.bag_id, bag.label, feats, mask)

@@ -16,7 +16,6 @@ from frmil.autodiff import Tensor
 from frmil.bagdata import (
     SyntheticSpec,
     generate_synthetic,
-    pad_to,
     read_store,
     split_ids,
     write_split,
@@ -44,6 +43,7 @@ from frmil.training import (
 from oracles import (
     brute_force_baseline,
     depthwise_conv2d_3x3,
+    pad_to,
     pairwise_auc,
     reference_op_checks,
 )

@@ -17,7 +17,6 @@ from frmil.bagdata import (
     balanced_batches,
     generate_synthetic,
     make_bag,
-    pad_to,
     read_split,
     read_store,
     split_ids,
@@ -25,6 +24,7 @@ from frmil.bagdata import (
     write_split,
     write_store,
 )
+from oracles import pad_to
 
 
 def small_bags(rng, n_bags=6, dim=4):

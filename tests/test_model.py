@@ -9,7 +9,7 @@ import pytest
 
 from frmil import autodiff as ad
 from frmil.autodiff import MaskError, Tensor, backward
-from frmil.bagdata import make_bag, pad_to
+from frmil.bagdata import make_bag
 from frmil.model import (
     bag_forward,
     comparator_forward,
@@ -23,7 +23,7 @@ from frmil.model import (
 )
 from frmil.objectives import LossWeights, total_loss
 from frmil.selftest import _naive_conv
-from oracles import pem_composite, pmsa_composite
+from oracles import pad_to, pem_composite, pmsa_composite
 
 
 def random_bag(rng, n=12, dim=8, label=1):

@@ -19,7 +19,6 @@ from frmil.bagdata import (
     SyntheticSpec,
     generate_synthetic,
     make_bag,
-    pad_to,
     split_ids,
     write_split,
     write_store,
@@ -43,7 +42,12 @@ from frmil.training import (
     train,
     write_metrics_csv,
 )
-from oracles import adam_step_reference, pair_step_reference, pairwise_auc
+from oracles import (
+    adam_step_reference,
+    pad_to,
+    pair_step_reference,
+    pairwise_auc,
+)
 
 
 class TestAdam:
@@ -89,7 +93,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bands_match_allocating_reference(self, monkeypatch, dtype):
-        # w (16, 8) then runs in 16 one-row bands, b (8,) in bands of 5 and 3
+        # the arena of w (16, 8), b (8,) and unused (3,) then runs in bands
+        # of 5 elements, which cross from one view into the next
         monkeypatch.setattr(training, "_ADAM_BAND", 5)
         self._compare_with_reference(dtype)
 
@@ -122,6 +127,125 @@ class TestAdam:
         from frmil.training import TrainingError
         with pytest.raises(TrainingError, match="spike"):
             adam_step(named, {"spike": np.array([np.nan, 0.0])}, state, lr=0.1)
+
+
+def address(a):
+    return a.ctypes.data
+
+
+def arena_pads(views):
+    """The elements of the views' arena that no view covers."""
+    flat = model.arena_of(views)
+    covered = np.zeros(len(flat), bool)
+    for a in views.values():
+        start = (address(a) - address(flat)) // a.itemsize
+        covered[start:start + a.size] = True
+    return flat[~covered]
+
+
+def model_grads(rng, dim):
+    """Gradients for every ModelParams parameter at dim but clf_b, with
+    magnitudes from 1e-6 to 1e3 and signed zeros."""
+    grads = {name: (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, shape))
+             .astype(np.float32)
+             for name, shape in model.param_shapes(dim).items()
+             if name != "clf_b"}
+    grads["q_w"][0, :2] = (0.0, -0.0)
+    return grads
+
+
+class TestArena:
+    """Every parameter set lives in one aligned arena, and Adam steps the
+    whole arena at once."""
+
+    @staticmethod
+    def _check_layout(params):
+        views = {name: t.data for name, t in params.named().items()}
+        flat = model.arena_of(views)
+        assert flat is not None
+        starts = [address(a) for a in views.values()]
+        assert all(start % 64 == 0 for start in starts)
+        assert starts == sorted(starts) and starts[0] == address(flat)
+        shapes = (model.param_shapes(params.dim) if isinstance(
+            params, model.ModelParams) else {"w": (params.dim, 1), "b": (1,)})
+        assert [(k, a.shape) for k, a in views.items()] == list(shapes.items())
+
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_views_are_aligned_and_in_table_order(self, tmp_path, dim):
+        params = init_params(dim, 8 if dim % 8 == 0 else 2, seed=1)
+        self._check_layout(params)
+        for kind in model.COMPARATOR_KINDS:
+            self._check_layout(model.init_comparator(kind, dim, seed=1))
+        save_checkpoint(params, TrainConfig(heads=params.heads),
+                        tmp_path / "m.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        self._check_layout(loaded)
+        assert param_digest(loaded) == param_digest(params)
+
+    def test_pads_stay_zero_after_ten_steps(self):
+        rng = np.random.default_rng(5)
+        params = init_params(8, 2, seed=0)
+        named = params.named()
+        state = AdamState.for_params(named)
+        for _ in range(10):
+            adam_step(named, model_grads(rng, 8), state, lr=0.1)
+        for views in (state.params, state.g, state.m, state.v):
+            pads = arena_pads(views)
+            assert pads.size > 0
+            assert pads.tobytes() == bytes(pads.nbytes)  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_full_model_equals_the_reference_for_five_steps(self, dim):
+        rng = np.random.default_rng(dim)
+        named = init_params(dim, 8, seed=2).named()
+        ref = {k: Tensor(t.data.copy(), requires_grad=True)
+               for k, t in named.items()}
+        state, ref_state = AdamState.for_params(named), AdamState.for_params(ref)
+        for _ in range(5):
+            grads = model_grads(rng, dim)
+            adam_step(named, grads, state, lr=1e-3)
+            adam_step_reference(ref, grads, ref_state, lr=1e-3)
+        for k, t in named.items():
+            assert t.data.tobytes() == ref[k].data.tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+
+    def test_non_finite_gradient_names_its_own_parameter(self):
+        named = init_params(8, 2, seed=0).named()
+        state = AdamState.for_params(named)
+        grads = model_grads(np.random.default_rng(1), 8)
+        grads["o_w"][3, 4] = np.nan
+        with pytest.raises(TrainingError, match=r"parameter o_w at step 1$"):
+            adam_step(named, grads, state, lr=0.1)
+
+    def test_rebound_parameter_raises(self):
+        params = init_params(8, 2, seed=0)
+        named = params.named()
+        state = AdamState.for_params(named)
+        params.q_b.data = params.q_b.data.copy()
+        with pytest.raises(TrainingError, match="q_b was rebound"):
+            adam_step(named, {}, state, lr=0.1)
+
+    def test_hand_built_tensors_move_into_one_arena(self):
+        named = {"w": Tensor(np.ones((3, 2), np.float32), requires_grad=True),
+                 "b": Tensor(np.full(5, 2.0, np.float32), requires_grad=True)}
+        state = AdamState.for_params(named)
+        views = {k: t.data for k, t in named.items()}
+        # rebound to the views of the state's arena
+        assert all(views[k] is state.params[k] for k in named)
+        assert address(model.arena_of(views)) == address(state.arenas[0])
+        assert (named["w"].data == 1).all() and (named["b"].data == 2).all()
+        AdamState.for_params(named)  # now found in place: no second move
+        assert all(t.data is state.params[k] for k, t in named.items())
+
+    def test_best_epoch_copy_shares_no_memory(self, tiny_store):
+        store, split = tiny_store
+        result = train(store, split, tiny_config(epochs=2))
+        assert result.best_params is not None
+        self._check_layout(result.best_params)
+        for best in result.best_params.named().values():
+            assert not any(np.shares_memory(best.data, t.data)
+                           for t in result.params.named().values())
 
 
 class TestAuc:
@@ -542,21 +666,22 @@ class TestSplitStep:
         spy_forward(monkeypatch, "frmil", lambda out: threads.setdefault(
             out.mask.size, threading.current_thread()))
 
-        def split_step(params, views, drop):
-            return training._split_step(pos, neg, params, views, drop, config,
-                                        cpus, "batch")
+        def split_step(params, views, grads, drop):
+            return training._split_step(pos, neg, params, views, grads, drop,
+                                        config, cpus, "batch")
 
         runs = []
         for split in (False, True):
             params = init_params(512, 8, seed=4)
-            views = training._leaf_views(params)
+            views = [training._wrap(params, True) for _ in range(2)]
             named = params.named()
             state = AdamState.for_params(named)
             drop = np.random.default_rng(9)
             parts = []
             for _ in range(3):
-                parts.append(split_step(params, views, drop) if split else
-                             pair_step_reference(pos, neg, params, drop, config))
+                parts.append(
+                    split_step(params, views, state.g, drop) if split
+                    else pair_step_reference(pos, neg, params, drop, config))
                 adam_step(named, {k: t.grad for k, t in named.items()}, state,
                           config.lr)
             runs.append((parts, named, state))

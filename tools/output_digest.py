@@ -6,10 +6,15 @@ Runs ``python -m frmil.cli`` with PYTHONPATH=<src-dir> in a fresh
 temporary directory: ``gen`` builds a 36-bag D=8 store (seed 11), then
 ``train``, ``eval --out``, ``ablate --comparators``, ``tau`` (two
 variants), ``baseline --out`` (two variants) and ``density`` (two
-variants) run on it. Prints the sha256 of every file written and of each
-command's stdout, with the directory path stripped. Each ``.ckpt`` file
-gets a second line, ``<sha256>  <path>#params``: the digest of the bytes
-after its header. The framing (magic, version byte, uint32 header length)
+variants) run on it. A second store of two D=512 bags of 299 and 305
+rows (seed 13) is trained for two epochs and scored: its bags cross
+``training.PARALLEL_MIN_VALUES``, so where the process may use two CPUs
+each step runs ``_split_step`` and each ``evaluate`` scores the two bags
+on two threads. Prints the environment (CPU model, numpy, BLAS) on its
+first line, then the sha256 of every file written and of each command's
+stdout, with the directory path stripped. Each ``.ckpt`` file gets a
+second line, ``<sha256>  <path>#params``: the digest of the bytes after
+its header. The framing (magic, version byte, uint32 header length)
 is the same in every checkpoint version, so this line stays equal across
 a change of header format when the parameters are unchanged. Two trees whose
 training and scoring arithmetic agree print identical lines, so
@@ -20,13 +25,18 @@ training and scoring arithmetic agree print identical lines, so
 is the byte-identity check of a refactor.
 """
 
+import contextlib
 import hashlib
+import json
 import os
+import platform
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TRAIN = ["--heads", "2", "--tau", "30", "--lr", "1e-3", "--seed", "5"]
 COMMANDS = [
@@ -49,11 +59,37 @@ COMMANDS = [
     ("density", ["density", "--data", "store", "--out", "density.csv"]),
     ("density-unsquared", ["density", "--data", "store", "--unsquared",
                            "--out", "density_unsquared.csv"]),
+    ("gen-wide", ["gen", "--out", "wide", "--bags", "2", "--dim", "512",
+                  "--bag-min", "290", "--bag-max", "310", "--split-fracs",
+                  "1,0,0", "--seed", "13"]),
+    ("train-wide", ["train", "--data", "wide", "--out", "wide-run",
+                    "--epochs", "2", "--heads", "8", "--tau", "20", "--lr",
+                    "1e-3", "--seed", "3"]),
+    ("eval-wide", ["eval", "--data", "wide", "--ckpt", "wide-run/final.ckpt",
+                   "--split", "all", "--out", "wide_scores.csv"]),
 ]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def environment() -> str:
+    """The CPU model, numpy and BLAS build the digests are taken on: BLAS
+    kernels differ by CPU, so bytes may differ elsewhere for a sound
+    reason."""
+    cpu = platform.processor() or platform.machine()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return "# environment " + json.dumps({"blas": blas, "cpu": cpu,
+                                         "numpy": np.__version__})
 
 
 def main(argv) -> int:
@@ -62,6 +98,7 @@ def main(argv) -> int:
         return 2
     env = dict(os.environ, PYTHONPATH=str(Path(argv[0]).resolve()))
     env.pop("FRMIL_SEED", None)
+    print(environment())
     with tempfile.TemporaryDirectory() as tmp:
         for label, args in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "frmil.cli", *args],
