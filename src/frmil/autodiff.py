@@ -649,12 +649,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def dropout_draws(rng, shape: Tuple[int, ...]) -> np.ndarray:
-    """The uniform 16-bit draws ``dropout`` takes from rng for an input of
-    this shape."""
-    return rng.integers(0, 1 << 16, shape, dtype=np.uint16)
-
-
 def dropout(a: Tensor, rate: float, training: bool,
             rng: Optional[np.random.Generator] = None,
             inplace: bool = False) -> Tensor:
@@ -673,7 +667,8 @@ def dropout(a: Tensor, rate: float, training: bool,
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = dropout_draws(rng, a.data.shape) >= round(rate * (1 << 16))
+    keep = (rng.integers(0, 1 << 16, a.data.shape, dtype=np.uint16)
+            >= round(rate * (1 << 16)))
     survive = a.data.dtype.type(1.0 - rate)
     out = np.divide(a.data, survive, out=a.data if inplace else None)
     out *= keep

@@ -171,10 +171,11 @@ def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
         raise ValueError(f"bags disagree on feature dimension: {sorted(dims)}")
     (root / FEATURE_DIR).mkdir(parents=True, exist_ok=True)
     entries = []
-    # feature files first, in place (a rename per file slowed writing a
-    # 200-bag D=64 store by 40-140% on a 2-core VM), then the manifest
-    # through write_atomic: a store whose write failed has no manifest, or
-    # its old one, whose sizes read_store checks against every file
+    # feature files in place (a rename per file slowed writing a 200-bag
+    # D=64 store by 40-140% on a 2-core VM), after the old manifest is gone
+    # and before the new one (write_atomic): a failed write leaves no
+    # manifest, never an old one over a mix of old and new files
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
     for bag in bags:
         rel = f"{FEATURE_DIR}/{bag.bag_id}.f32"
         data = np.ascontiguousarray(bag.real_features(), dtype="<f4")

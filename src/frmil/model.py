@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -237,16 +237,6 @@ def pmsa_forward(h_q: Tensor, tokens: Tensor, token_mask: np.ndarray,
     ff = ad.relu(_linear(ff_in, params.o_w, params.o_b))
     z = ad.layer_norm(ad.add(phi_hat, ff), params.ln_gain, params.ln_bias)
     return z, weights
-
-
-def dropout_shapes(bag: InstanceBag, dim: int,
-                   dropout: float) -> List[Tuple[int, int]]:
-    """The shapes of the dropout draws a training ``bag_forward`` takes, in
-    its order: the (n_rows + 1, D) PEM tokens, then the (1, D) PMSA
-    feed-forward input. None at a zero rate."""
-    if dropout == 0.0:
-        return []
-    return [(len(bag.features) + 1, dim), (1, dim)]
 
 
 def bag_forward(bag: InstanceBag, params: ModelParams,

@@ -51,7 +51,6 @@ from .model import (
     arena_of,
     bag_forward,
     comparator_forward,
-    dropout_shapes,
     init_comparator,
     init_params,
     param_shapes,
@@ -568,24 +567,17 @@ def _check_loss(parts: Dict[str, float], batch: str) -> None:
         raise TrainingError(f"non-finite loss {batch}")
 
 
-class _Draws:
-    """Stands in for the dropout generator of one bag's training forward:
-    hands out draws taken beforehand, in order, each of the shape it was
-    taken for."""
-
-    def __init__(self, draws: List[np.ndarray]):
-        self.draws = draws
-
-    def integers(self, low, high, size, dtype) -> np.ndarray:
-        if not self.draws or self.draws[0].shape != tuple(size):
-            expected = self.draws[0].shape if self.draws else "none"
-            raise TrainingError(f"a dropout draw of shape {tuple(size)}, where "
-                                f"{expected} was taken beforehand")
-        return self.draws.pop(0)
+def _dropout_rng(seed, epoch, pair, side) -> np.random.Generator:
+    """One bag's dropout generator in a training forward: side 0 (positive)
+    or 1 of pair ``pair`` of ``balanced_batches(labeled, seed, epoch)``. Its
+    masks depend on neither the thread that runs the forward nor the order
+    of the bags."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(1, epoch, pair, side)))
 
 
 def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
-                grads: Dict[str, np.ndarray], rng: np.random.Generator,
+                grads: Dict[str, np.ndarray], key: Tuple[int, int],
                 config: TrainConfig, cpus: List[Optional[int]],
                 batch: str) -> Dict[str, float]:
     """One training step over a balanced pair, each bag's forward and
@@ -595,32 +587,25 @@ def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
     ``grad`` too, and returns the loss parts.
 
     ``views`` are two sets of leaves over the parameter arrays, one per
-    bag, so that no two threads write one ``grad``. The caller takes the
-    dropout draws in the order of two forwards in turn, so the stream is
-    unchanged. Once both forwards are done it runs ``total_loss`` over
-    stand-in leaves for each bag's ``bag_prob`` and ``a_max``, the only
-    tensors through which the loss reaches a parameter, and seeds those
-    roots with their gradients; each bag then runs its own backward. Each
-    parameter is used once per bag, so its gradient in one graph over both
-    bags is the sum of two terms, and ``g_pos + g_neg`` has the same bytes
-    whichever term comes first.
+    bag, so that no two threads write one ``grad``. ``key`` is the pair's
+    (epoch, pair index), and each bag draws its own dropout masks from
+    ``_dropout_rng``. Once both forwards are done the caller runs
+    ``total_loss`` over stand-in leaves for each bag's ``bag_prob`` and
+    ``a_max``, the only tensors through which the loss reaches a parameter,
+    and seeds those roots with their gradients; each bag then runs its own
+    backward. Each parameter is used once per bag, so its gradient in one
+    graph over both bags is the sum of two terms, and ``g_pos + g_neg`` has
+    the same bytes whichever term comes first.
     """
-    sides = [(bag, view, _Draws([
-                 ad.dropout_draws(rng, shape)
-                 for shape in dropout_shapes(bag, params.dim, config.dropout)]))
-             for bag, view in zip((pos, neg), views)]
     traces: list = [None, None]
     parts: Dict[str, float] = {}
     barrier = threading.Barrier(2)
 
     def work(i: int) -> None:
-        bag, view, draws = sides[i]
-        traces[i] = trace = bag_forward(bag, view, training=True, rng=draws,
-                                        dropout=config.dropout,
-                                        pem_residual=config.pem_residual)
-        if draws.draws:
-            raise TrainingError(f"{len(draws.draws)} dropout draws taken "
-                                f"beforehand were not used")
+        traces[i] = trace = bag_forward(
+            (pos, neg)[i], views[i], training=True,
+            rng=_dropout_rng(config.seed, *key, i), dropout=config.dropout,
+            pem_residual=config.pem_residual)
         barrier.wait()  # both forwards are done
         if i == 0:
             stand_ins = [replace(t, **{root: Tensor(getattr(t, root).data,
@@ -657,7 +642,7 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     A model step whose two bags both hold ``PARALLEL_MIN_VALUES`` feature
     values or more runs on two CPUs when the process may use two
     (``_split_step``), with the bytes of the one-graph step that every
-    other step takes."""
+    other step takes: each bag draws its masks from ``_dropout_rng``."""
     config.validate()
     if config.dim is not None and config.dim != store.dim:
         raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
@@ -670,21 +655,20 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     if kind == "frmil":
         params = init_params(store.dim, config.heads, config.seed)
         weights = config.loss_weights()
-        drop_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
 
-        def pair_loss(pos, neg):
-            tp, tn = (bag_forward(bag, params, training=True, rng=drop_rng,
+        def pair_loss(pos, neg, key):
+            tp, tn = (bag_forward(bag, params, training=True,
+                                  rng=_dropout_rng(config.seed, *key, side),
                                   dropout=config.dropout,
                                   pem_residual=config.pem_residual)
-                      for bag in (pos, neg))
+                      for side, bag in enumerate((pos, neg)))
             return total_loss(tp, tn, (1, 0), weights,
                               fm_squared=config.fm_squared)
     else:
         params = init_comparator(kind, store.dim, config.seed)
         weights = LossWeights(1.0, 0.0, 0.0)
 
-        def pair_loss(pos, neg):
+        def pair_loss(pos, neg, key):
             loss = ad.scale(ad.add(bce_loss(comparator_forward(params, pos), 1),
                                    bce_loss(comparator_forward(params, neg), 0)),
                             0.5)
@@ -697,15 +681,15 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     for epoch in range(config.epochs):
         sums = {"bag": 0.0, "max": 0.0, "fm": 0.0}
         pairs = balanced_batches(labeled, config.seed, epoch)
-        for pos_id, neg_id in pairs:
+        for pair, (pos_id, neg_id) in enumerate(pairs):
             pos, neg = store.bag(pos_id), store.bag(neg_id)
             batch = f"at epoch {epoch} on batch ({pos_id}, {neg_id})"
             cpus = [] if views is None else _worker_cpus((pos, neg))
             if len(cpus) == 2:
-                parts = _split_step(pos, neg, params, views, state.g, drop_rng,
-                                    config, cpus, batch)
+                parts = _split_step(pos, neg, params, views, state.g,
+                                    (epoch, pair), config, cpus, batch)
             else:
-                loss, parts = pair_loss(pos, neg)
+                loss, parts = pair_loss(pos, neg, (epoch, pair))
                 _check_loss(parts, batch)
                 for t in named.values():
                     t.grad = None

@@ -27,7 +27,8 @@ does: the tests use it to check that padding changes nothing.
 
 ``pair_step_reference`` is the model's training step over one balanced
 pair as one graph over both bags, on one thread, as ``training.train``
-took it before large pairs were split over two CPUs.
+took it before large pairs were split over two CPUs, each bag's dropout
+masks drawn from a generator of its own.
 """
 
 import math
@@ -288,14 +289,17 @@ def adam_step_reference(named, grads, state, lr):
         tensor.data = tensor.data - update.astype(tensor.data.dtype)
 
 
-def pair_step_reference(pos, neg, params, rng, config):
-    """Both training forwards in turn, ``total_loss`` and one backward from
-    it: leaves every parameter's gradient in its grad, returns the loss
-    parts."""
-    traces = [bag_forward(bag, params, training=True, rng=rng,
-                          dropout=config.dropout,
-                          pem_residual=config.pem_residual)
-              for bag in (pos, neg)]
+def pair_step_reference(pos, neg, params, rngs, config, neg_first=False):
+    """Both training forwards in turn, the positive bag's first unless
+    ``neg_first``, each drawing from its own generator in ``rngs`` (positive,
+    negative), then ``total_loss`` and one backward from it: leaves every
+    parameter's gradient in its grad, returns the loss parts."""
+    order = (1, 0) if neg_first else (0, 1)
+    traces = [None, None]
+    for i in order:
+        traces[i] = bag_forward((pos, neg)[i], params, training=True,
+                                rng=rngs[i], dropout=config.dropout,
+                                pem_residual=config.pem_residual)
     loss, parts = total_loss(*traces, (1, 0), config.loss_weights(),
                              fm_squared=config.fm_squared)
     for t in params.named().values():

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,29 @@ class TestStoreRoundTrip:
         n = path.stat().st_size // 16
         path.write_bytes(np.tile(bad, n).tobytes())
         with pytest.raises(StoreValueError, match="b0"):
+            read_store(tmp_path)
+
+    def test_failed_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # old and new bags of one size, so the old manifest's size checks
+        # would pass over a mix of old and new feature files
+        rng = np.random.default_rng(4)
+        old, new = ([make_bag(f"b{i}", label, rng.normal(size=(3, 4)))
+                     for i, label in enumerate(labels)]
+                    for labels in ([1, 0, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0]))
+        write_store(old, tmp_path)
+        real, writes = Path.write_bytes, []
+
+        def write_bytes(path, data):
+            writes.append(path.name)
+            if len(writes) == 4:
+                raise OSError("disk full")
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        with pytest.raises(OSError, match="disk full"):
+            write_store(new, tmp_path)
+        assert writes == ["b0.f32", "b1.f32", "b2.f32", "b3.f32"]
+        with pytest.raises(StoreMissingFileError, match="no manifest"):
             read_store(tmp_path)
 
     def test_empty_manifest_is_valid(self, tmp_path):

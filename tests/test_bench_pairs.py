@@ -191,3 +191,94 @@ def test_host_speed_of_each_run_is_kept_and_its_median_printed(
             == scales[side]
         assert [r["host_speed"]["probes"] for r in doc["runs"][side]] \
             == [41, 42, 43]
+
+
+def proc_stat(*cpus):
+    """/proc/stat text with an aggregate line and one line per CPU, each CPU
+    given as (user, idle, steal, guest) jiffies."""
+    def line(name, user, idle, steal, guest):
+        # user nice system idle iowait irq softirq steal guest guest_nice
+        return f"{name} {user} 0 5 {idle} 1 0 2 {steal} {guest} 0"
+    total = [sum(c[i] for c in cpus) for i in range(4)]
+    return "\n".join([line("cpu ", *total)]
+                     + [line(f"cpu{i}", *c) for i, c in enumerate(cpus)]
+                     + ["intr 1398706 0 0", "ctxt 1989874", "btime 1700000000"])
+
+
+def test_proc_stat_jiffies_count_user_through_steal():
+    jiffies = bench_pairs.cpu_jiffies(proc_stat((100, 50, 7, 40), (10, 300, 0, 0)))
+    # guest time is inside user, so it is not added again
+    assert jiffies == {"cpu0": (7, 100 + 5 + 50 + 1 + 2 + 7),
+                       "cpu1": (0, 10 + 5 + 300 + 1 + 2)}
+
+
+def test_steal_share_is_per_cpu_over_the_window():
+    before = bench_pairs.cpu_jiffies(proc_stat((100, 50, 7, 0), (10, 300, 0, 0)))
+    after = bench_pairs.cpu_jiffies(proc_stat((160, 80, 17, 0), (90, 320, 0, 0)))
+    assert bench_pairs.steal_shares(before, after) == {
+        "cpu0": pytest.approx(10 / 100), "cpu1": 0.0}
+    assert bench_pairs.steal_shares(None, after) is None
+    assert bench_pairs.steal_marked({"steal": {"cpu0": 0.06}}, {"steal": None})
+    assert not bench_pairs.steal_marked({"steal": {"cpu0": 0.05}}, {})
+
+
+def test_steal_marks_pairs_and_the_claim_is_printed_both_ways(
+        tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    # each run moves 100 jiffies on each CPU: the change's run of seed 3
+    # has 20 of cpu1's stolen, every other run 1
+    stat = tmp_path / "stat"
+    cpu1 = [0, 0]  # user and steal jiffies so far
+    runs = [0]
+
+    def run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        side = "parent" if cwd == sides["parent"] else "change"
+        stolen = 20 if (side, seed) == ("change", 3) else 1
+        runs[0] += 1
+        cpu1[0] += 100 - stolen
+        cpu1[1] += stolen
+        stat.write_text(proc_stat((100 * runs[0], 0, 0, 0),
+                                  (cpu1[0], 0, cpu1[1], 0)))
+        epoch_s = PARENT[seed - 1] * (1.0 if side == "parent" else 0.80)
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout=canned_stdout(seed, 1.0, epoch_s))
+
+    stat.write_text(proc_stat((0, 0, 0, 0), (0, 0, 0, 0)))
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change",
+                             str(sides["change"]), "--workload", "train-wsi",
+                             "--seeds", "1-10", "--seconds", "30",
+                             "--claim", "epoch_s", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    lines = text.rstrip().splitlines()
+    assert [ln.split()[3] for ln in lines if ln.endswith("STEAL")] == ["3"]
+    assert "pairs marked STEAL (a run saw over 5% steal on a CPU): 1 of 10" \
+        in text
+    assert lines[-3].startswith("claim rule over all pairs: won 10/10")
+    assert lines[-2].startswith("claim rule over the pairs not marked STEAL: "
+                                "won 9/9")
+    assert lines[-1].startswith("CLAIM MET: epoch_s")
+    doc = json.loads(out.read_text())["workloads"]["train-wsi"]
+    assert doc["steal_pairs"] == [3]
+    for side in ("parent", "change"):
+        for r in doc["runs"][side]:
+            stolen = 0.20 if (side, r["seed"]) == ("change", 3) else 0.01
+            assert r["steal"] == {"cpu0": 0.0, "cpu1": pytest.approx(stolen)}
+
+
+def test_no_proc_stat_records_no_steal(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "no-stat")
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, cwd, **kw: SimpleNamespace(
+                            returncode=0, stderr="",
+                            stdout=canned_stdout(1, 1.0, 0.3)))
+    run = bench_pairs.run_once(tmp_path, "train-wsi", 1, 30)
+    assert run["steal"] is None and not bench_pairs.steal_marked(run)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frmil import autodiff as ad
 from frmil import model, training
 from frmil.autodiff import MaskError, Tensor
 from frmil.bagdata import (
@@ -630,6 +631,22 @@ def pair_store():
 PAIR_SPLIT = {"train": ["p", "n"]}
 
 
+def small_pair(seed):
+    """A positive bag of 30 and a negative bag of 24 D=16 instances, below
+    the two-CPU gate."""
+    rng = np.random.default_rng(seed)
+    return {bag_id: make_bag(bag_id, label, rng.standard_normal(
+                (n, 16)).astype(np.float32))
+            for bag_id, label, n in (("p", 1, 30), ("n", 0, 24))}
+
+
+def keyed_rngs(seed, epoch, pair):
+    """The positive and the negative bag's dropout generators of pair
+    ``pair`` of ``epoch``, keyed as training keys them."""
+    return [np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(1, epoch, pair, side))) for side in (0, 1)]
+
+
 def wide_config(**kw):
     return TrainConfig(**dict(dict(tau=20.0, lr=1e-3, epochs=1, dropout=0.2,
                                    seed=3), **kw))
@@ -666,9 +683,9 @@ class TestSplitStep:
         spy_forward(monkeypatch, "frmil", lambda out: threads.setdefault(
             out.mask.size, threading.current_thread()))
 
-        def split_step(params, views, grads, drop):
-            return training._split_step(pos, neg, params, views, grads, drop,
-                                        config, cpus, "batch")
+        def split_step(params, views, grads, pair):
+            return training._split_step(pos, neg, params, views, grads,
+                                        (0, pair), config, cpus, "batch")
 
         runs = []
         for split in (False, True):
@@ -676,12 +693,13 @@ class TestSplitStep:
             views = [training._wrap(params, True) for _ in range(2)]
             named = params.named()
             state = AdamState.for_params(named)
-            drop = np.random.default_rng(9)
             parts = []
-            for _ in range(3):
+            for pair in range(3):
                 parts.append(
-                    split_step(params, views, state.g, drop) if split
-                    else pair_step_reference(pos, neg, params, drop, config))
+                    split_step(params, views, state.g, pair) if split
+                    else pair_step_reference(pos, neg, params,
+                                             keyed_rngs(config.seed, 0, pair),
+                                             config))
                 adam_step(named, {k: t.grad for k, t in named.items()}, state,
                           config.lr)
             runs.append((parts, named, state))
@@ -710,13 +728,47 @@ class TestSplitStep:
         assert param_digest(two.params) == param_digest(one.params)
         assert two.history == one.history
 
-    def test_draw_of_another_shape_raises(self):
-        draws = training._Draws([np.zeros((5, 4), np.uint16)])
-        with pytest.raises(TrainingError, match=r"\(6, 4\)"):
-            draws.integers(0, 1 << 16, (6, 4), np.uint16)
-        assert draws.integers(0, 1 << 16, (5, 4), np.uint16).shape == (5, 4)
-        with pytest.raises(TrainingError):
-            draws.integers(0, 1 << 16, (1, 4), np.uint16)
+    def test_negative_bag_first_gives_the_same_bytes(self):
+        # below the gate: train takes the one-graph step
+        config = wide_config(tau=4.0)
+        store = BagStore(root=Path("small"), dim=16, bags=small_pair(23))
+        trained = train(store, PAIR_SPLIT, config).params
+        params = init_params(16, 8, seed=config.seed)
+        named = params.named()
+        pair_step_reference(store.bag("p"), store.bag("n"), params,
+                            keyed_rngs(config.seed, 0, 0), config,
+                            neg_first=True)
+        adam_step(named, {k: t.grad for k, t in named.items()},
+                  AdamState.for_params(named), config.lr)
+        for name, t in trained.named().items():
+            assert t.data.tobytes() == named[name].data.tobytes(), name
+            assert t.grad.tobytes() == named[name].grad.tobytes(), name
+
+    def test_a_pair_draws_new_masks_each_epoch(self, monkeypatch):
+        masks = {}
+        real = ad.dropout
+
+        def dropout(a, rate, training, rng=None, inplace=False):
+            if training:  # the draws rng is about to hand the real dropout
+                draws = copy.deepcopy(rng).integers(0, 1 << 16, a.data.shape,
+                                                    dtype=np.uint16)
+                masks.setdefault(a.data.shape, []).append(
+                    draws >= round(rate * (1 << 16)))
+            return real(a, rate, training, rng, inplace)
+
+        monkeypatch.setattr(ad, "dropout", dropout)
+        store = BagStore(root=Path("small"), dim=16, bags=small_pair(24))
+        train(store, PAIR_SPLIT, wide_config(tau=4.0, epochs=2))
+        for rows in (30, 24):  # each bag's PEM tokens, epochs 0 and 1
+            first, second = masks[(rows + 1, 16)]
+            assert not first.all() and not second.all()
+            assert not np.array_equal(first, second)
+
+    def test_seed_above_64_bits_trains(self):
+        config = wide_config(tau=4.0, seed=2**64 + 5)
+        store = BagStore(root=Path("small"), dim=16, bags=small_pair(25))
+        result = train(store, PAIR_SPLIT, config)
+        assert [row["epoch"] for row in result.history] == [0]
 
 
 class TestSplitStepThreads:

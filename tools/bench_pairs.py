@@ -21,13 +21,20 @@ every run's ``host speed:`` line (perfbench/hostspeed.py): the run's
 window timings were multiplied by that scale, so two sides that ran at
 different host speeds show here.
 
+Where ``/proc/stat`` exists, each run records every CPU's steal time (time
+a virtual machine's CPU waited for its host) as a share of that CPU's time
+over the run's window. A pair either of whose runs saw more than
+``STEAL_MARK`` on any CPU is marked STEAL. With ``--claim`` the gain rule
+is printed over all pairs and over the unmarked pairs; CLAIM MET is
+decided over all pairs, and no pair is dropped.
+
 With ``--out FILE`` it also writes the table as JSON, under
 ``"workloads"`` and the workload's name, keeping the other workloads
 already in FILE: every run's seed, exit code, metrics, fingerprint,
-environment line and host speed (probe median, probe count and scale),
-each side's median scale, and per metric each side's median and
-quartiles, the ratio, the pairs won, the parent's spread and the bound
-check.
+environment line, host speed (probe median, probe count and scale) and
+steal shares, the seeds of the STEAL pairs, each side's median scale, and
+per metric each side's median and quartiles, the ratio, the pairs won,
+the parent's spread and the bound check.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments.
@@ -69,13 +76,55 @@ def host_speed(lines: list):
     return None
 
 
+# A pair is marked when a run saw more steal than this on any CPU.
+STEAL_MARK = 0.05
+PROC_STAT = Path("/proc/stat")
+
+
+def cpu_jiffies(text: str) -> dict:
+    """Each CPU's (steal, total) jiffies in ``/proc/stat`` text. The total
+    sums user through steal: guest time is already counted in user."""
+    jiffies = {}
+    for line in text.splitlines():
+        name, *values = line.split()
+        if name.startswith("cpu") and name != "cpu":
+            times = [int(v) for v in values[:8]]
+            jiffies[name] = (times[7] if len(times) == 8 else 0, sum(times))
+    return jiffies
+
+
+def read_jiffies():
+    """``cpu_jiffies`` of ``/proc/stat`` now; None where there is none."""
+    return cpu_jiffies(PROC_STAT.read_text()) if PROC_STAT.exists() else None
+
+
+def steal_shares(before, after):
+    """Each CPU's steal jiffies between two ``cpu_jiffies`` readings over
+    all its jiffies between them; None without both readings."""
+    if before is None or after is None:
+        return None
+    shares = {}
+    for cpu, (steal, total) in after.items():
+        if cpu in before and total > before[cpu][1]:
+            shares[cpu] = (steal - before[cpu][0]) / (total - before[cpu][1])
+    return shares
+
+
+def steal_marked(*runs) -> bool:
+    """Whether any of the runs saw more than ``STEAL_MARK`` steal on a CPU."""
+    return any(share > STEAL_MARK for run in runs
+               for share in (run.get("steal") or {}).values())
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run: its result line, fingerprint, environment
-    line, host speed and exit code."""
+    line, host speed, steal shares and exit code."""
+    before = read_jiffies()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    steal = steal_shares(before, read_jiffies())
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -89,7 +138,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"code": proc.returncode, "result": result,
             "fingerprint": fingerprint, "stderr": proc.stderr,
             "environment": None if env is None else json.loads(env),
-            "host_speed": host_speed(lines)}
+            "host_speed": host_speed(lines), "steal": steal}
 
 
 def quartiles(values: list) -> list:
@@ -122,14 +171,29 @@ def pairs_won(pairs: list, better: str) -> int:
     return sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
 
 
+def median_gain(pairs: list, better: str) -> float:
+    """How much better the change's median is than the parent's, as a
+    fraction of the parent's."""
+    return -worse_by(statistics.median([p for p, _ in pairs]),
+                     statistics.median([c for _, c in pairs]), better)
+
+
 def claim_met(pairs: list, better: str) -> bool:
     """The gain rule: the change wins at least 9 in 10 of the pairs, and
     its median beats the parent's by more than the distance between the
     parent's quartiles."""
-    old = [p for p, _ in pairs]
-    gain = -worse_by(statistics.median(old),
-                     statistics.median([c for _, c in pairs]), better)
-    return pairs_won(pairs, better) >= 0.9 * len(pairs) and gain > spread(old)
+    return (pairs_won(pairs, better) >= 0.9 * len(pairs)
+            and median_gain(pairs, better) > spread([p for p, _ in pairs]))
+
+
+def claim_line(pairs: list, better: str, which: str) -> str:
+    """The gain rule's inputs and verdict over some pairs, as one line."""
+    if not pairs:
+        return f"claim rule over {which}: no pairs"
+    return (f"claim rule over {which}: won {pairs_won(pairs, better)}/"
+            f"{len(pairs)}, gain {median_gain(pairs, better):+.1%}, spread "
+            f"{spread([p for p, _ in pairs]):.1%}: "
+            f"{'met' if claim_met(pairs, better) else 'not met'}")
 
 
 def main(argv=None) -> int:
@@ -173,7 +237,8 @@ def main(argv=None) -> int:
         same = parent["fingerprint"] == change["fingerprint"]
         print(f"pair {i + 1}/{len(seeds)} seed {seed} ({order[0]} first): "
               f"fingerprint {parent['fingerprint']} / {change['fingerprint']}"
-              + ("" if same else "  DIFFERENT"), flush=True)
+              + ("" if same else "  DIFFERENT")
+              + ("  STEAL" if steal_marked(parent, change) else ""), flush=True)
 
     differ = sum(p["fingerprint"] != c["fingerprint"]
                  for p, c in zip(runs["parent"], runs["change"]))
@@ -183,14 +248,15 @@ def main(argv=None) -> int:
           f"{'won':>6s} {'spread':>7s}")
     out_of_bound = []
     claim = False  # stays so when no run reported the claimed metric
+    claim_lines = []
     table = {}
     for name, metric in metrics.items():
         direction = metric["better"]
+        both = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+                if name in p["result"].get("metrics", {})
+                and name in c["result"].get("metrics", {})]
         pairs = [(p["result"]["metrics"][name]["value"],
-                  c["result"]["metrics"][name]["value"])
-                 for p, c in zip(runs["parent"], runs["change"])
-                 if name in p["result"].get("metrics", {})
-                 and name in c["result"].get("metrics", {})]
+                  c["result"]["metrics"][name]["value"]) for p, c in both]
         if not pairs:
             continue
         old = [p for p, _ in pairs]
@@ -207,6 +273,11 @@ def main(argv=None) -> int:
               f"{won:>3d}/{len(pairs):<2d} {spread(old):7.3f}{flag}")
         if name == args.claim:
             claim = claim_met(pairs, direction)
+            unmarked = [pair for pair, runs_of_pair in zip(pairs, both)
+                        if not steal_marked(*runs_of_pair)]
+            claim_lines = [claim_line(pairs, direction, "all pairs"),
+                           claim_line(unmarked, direction,
+                                      "the pairs not marked STEAL")]
         table[name] = {"better": direction, "bound": metric["bound"],
                        "parent_quartiles": quartiles(old),
                        "change_quartiles": quartiles(new), "ratio": ratio,
@@ -220,9 +291,15 @@ def main(argv=None) -> int:
     print("host speed scale, median: " + ", ".join(
         f"{side} " + ("n/a" if value is None else f"{value:.4f}")
         for side, value in median_scale.items()))
+    marked = [seed for seed, p, c in zip(seeds, runs["parent"], runs["change"])
+              if steal_marked(p, c)]
+    print(f"pairs marked STEAL (a run saw over {STEAL_MARK:.0%} steal on a "
+          f"CPU): {len(marked)} of {len(seeds)}")
     if out_of_bound:
         print(f"out of bound: {', '.join(out_of_bound)}")
     claim = claim and ok  # a gain does not count over failed runs
+    for line in claim_lines:
+        print(line)
     if args.claim is not None:
         print(f"CLAIM {'MET' if claim else 'NOT MET'}: {args.claim} "
               f"(at least 9 in 10 pairs won, a median gain above the "
@@ -235,11 +312,13 @@ def main(argv=None) -> int:
             "claim": None if args.claim is None else {"metric": args.claim,
                                                       "met": claim},
             "metrics": table, "host_speed_scale": median_scale,
+            "steal_pairs": marked,
             "runs": {side: [{"seed": seed, "code": run["code"],
                              "correct": run["result"].get("correct"),
                              "fingerprint": run["fingerprint"],
                              "environment": run["environment"],
                              "host_speed": run.get("host_speed"),
+                             "steal": run.get("steal"),
                              "metrics": {k: v["value"] for k, v in
                                          run["result"].get("metrics", {}).items()}}
                             for seed, run in zip(seeds, side_runs)]
