@@ -12,10 +12,17 @@ each one graph node with a hand-written backward:
 - ``grid_positional`` builds the attention tokens: the class token, then
   the depthwise 3x3 filter run channels-last. The (n, D) instance rows
   already are a row-major (g, g, D) grid, so they are copied, with no
-  transpose, into a buffer with a zero ring. The forward and the input
-  gradient run one einsum per L2-sized band of grid rows over a strided
-  view of the 3x3 windows, the gradient with the taps flipped; the bias
-  is added after the taps. The filter writes into the token buffer.
+  transpose, into a buffer with a zero ring. Given a shift h_q, each cell
+  is re-calibrated as it is copied, ``max(row - h_q, 0)``, so a forward
+  that needs no (n, D) ``ReLU(H - h_q)`` array never builds one; its
+  backward gives h the input gradient where ``row - h_q > 0`` and h_q
+  minus that gradient's row sum, as ``sub`` then ``relu`` do. The forward
+  and the input gradient run one einsum per L2-sized band of grid rows
+  over a strided view of the 3x3 windows, the gradient with the taps
+  flipped; the bias is added after the taps. The filter writes into the
+  token buffer. A caller may hand the forward a two-thread runner: the
+  fill and the filter then run in halves of grid rows on two threads,
+  with the same bytes.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -47,6 +54,7 @@ with another tensor's.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -354,38 +362,39 @@ def _widen(a: np.ndarray) -> np.ndarray:
 
 
 def _windows(pad: np.ndarray) -> np.ndarray:
-    """Read-only (g, g, 3, 3, D) view of the 3x3 neighbourhood of every cell
-    of the (g, g, D) interior of a zero-ringed (g + 2, g + 2, D) grid."""
-    g = pad.shape[0] - 2
+    """Read-only (r, c, 3, 3, D) view of the 3x3 neighbourhood of every cell
+    of the (r, c, D) interior of a zero-ringed (r + 2, c + 2, D) grid."""
+    r, c = pad.shape[0] - 2, pad.shape[1] - 2
     s0, s1, s2 = pad.strides
     return np.lib.stride_tricks.as_strided(
-        pad, (g, g, 3, 3, pad.shape[2]), (s0, s1, s0, s1, s2), writeable=False)
+        pad, (r, c, 3, 3, pad.shape[2]), (s0, s1, s0, s1, s2), writeable=False)
 
 
 def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool,
             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """taps (3, 3, D) over the (g, g, D) interior of a zero-ringed
-    (g + 2, g + 2, D) grid, then bias, then the interior when residual,
-    written into out (g, g, D) when given.
+    """taps (3, 3, D) over the (r, c, D) interior of a zero-ringed
+    (r + 2, c + 2, D) grid, then bias, then the interior when residual,
+    written into out (r, c, D) when given. Output rows lo..hi of a larger
+    grid are the filter of its padded rows lo..hi + 2.
 
     One einsum per band of ``_PEM_BAND_BYTES`` of output rows: it starts
     each output at 0 and adds the nine taps in (dy, dx) order, the channel
     axis innermost, so the bytes do not depend on the band size.
     """
-    g, d = pad.shape[0] - 2, pad.shape[2]
+    r, c, d = pad.shape[0] - 2, pad.shape[1] - 2, pad.shape[2]
     if out is None:
-        out = np.empty((g, g, d), dtype=pad.dtype)
+        out = np.empty((r, c, d), dtype=pad.dtype)
     if d == 1:
         out[...] = _filter(_widen(pad), _widen(taps), bias, residual)[..., :1]
         return out
     win = _windows(pad)
-    band = max(1, _PEM_BAND_BYTES // (g * d * pad.itemsize))
-    for lo in range(0, g, band):
-        hi = min(lo + band, g)
+    band = max(1, _PEM_BAND_BYTES // (c * d * pad.itemsize))
+    for lo in range(0, r, band):
+        hi = min(lo + band, r)
         np.einsum("yxijc,ijc->yxc", win[lo:hi], taps, out=out[lo:hi])
         out[lo:hi] += bias
         if residual:
-            out[lo:hi] += pad[lo + 1:hi + 1, 1:g + 1]
+            out[lo:hi] += pad[lo + 1:hi + 1, 1:c + 1]
     return out
 
 
@@ -400,14 +409,18 @@ def _tap_gradient(gpad: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
-                    conv_b: Tensor, class_token: Tensor,
-                    residual: bool) -> Tensor:
+                    conv_b: Tensor, class_token: Tensor, residual: bool,
+                    h_q: Optional[Tensor] = None,
+                    run: Optional[Callable] = None) -> Tensor:
     """The class token, then a depthwise 3x3 filter over the unmasked rows
     of h laid out on a grid: the (n_rows + 1, D) attention tokens.
 
     The n unmasked rows of h (n_rows, D), in order, fill a g x g grid
-    row-major with g = ceil(sqrt(n)) and zero trailing cells. Each channel
-    is filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
+    row-major with g = ceil(sqrt(n)) and zero trailing cells. With a shift
+    h_q (1, D) each cell is ``max(row - h_q, 0)`` instead, the bytes of
+    ``relu(sub(h, h_q))``: the rows are re-calibrated straight into the
+    grid, and no (n_rows, D) copy of them is made. Each channel is
+    filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
     then conv_b (D,) is added and, when residual, the grid itself. Row 0
     of the output is class_token (1, D); the rows 1 + i for the unmasked
     rows i of h take the first n cells in order, and those for masked rows
@@ -415,17 +428,28 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     Rows 1.. equal ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over
     the transposed grid, computed channels-last by ``_filter``: the rows are
-    copied into the interior of a (g + 2, g + 2, D) buffer with a zero
-    ring, and each band of output rows is one einsum over a strided view
-    of the 3x3 windows. With no masked row the filter writes straight into
-    the token buffer, which has room for all g x g cells after row 0. The
-    input gradient is ``_filter`` of the zero-ringed output gradient with
-    the taps flipped, ``taps[::-1, ::-1]``, no bias and the same residual:
-    out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1], so in[y, x] gets w[dy, dx]
-    g[y-dy+1, x-dx+1], which is w[2-dy, 2-dx] g[y+dy-1, x+dx-1]. The conv_w
-    gradient sums the output gradient against the nine full (g, g) windows
-    of the padded grid. No backward reads the output, so it may be
-    overwritten in place.
+    written, in bands of grid rows, into the interior of a (g + 2, g + 2, D)
+    buffer with a zero ring, and each band of output rows is one einsum
+    over a strided view of the 3x3 windows. With no masked row the filter
+    writes straight into the token buffer, which has room for all g x g
+    cells after row 0.
+
+    ``run(work, stop)``, when given, must run ``work(0)`` on the caller and
+    ``work(1)`` on a second thread at once, and call ``stop()`` on a
+    failure (``training._on_cpus`` over two CPUs). Each then fills and
+    filters half of the grid rows, with a barrier between the two stages
+    because the filter reads a row beyond each edge of its half. Every
+    cell is computed as on one thread, so the bytes do not change.
+
+    The input gradient is ``_filter`` of the zero-ringed output gradient
+    with the taps flipped, ``taps[::-1, ::-1]``, no bias and the same
+    residual: out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1], so in[y, x]
+    gets w[dy, dx] g[y-dy+1, x-dx+1], which is w[2-dy, 2-dx]
+    g[y+dy-1, x+dx-1]. With a shift, as in ``sub`` then ``relu``, h gets
+    that gradient where ``h - h_q > 0`` and zero elsewhere, and h_q gets
+    minus its sum over the rows. The conv_w gradient sums the output
+    gradient against the nine full (g, g) windows of the padded grid. No
+    backward reads the output, so it may be overwritten in place.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -434,10 +458,13 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
                          f"mask, got {x.shape} and {m.shape}")
     n_rows, d = x.shape
     if (conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,)
-            or class_token.data.shape != (1, d)):
+            or class_token.data.shape != (1, d)
+            or (h_q is not None and h_q.data.shape != (1, d))):
         raise ShapeError(f"conv parameters {conv_w.data.shape} and "
-                         f"{conv_b.data.shape} and class token "
-                         f"{class_token.data.shape} do not match {d} channels")
+                         f"{conv_b.data.shape}, class token "
+                         f"{class_token.data.shape} and shift "
+                         f"{None if h_q is None else h_q.data.shape} do not "
+                         f"match {d} channels")
     real = None if m.all() else np.flatnonzero(m)
     n = n_rows if real is None else len(real)
     if n == 0:
@@ -445,22 +472,38 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     g = math.isqrt(n)
     if g * g < n:
         g += 1
-    full, part = divmod(n, g)
+    band = max(1, _PEM_BAND_BYTES // (g * d * x.itemsize))
 
-    def to_grid(rows: np.ndarray) -> np.ndarray:
-        """The unmasked rows in grid order inside a zero ring, trailing
-        cells zero: a (g + 2, g + 2, D) buffer."""
-        cells = rows if real is None else rows[real]
+    def ringed() -> np.ndarray:
+        """A (g + 2, g + 2, D) buffer whose top and bottom rows are zero."""
         pad = np.empty((g + 2, g + 2, d), dtype=x.dtype)
         pad[0] = pad[g + 1] = 0
-        pad[1:g + 1, 0] = pad[1:g + 1, g + 1] = 0
-        inner = pad[1:g + 1, 1:g + 1]
-        inner[:full] = cells[:full * g].reshape(full, g, d)
-        if full < g:
-            inner[full, :part] = cells[full * g:]
-            inner[full, part:] = 0
-            inner[full + 1:] = 0
         return pad
+
+    def fill(pad: np.ndarray, rows: np.ndarray, lo: int, hi: int,
+             shift: Optional[np.ndarray] = None) -> None:
+        """Grid rows lo..hi of pad: the unmasked rows' cells in grid order,
+        less shift and rectified when given, trailing cells and the ring's
+        side cells zero. A shifted fill runs in bands, so that each band is
+        still in cache for its second pass; a plain copy is one pass."""
+        pad[lo + 1:hi + 1, 0] = pad[lo + 1:hi + 1, g + 1] = 0
+        step = g if shift is None else band
+        for top in range(lo, hi, step):
+            cells = pad[top + 1:min(top + step, hi) + 1, 1:g + 1]
+            first = top * g
+            take = slice(first, first + min(max(n - first, 0), len(cells) * g))
+            src = rows[take] if real is None else rows[real[take]]
+            full, part = divmod(len(src), g)
+            pairs = [(cells[:full], src[:full * g].reshape(full, g, d))]
+            if full < len(cells):
+                pairs.append((cells[full, :part], src[full * g:]))
+                cells[full, part:] = 0
+                cells[full + 1:] = 0
+            for dst, val in pairs:
+                if shift is None:
+                    dst[...] = val
+                else:
+                    np.maximum(np.subtract(val, shift, out=dst), 0, out=dst)
 
     def to_rows(cells: np.ndarray) -> np.ndarray:
         """The first n cells back on the unmasked rows, masked rows zero."""
@@ -471,29 +514,51 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         rows[real] = cells
         return rows
 
-    pad = to_grid(x)
+    shift = None if h_q is None else h_q.data
+    pad = ringed()
     taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
     if real is None:
         buf = np.empty((1 + g * g, d), dtype=x.dtype)
-        _filter(pad, taps, conv_b.data, residual,
-                out=buf[1:].reshape(g, g, d))
+        grid = buf[1:].reshape(g, g, d)
+    else:
+        grid = np.empty((g, g, d), dtype=x.dtype)
+    cuts = (0, g) if run is None else (0, (g + 1) // 2, g)
+    barrier = None if run is None else threading.Barrier(2)
+
+    def work(i: int) -> None:
+        lo, hi = cuts[i], cuts[i + 1]
+        fill(pad, x, lo, hi, shift)
+        if barrier is not None:
+            barrier.wait()  # both halves are filled
+        _filter(pad[lo:hi + 2], taps, conv_b.data, residual, out=grid[lo:hi])
+
+    if run is None:
+        work(0)
+    else:
+        run(work, barrier.abort)
+    if real is None:
         tokens = buf[:n + 1]
     else:
         tokens = np.zeros((n_rows + 1, d), dtype=x.dtype)
-        tokens[1 + real] = _filter(pad, taps, conv_b.data,
-                                   residual).reshape(g * g, d)[:n]
+        tokens[1 + real] = grid.reshape(g * g, d)[:n]
     tokens[0] = class_token.data[0]
 
     def backward(grad):
         _accumulate(class_token, grad[:1])
-        gpad = to_grid(grad[1:])
+        gpad = ringed()
+        fill(gpad, grad[1:], 0, g)
         _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:
             _accumulate(conv_w, _tap_gradient(gpad, pad).transpose(2, 0, 1))
-        if h.requires_grad:
-            _accumulate(h, to_rows(_filter(gpad, taps[::-1, ::-1], 0, residual)))
+        if h.requires_grad or (h_q is not None and h_q.requires_grad):
+            g_in = to_rows(_filter(gpad, taps[::-1, ::-1], 0, residual))
+            if h_q is not None:
+                g_in = g_in * (x - shift > 0)
+                _accumulate(h_q, -g_in.sum(axis=0, keepdims=True))
+            _accumulate(h, g_in)
 
-    return _result(tokens, (h, conv_w, conv_b, class_token), backward)
+    parents = (h, conv_w, conv_b, class_token) + (() if h_q is None else (h_q,))
+    return _result(tokens, parents, backward)
 
 
 def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -149,7 +149,8 @@ class ForwardTrace:
     max_index: int
     a_max: Tensor             # (1, 1) probability of the critical instance
     h_q: Tensor               # (1, D) raw critical feature
-    h_recal: Tensor           # (n, D) rectified shifted features
+    h_recal: Optional[Tensor]  # (n, D) rectified shifted features; None
+    #                            when re-calibrated into the grid only
     tokens: Tensor            # (n+1, D) class token + positional output
     attention: np.ndarray     # (heads, 1, n+1) weights (detached)
     z: Tensor                 # (1, D) bag feature
@@ -200,7 +201,9 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 dropout: float = 0.0,
-                residual: bool = True) -> Tensor:
+                residual: bool = True,
+                h_q: Optional[Tensor] = None,
+                run: Optional[Callable] = None) -> Tensor:
     """Positional encoding over the real instances, class token prepended.
 
     The n real rows are zero-padded up to a ceil(sqrt(n))-square grid laid
@@ -209,10 +212,13 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
     back, and cut to the first n rows. Padding rows of the input stay
     zero. Output is (n_rows + 1, D) with the class token at row 0, built
     in one buffer by ``grid_positional``; training dropout overwrites that
-    buffer, since no backward reads it.
+    buffer, since no backward reads it. With h_q given, the first argument
+    is the raw rows, re-calibrated against h_q as the grid is filled;
+    ``run`` spreads the grid over two threads (``grid_positional``).
     """
     tokens = ad.grid_positional(h_recal, mask, params.conv_w, params.conv_b,
-                                params.class_token, residual=residual)
+                                params.class_token, residual=residual,
+                                h_q=h_q, run=run)
     return ad.dropout(tokens, dropout, training=training, rng=rng,
                       inplace=True)
 
@@ -243,14 +249,24 @@ def bag_forward(bag: InstanceBag, params: ModelParams,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 dropout: float = 0.0,
-                pem_residual: bool = True) -> ForwardTrace:
-    """Full forward pass over one bag, in the parameters' precision."""
+                pem_residual: bool = True,
+                keep_recal: bool = True,
+                run: Optional[Callable] = None) -> ForwardTrace:
+    """Full forward pass over one bag, in the parameters' precision.
+
+    With ``keep_recal`` false the rows are re-calibrated straight into the
+    positional grid, with the same bytes, and the trace's ``h_recal`` is
+    None: for a caller that reads only the probability. ``run`` spreads
+    the grid over two threads (``autodiff.grid_positional``).
+    """
     h = Tensor(np.asarray(bag.features, dtype=params.scorer_w.dtype))
     mask = bag.mask
     scores, max_index, h_q, a_max = select_max_instance(h, mask, params)
-    h_recal = recalibrate(h, h_q, mask)
-    tokens = pem_forward(h_recal, mask, params, training=training, rng=rng,
-                         dropout=dropout, residual=pem_residual)
+    h_recal = recalibrate(h, h_q, mask) if keep_recal else None
+    rows, shift = (h_recal, None) if keep_recal else (h, h_q)
+    tokens = pem_forward(rows, mask, params, training=training, rng=rng,
+                         dropout=dropout, residual=pem_residual, h_q=shift,
+                         run=run)
     token_mask = np.concatenate([[True], mask])
     z, attention = pmsa_forward(h_q, tokens, token_mask, params,
                                 training=training, rng=rng, dropout=dropout)

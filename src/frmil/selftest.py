@@ -1,8 +1,9 @@
 """Built-in verification of the model path: finite-difference gradient
 checks of every op the model and its loss run, plus the fused positional
-encoder against a naive convolution loop and the sigmoid at extreme
-inputs. All gradient checks run in float64 with h = 1e-5 against a 1e-4
-relative-error budget. The test suite checks everything else."""
+encoder against a naive convolution loop, its re-calibrating fill against
+``recalibrate`` then the encoder, and the sigmoid at extreme inputs. All
+gradient checks run in float64 with h = 1e-5 against a 1e-4 relative-error
+budget. The test suite checks everything else."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .bagdata import make_bag
-from .model import bag_forward, init_params
+from .model import bag_forward, init_params, recalibrate
 from .objectives import LossWeights, total_loss
 
 GRAD_TOL = 1e-4
@@ -123,6 +124,19 @@ def gradient_checks() -> List[CheckResult]:
                 [a, w, b, token])
     results.append(_check("grid_positional (masked)", b_grid_positional))
 
+    def b_grid_shifted(rng):
+        n, d = _dims(rng)
+        mask = rng.random(n) < 0.7
+        mask[0] = True
+        a, shift = _t(rng, (n, d)), _t(rng, (1, d), shift=-0.5)
+        w, b, token = _t(rng, (d, 3, 3)), _t(rng, (d,)), _t(rng, (1, d))
+        residual = bool(rng.integers(0, 2))
+        return (lambda: _scalarize(ad.grid_positional(a, mask, w, b, token,
+                                                      residual, h_q=shift)),
+                [a, shift, w, b, token])
+    results.append(_check("grid_positional (shifted, masked)",
+                          b_grid_shifted))
+
     def b_query_attention(rng):
         heads = int(rng.integers(1, 4))
         d = heads * int(rng.integers(1, 4))
@@ -220,7 +234,8 @@ def _naive_conv(x, w, b):
 
 
 def oracle_checks() -> List[CheckResult]:
-    """The fused positional encoder against a naive loop; sigmoid stability."""
+    """The fused positional encoder against a naive loop and its shifted fill
+    against the two-step path; sigmoid stability."""
     results = []
 
     rng = np.random.default_rng(4)
@@ -237,6 +252,22 @@ def oracle_checks() -> List[CheckResult]:
         worst = max(worst, float(np.abs(fast - naive.T[:n]).max()))
     results.append(CheckResult("grid_positional vs naive conv (exact)",
                                worst, 0.0))
+
+    differ = 0
+    for k in range(40):  # count the cases whose bytes differ
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        mask = rng.random(n) < 0.8 if k % 2 else np.ones(n, bool)
+        mask[-1] = True
+        conv = [Tensor(rng.normal(size=s).astype(np.float32))
+                for s in ((d, 3, 3), (d,), (1, d))]
+        h, h_q = Tensor(x), Tensor(x[[int(np.flatnonzero(mask)[0])]])
+        fused = ad.grid_positional(h, mask, *conv, k % 4 < 2, h_q=h_q)
+        steps = ad.grid_positional(recalibrate(h, h_q, mask), mask, *conv,
+                                   k % 4 < 2)
+        differ += fused.data.tobytes() != steps.data.tobytes()
+    results.append(CheckResult("grid_positional shifted fill (bytes)",
+                               differ, 0.0))
 
     with np.errstate(over="raise"):
         lo = ad.sigmoid(Tensor(np.array([-1000.0]))).item()

@@ -22,6 +22,7 @@ offsets.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import numbers
@@ -345,6 +346,18 @@ class EvalReport:
 # 1.24-1.57x at 1024 and 4096.
 PARALLEL_MIN_VALUES = 1 << 17
 
+# A bag scored with no large partner (``_worker_cpus`` gives no helper) is
+# spread over two CPUs, its grid fill and filter split in halves of grid
+# rows (``autodiff.grid_positional``), when it holds this many feature
+# values or more. Measured with one BLAS thread on a 2-core VM at D=512,
+# 100-150 alternating eval-mode forwards of one bag, median ms on one CPU
+# against two: 1.74 vs 2.12 at 512 rows, 2.97 vs 2.92 at 1024, 3.81 vs
+# 3.81 at 1290, 4.05 vs 4.08 at 1536, 4.24 vs 4.07 at 1625, 4.68 vs 4.30
+# at 1800, 5.22 vs 4.73 at 2048 (2^20 values), 9.67 vs 8.19 at 3251 and
+# 11.68 vs 9.83 at 4096. Below about 1,600 rows the helper's start, the
+# pinning and the barrier cost what the second CPU saves.
+GRID_SPLIT_MIN_VALUES = 1 << 20
+
 
 def _usable_cpus() -> List[Optional[int]]:
     """The CPUs this process may run on, sorted; ``None`` for each where
@@ -442,12 +455,25 @@ def _detached(params: ModelParams | ComparatorParams):
 
 
 def _bag_prob(bag, params: ModelParams | ComparatorParams,
-              pem_residual: bool) -> float:
-    """Eval-mode probability of one bag under the model or a pooling head."""
+              pem_residual: bool, run: Optional[Callable] = None) -> float:
+    """Eval-mode probability of one bag under the model or a pooling head.
+    The model re-calibrates the rows straight into its positional grid, and
+    ``run`` spreads that grid over two threads (``bag_forward``)."""
     if isinstance(params, ComparatorParams):
         return comparator_forward(params, bag).item()
-    return bag_forward(bag, params, training=False,
-                       pem_residual=pem_residual).bag_prob.item()
+    return bag_forward(bag, params, training=False, pem_residual=pem_residual,
+                       keep_recal=False, run=run).bag_prob.item()
+
+
+def _grid_run(bag) -> Optional[Callable]:
+    """``_on_cpus`` over the first two usable CPUs, as the ``run`` of a bag
+    of at least ``GRID_SPLIT_MIN_VALUES`` feature values; None for a
+    smaller bag or on one CPU."""
+    if bag.features.size < GRID_SPLIT_MIN_VALUES:
+        return None
+    cpus = _usable_cpus()[:2]
+    return functools.partial(_on_cpus, cpus, name="grid") \
+        if len(cpus) == 2 else None
 
 
 def _bag_probs(bags, params: ModelParams | ComparatorParams,
@@ -461,11 +487,14 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
     lock inside the big products and filters. BLAS runs one thread per
     product, so every product rounds the same way on any thread and the
     bytes equal those of scoring the bags one by one. The first failure
-    stops further bags and is re-raised.
+    stops further bags and is re-raised. Otherwise the bags are scored in
+    turn on the caller, each of ``GRID_SPLIT_MIN_VALUES`` or more with its
+    positional grid spread over two CPUs (``_grid_run``).
     """
     cpus = _worker_cpus(bags)
     if len(cpus) < 2:
-        return [_bag_prob(b, params, pem_residual) for b in bags]
+        return [_bag_prob(b, params, pem_residual, _grid_run(b))
+                for b in bags]
     probs: List[Optional[float]] = [None] * len(bags)
     pending = sorted(range(len(bags)), key=lambda i: bags[i].features.size)
     lock = threading.Lock()

@@ -5,6 +5,8 @@ computed here in float64, independent of the backward implementations.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from frmil.autodiff import (
     sub,
     take_rows,
 )
+from frmil.model import recalibrate
 from frmil.selftest import _naive_conv
 from oracles import (
     concat_cols,
@@ -602,3 +605,165 @@ class TestMultiRootBackward:
             backward()
         with pytest.raises(ValueError):
             backward(Tensor(np.ones(1)))
+
+
+def two_threads(work, stop):
+    """A ``grid_positional`` run: work(0) on the caller, work(1) on a
+    second thread, the first failure re-raised after the join."""
+    failures = []
+
+    def helper():
+        try:
+            work(1)
+        except BaseException as exc:
+            failures.append(exc)
+            stop()
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        work(0)
+    except BaseException as exc:
+        failures.append(exc)
+        stop()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    if failures:
+        raise failures[0]
+
+
+# (rows, D): one row, square and non-square row counts, and D = 1, which
+# filters a widened two-channel grid
+SHIFT_CASES = [(1, 3), (1, 1), (9, 4), (7, 4), (10, 1), (16, 1), (23, 5),
+               (40, 2)]
+
+
+def shift_case(rng, n_rows, d, dtype, masked):
+    """Rows, a mask (scattered padding when masked and n_rows > 1), the
+    critical row of an unmasked index as the shift, and conv parameters."""
+    x = rng.normal(size=(n_rows, d)).astype(dtype)
+    mask = np.ones(n_rows, bool)
+    if masked and n_rows > 1:
+        mask[rng.choice(n_rows, size=max(1, n_rows // 3), replace=False)] = False
+    q = x[[int(rng.choice(np.flatnonzero(mask)))]]
+    w, b, token = (rng.normal(size=s).astype(dtype)
+                   for s in ((d, 3, 3), (d,), (1, d)))
+    return x, mask, q, w, b, token
+
+
+class TestGridPositionalShift:
+    """Re-calibrating straight into the grid: the bytes of
+    ``grid_positional(recalibrate(h, h_q, mask), ...)`` and the gradient
+    of ``sub`` then ``relu``."""
+
+    @pytest.mark.parametrize("run", [None, two_threads])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_tokens_equal_recalibrate_then_grid(self, run, masked, residual):
+        rng = np.random.default_rng(60 + 2 * masked + residual)
+        for n_rows, d in SHIFT_CASES:
+            x, mask, q, w, b, token = shift_case(rng, n_rows, d, np.float32,
+                                                 masked)
+            params = (Tensor(w), Tensor(b), Tensor(token))
+            expect = ad.grid_positional(
+                recalibrate(Tensor(x), Tensor(q), mask), mask, *params,
+                residual).data
+            fused = ad.grid_positional(Tensor(x), mask, *params, residual,
+                                       h_q=Tensor(q), run=run).data
+            assert fused.dtype == np.float32
+            assert fused.tobytes() == expect.tobytes(), (n_rows, d)
+
+    @pytest.mark.parametrize("band_bytes", [1, 100])
+    def test_banded_fill_gives_the_same_tokens(self, monkeypatch, band_bytes):
+        # bands of one or a few grid rows, on one thread and on two, the
+        # threads switching every microsecond
+        monkeypatch.setattr(ad, "_PEM_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(90 + band_bytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k, (n_rows, d) in enumerate(SHIFT_CASES):
+                x, mask, q, w, b, token = shift_case(rng, n_rows, d,
+                                                     np.float32, k % 2 == 1)
+                params = (Tensor(w), Tensor(b), Tensor(token))
+                expect = ad.grid_positional(
+                    recalibrate(Tensor(x), Tensor(q), mask), mask, *params,
+                    True).data.tobytes()
+                for run in (None, two_threads):
+                    assert ad.grid_positional(
+                        Tensor(x), mask, *params, True, h_q=Tensor(q),
+                        run=run).data.tobytes() == expect, (n_rows, d)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_equal_sub_then_relu(self, masked):
+        rng = np.random.default_rng(70 + masked)
+        for n_rows, d in SHIFT_CASES:
+            x, mask, q, w, b, token = shift_case(rng, n_rows, d, np.float32,
+                                                 masked)
+            upstream = rng.normal(size=(n_rows + 1, d)).astype(np.float32)
+
+            def grads(fused):
+                h, h_q = Tensor(x, True), Tensor(q, True)
+                params = [Tensor(a, True) for a in (w, b, token)]
+                if fused:
+                    out = ad.grid_positional(h, mask, *params, True, h_q=h_q)
+                else:
+                    out = ad.grid_positional(recalibrate(h, h_q, mask), mask,
+                                             *params, True)
+                out.grad = upstream
+                backward(out)
+                return [t.grad.tobytes() for t in [h, h_q] + params]
+
+            assert grads(True) == grads(False), (n_rows, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        n_rows, d = [(1, 2), (5, 1), (9, 3), (7, 2), (12, 1), (10, 3)][seed]
+        x, mask, _, w, b, token = shift_case(rng, n_rows, d, np.float64,
+                                             seed % 2 == 1)
+        q = x.mean(axis=0, keepdims=True) + 0.5 * rng.normal(size=(1, d))
+        q[0, 0] = x[mask, 0].min() - 0.5  # channel 0 passes every row
+        x[np.abs(x - q) < 0.01] += 0.05  # stay clear of the kink
+        params = [t64(a, True) for a in (x, q, w, b, token)]
+        h, h_q, conv_w, conv_b, class_token = params
+
+        def f():
+            out = ad.grid_positional(h, mask, conv_w, conv_b, class_token,
+                                     seed % 3 == 0, h_q=h_q)
+            return masked_reduce("sum", l2_norm_rows(out, squared=True),
+                                 np.ones(n_rows + 1, bool))
+
+        assert grad_check(f, params, h=1e-5) <= 1e-4
+        assert np.abs(h_q.grad).max() > 0
+
+    def test_shift_of_another_width_raises(self):
+        x = t64(np.ones((4, 3)))
+        conv = (t64(np.ones((3, 3, 3))), t64(np.ones(3)), t64(np.ones((1, 3))))
+        with pytest.raises(ShapeError, match="shift"):
+            ad.grid_positional(x, np.ones(4, bool), *conv, True,
+                               h_q=t64(np.ones((1, 2))))
+
+    def test_failing_half_is_raised_without_a_hang(self, monkeypatch):
+        # the helper's fill fails before the barrier: the caller's wait is
+        # broken, not left waiting, and the helper's error comes out
+        x = np.ones((16, 2), np.float32)
+        conv = (Tensor(np.ones((2, 3, 3), np.float32)),
+                Tensor(np.ones(2, np.float32)),
+                Tensor(np.ones((1, 2), np.float32)))
+        caller = threading.current_thread()
+        real = np.maximum
+
+        def maximum(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("helper half")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ad.np, "maximum", maximum)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper half"):
+            ad.grid_positional(Tensor(x), np.ones(16, bool), *conv, True,
+                               h_q=Tensor(x[:1]), run=two_threads)
+        assert threading.active_count() == threads

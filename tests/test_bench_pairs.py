@@ -282,3 +282,71 @@ def test_no_proc_stat_records_no_steal(tmp_path, monkeypatch):
                             stdout=canned_stdout(1, 1.0, 0.3)))
     run = bench_pairs.run_once(tmp_path, "train-wsi", 1, 30)
     assert run["steal"] is None and not bench_pairs.steal_marked(run)
+
+
+def test_cpu_per_wall_is_user_plus_system_over_the_wall_time():
+    before = SimpleNamespace(ru_utime=10.0, ru_stime=2.0)
+    after = SimpleNamespace(ru_utime=50.0, ru_stime=7.0)
+    assert bench_pairs.cpu_per_wall(before, after, 30.0) == pytest.approx(1.5)
+    assert bench_pairs.cpu_per_wall(before, after, 0.0) is None
+
+
+def test_cpu_per_wall_of_each_run_is_kept_and_its_median_printed(
+        tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    # every run takes 40 s of wall time; the parent's use 1.0, 1.2 and 1.1
+    # CPU seconds per second, the change's 1.8, 1.6 and 1.9, split 3:1
+    # between user and system time
+    shares = {"parent": [1.0, 1.2, 1.1], "change": [1.8, 1.6, 1.9]}
+    clock = {"wall": 100.0, "cpu": 5.0}
+
+    def run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        side = "parent" if cwd == sides["parent"] else "change"
+        clock["wall"] += 40.0
+        clock["cpu"] += 40.0 * shares[side][seed - 1]
+        return SimpleNamespace(returncode=0, stderr="",
+                               stdout=canned_stdout(seed, 1.0, 0.3))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(
+        perf_counter=lambda: clock["wall"]))
+    monkeypatch.setattr(bench_pairs, "resource", SimpleNamespace(
+        RUSAGE_CHILDREN=-1, getrusage=lambda who: SimpleNamespace(
+            ru_utime=0.75 * clock["cpu"], ru_stime=0.25 * clock["cpu"])))
+    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "no-stat")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change",
+                             str(sides["change"]), "--workload", "score-wsi",
+                             "--seeds", "1-3", "--seconds", "30",
+                             "--out", str(out)]) == 0
+    assert "CPU seconds per wall second, median: parent 1.100, change 1.800" \
+        in capsys.readouterr().out
+    doc = json.loads(out.read_text())["workloads"]["score-wsi"]
+    assert doc["cpu_per_wall"] == {"parent": pytest.approx(1.1),
+                                   "change": pytest.approx(1.8)}
+    for side in ("parent", "change"):
+        assert [r["cpu_per_wall"] for r in doc["runs"][side]] \
+            == pytest.approx(shares[side])
+
+
+def test_runs_without_cpu_figures_print_na(tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").touch()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["parent"])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: {
+        "code": 0, "fingerprint": "f", "stderr": "", "cpu_per_wall": None,
+        "result": {"correct": True, "metrics": {"epoch_s": {"value": 0.3}}}})
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change",
+                             str(sides["change"]), "--workload", "w",
+                             "--seeds", "1-2", "--seconds", "1"]) == 0
+    assert "CPU seconds per wall second, median: parent n/a, change n/a" \
+        in capsys.readouterr().out

@@ -525,6 +525,21 @@ class TestBagForward:
                                            dim=8), params)
             assert 0.0 < trace.bag_prob.item() < 1.0
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_forward_without_h_recal_gives_the_same_bytes(self, training):
+        rng = np.random.default_rng(16)
+        params = init_params(8, 2, seed=10)
+        for n in (1, 7, 16, 30):
+            bag = random_bag(rng, n=n, dim=8)
+            traces = [bag_forward(bag, params, training=training,
+                                  rng=np.random.default_rng(n), dropout=0.3,
+                                  keep_recal=keep)
+                      for keep in (True, False)]
+            assert traces[0].h_recal is not None and traces[1].h_recal is None
+            for name in ("tokens", "z", "bag_prob"):
+                assert (getattr(traces[0], name).data.tobytes()
+                        == getattr(traces[1], name).data.tobytes())
+
     def test_degenerate_single_instance_bag(self):
         rng = np.random.default_rng(15)
         params = init_params(8, 4, seed=9)

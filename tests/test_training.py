@@ -16,6 +16,7 @@ from frmil import model, training
 from frmil.autodiff import MaskError, Tensor
 from frmil.bagdata import (
     BagStore,
+    InstanceBag,
     SingleClassError,
     SyntheticSpec,
     generate_synthetic,
@@ -447,6 +448,37 @@ def spy_forward(monkeypatch, kind, on_call):
     monkeypatch.setattr(training, name, forward)
 
 
+def spy_on_cpus(monkeypatch):
+    """Every ``_on_cpus`` call from here on, as (name, the threads that ran
+    its workers)."""
+    calls = []
+    real = training._on_cpus
+
+    def on_cpus(cpus, work, stop, name):
+        threads = []
+        calls.append((name, threads))
+
+        def spied(i):
+            threads.append(threading.current_thread())
+            work(i)
+
+        real(cpus, spied, stop, name)
+
+    monkeypatch.setattr(training, "_on_cpus", on_cpus)
+    return calls
+
+
+def lone_store(n, d, masked):
+    """A store of one bag "b" of n rows of width d, a quarter of its rows
+    masked when masked."""
+    rng = np.random.default_rng(n + d)
+    mask = np.ones(n, bool)
+    if masked:
+        mask[rng.choice(n, size=n // 4, replace=False)] = False
+    return BagStore(root=Path("lone"), dim=d, bags={"b": InstanceBag(
+        "b", 1, rng.standard_normal((n, d)).astype(np.float32), mask)})
+
+
 KINDS = ("frmil", "mean_pool", "max_pool")
 
 
@@ -610,6 +642,86 @@ class TestEvaluateParallel:
         assert seen == [(caller, threads)] * len(ids)
         assert [p.hex() for _, _, p in rows] == [
             direct_prob("frmil", wide_store.bag(i), params).hex() for i in ids]
+
+    @pytest.mark.parametrize("n, d, heads, masked, gate", [
+        (2100, 512, 8, False, None),  # above the real gate
+        (50, 3, 1, True, 64),
+        (37, 2, 1, False, 16),
+        (64, 8, 2, True, 64),
+    ])
+    def test_lone_bag_above_the_gate_splits_its_grid(self, two_cpus,
+                                                     monkeypatch, n, d, heads,
+                                                     masked, gate):
+        if gate is not None:
+            monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", gate)
+        store = lone_store(n, d, masked)
+        bag = store.bag("b")
+        assert bag.features.size >= training.GRID_SPLIT_MIN_VALUES
+        params = init_params(d, heads, seed=5)
+        one_cpu = training._bag_prob(bag, training._detached(params), True)
+        calls = spy_on_cpus(monkeypatch)
+        prob = evaluate(store, ["b"], params).rows[0][2]
+        assert [name for name, _ in calls] == ["grid"]
+        assert len(set(calls[0][1])) == 2  # the caller and one helper
+        assert prob.hex() == one_cpu.hex()
+        assert prob.hex() == direct_prob("frmil", bag, params).hex()
+
+    def test_no_split_below_the_gate_or_inside_a_batch(self, wide_store,
+                                                       two_cpus, monkeypatch):
+        params = wide_params("frmil")
+        calls = spy_on_cpus(monkeypatch)
+        threads = threading.active_count()
+        seen = []
+        spy_forward(monkeypatch, "frmil",
+                    lambda _: seen.append(threading.active_count()))
+        big = max(wide_store.ids(),
+                  key=lambda i: wide_store.bag(i).features.size)
+        assert wide_store.bag(big).features.size < \
+            training.GRID_SPLIT_MIN_VALUES
+        evaluate(wide_store, [big], params)
+        assert calls == [] and seen == [threads]
+        monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", 1)
+        evaluate(wide_store, wide_store.ids(), params)
+        assert [name for name, _ in calls] == ["evaluate"]
+
+    def test_one_cpu_splits_no_grid(self, monkeypatch):
+        monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        store = lone_store(50, 4, True)
+        params = init_params(4, 2, seed=5)
+        calls = spy_on_cpus(monkeypatch)
+        threads = threading.active_count()
+        seen = []
+        spy_forward(monkeypatch, "frmil",
+                    lambda _: seen.append(threading.active_count()))
+        prob = evaluate(store, ["b"], params).rows[0][2]
+        assert calls == [] and seen == [threads]
+        assert prob.hex() == direct_prob("frmil", store.bag("b"), params).hex()
+
+    def test_failing_helper_band_is_raised_and_cpus_restored(self, two_cpus,
+                                                             monkeypatch):
+        monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", 1)
+        store = lone_store(60, 8, True)
+        params = init_params(8, 2, seed=5)
+        caller = threading.current_thread()
+        threads = threading.active_count()
+        real = ad._filter
+        failed = threading.Event()
+
+        def band(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                failed.set()
+                raise FloatingPointError("helper band")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_filter", band)
+        with pytest.raises(FloatingPointError, match="helper band"):
+            evaluate(store, ["b"], params)
+        assert failed.is_set()
+        assert threading.active_count() == threads
+        if START_CPUS is not None:
+            assert os.sched_getaffinity(0) == START_CPUS
 
 
 def param_digest(params):

@@ -28,11 +28,18 @@ over the run's window. A pair either of whose runs saw more than
 is printed over all pairs and over the unmarked pairs; CLAIM MET is
 decided over all pairs, and no pair is dropped.
 
+Each run also records the CPU seconds (user + system) its process used per
+second of wall time, from ``getrusage(RUSAGE_CHILDREN)`` before and after
+it; under the table it prints each side's median. A run that scores a
+large bag on two CPUs reads above 1; one whose second CPU the host took
+reads near 1.
+
 With ``--out FILE`` it also writes the table as JSON, under
 ``"workloads"`` and the workload's name, keeping the other workloads
 already in FILE: every run's seed, exit code, metrics, fingerprint,
-environment line, host speed (probe median, probe count and scale) and
-steal shares, the seeds of the STEAL pairs, each side's median scale, and
+environment line, host speed (probe median, probe count and scale),
+steal shares and CPU seconds per wall second, the seeds of the STEAL pairs,
+each side's median scale and median CPU seconds per wall second, and
 per metric each side's median and quartiles, the ratio, the pairs won,
 the parent's spread and the bound check.
 
@@ -44,9 +51,11 @@ import argparse
 import json
 import math
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -116,14 +125,27 @@ def steal_marked(*runs) -> bool:
                for share in (run.get("steal") or {}).values())
 
 
+def cpu_per_wall(before, after, wall: float):
+    """CPU seconds (user + system) used by the children waited for between
+    two ``getrusage(RUSAGE_CHILDREN)`` readings, per second of ``wall``;
+    None for no wall time."""
+    used = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return used / wall if wall > 0 else None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run: its result line, fingerprint, environment
-    line, host speed, steal shares and exit code."""
+    line, host speed, steal shares, CPU seconds per wall second and exit
+    code."""
     before = read_jiffies()
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    cpu = cpu_per_wall(usage, resource.getrusage(resource.RUSAGE_CHILDREN),
+                       time.perf_counter() - start)
     steal = steal_shares(before, read_jiffies())
     lines = proc.stdout.strip().splitlines()
     try:
@@ -138,7 +160,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"code": proc.returncode, "result": result,
             "fingerprint": fingerprint, "stderr": proc.stderr,
             "environment": None if env is None else json.loads(env),
-            "host_speed": host_speed(lines), "steal": steal}
+            "host_speed": host_speed(lines), "steal": steal,
+            "cpu_per_wall": cpu}
+
+
+def median_or_none(values: list):
+    """The median of the values that are not None; None when none is."""
+    values = [v for v in values if v is not None]
+    return statistics.median(values) if values else None
 
 
 def quartiles(values: list) -> list:
@@ -286,11 +315,16 @@ def main(argv=None) -> int:
     scales = {side: [run["host_speed"]["scale"] for run in side_runs
                      if run.get("host_speed")]
               for side, side_runs in runs.items()}
-    median_scale = {side: statistics.median(values) if values else None
+    median_scale = {side: median_or_none(values)
                     for side, values in scales.items()}
     print("host speed scale, median: " + ", ".join(
         f"{side} " + ("n/a" if value is None else f"{value:.4f}")
         for side, value in median_scale.items()))
+    cpu = {side: median_or_none([run.get("cpu_per_wall") for run in side_runs])
+           for side, side_runs in runs.items()}
+    print("CPU seconds per wall second, median: " + ", ".join(
+        f"{side} " + ("n/a" if value is None else f"{value:.3f}")
+        for side, value in cpu.items()))
     marked = [seed for seed, p, c in zip(seeds, runs["parent"], runs["change"])
               if steal_marked(p, c)]
     print(f"pairs marked STEAL (a run saw over {STEAL_MARK:.0%} steal on a "
@@ -312,13 +346,14 @@ def main(argv=None) -> int:
             "claim": None if args.claim is None else {"metric": args.claim,
                                                       "met": claim},
             "metrics": table, "host_speed_scale": median_scale,
-            "steal_pairs": marked,
+            "steal_pairs": marked, "cpu_per_wall": cpu,
             "runs": {side: [{"seed": seed, "code": run["code"],
                              "correct": run["result"].get("correct"),
                              "fingerprint": run["fingerprint"],
                              "environment": run["environment"],
                              "host_speed": run.get("host_speed"),
                              "steal": run.get("steal"),
+                             "cpu_per_wall": run.get("cpu_per_wall"),
                              "metrics": {k: v["value"] for k, v in
                                          run["result"].get("metrics", {}).items()}}
                             for seed, run in zip(seeds, side_runs)]
