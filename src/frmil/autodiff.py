@@ -2,7 +2,7 @@
 
 Just enough machinery to express the model forward pass and get exact
 gradients for every parameter: 2-D matmul, broadcast-aware elementwise
-arithmetic (add, sub, mul, scale), relu, sigmoid, log, clamp, layer norm,
+arithmetic (add, sub, mul), relu, sigmoid, log, clamp, layer norm,
 masked reductions and row norms, row gather/reshape, dropout, the two
 fused ops below, and a finite-difference gradient checker.
 
@@ -135,39 +135,27 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-def _as_array(b, dtype) -> np.ndarray:
-    if isinstance(b, Tensor):
-        return b.data
-    return np.asarray(b, dtype=dtype)
+def _broadcast(a: Tensor, b):
+    """The one broadcast rule of ``add``, ``sub`` and ``mul``. Returns b's
+    array (a python scalar b in a's dtype), the op's parents, and the map
+    of an output gradient, which has a's shape, to b's shape; the map is
+    None for a scalar b.
 
-
-def _reduce_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Undo scalar/row broadcasting by summing the gradient back down."""
-    if g.shape == shape:
-        return g
-    if int(np.prod(shape)) == 1:
-        return g.sum().reshape(shape)
-    # single-row broadcast: (1, D) against (n, D)
-    if len(shape) == 2 and shape[0] == 1 and g.ndim == 2 and g.shape[1] == shape[1]:
-        return g.sum(axis=0, keepdims=True)
-    if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
-        return g.sum(axis=0)
-    raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
-
-
-def _check_broadcastable(a: Tensor, b) -> None:
+    A tensor b must have a's shape, or one element and no more axes than a,
+    or be a (1, D) row or a (D,) vector over a 2-D a. Any other pair raises
+    ShapeError here, before a backward could fail on it.
+    """
     if not isinstance(b, Tensor):
-        return  # python scalar
-    if b.data.shape == a.data.shape or b.data.size == 1:
-        return
-    # a single row broadcast over the rows of a
-    if (a.data.ndim == 2 and b.data.ndim == 2 and b.data.shape[0] == 1
-            and b.data.shape[1] == a.data.shape[1]):
-        return
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
-        return
-    raise ShapeError(f"operand shapes {a.data.shape} and {b.data.shape} are not "
-                     "equal, scalar, or single-row broadcastable")
+        return np.asarray(b, dtype=a.data.dtype), (a,), None
+    sa, sb = a.data.shape, b.data.shape
+    if sb == sa:
+        return b.data, (a, b), lambda g: g
+    if b.data.size == 1 and len(sb) <= len(sa):
+        return b.data, (a, b), lambda g: g.sum().reshape(sb)
+    if len(sa) == 2 and sb in ((1, sa[1]), (sa[1],)):
+        return b.data, (a, b), lambda g: g.sum(axis=0, keepdims=len(sb) == 2)
+    raise ShapeError(f"operand shapes {sa} and {sb} are not equal, "
+                     "one-element, or row broadcastable")
 
 
 # ---------------------------------------------------------------------------
@@ -201,54 +189,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    _check_broadcastable(a, b)
-    bd = _as_array(b, a.data.dtype)
-    out = a.data + bd
+    bd, parents, reduce = _broadcast(a, b)
 
     def backward(g):
         _accumulate(a, g)
-        if isinstance(b, Tensor):
-            _accumulate(b, _reduce_to_shape(g, b.data.shape))
+        if reduce is not None:
+            _accumulate(b, reduce(g))
 
-    return _result(out, (a, b) if isinstance(b, Tensor) else (a,), backward)
+    return _result(a.data + bd, parents, backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    _check_broadcastable(a, b)
-    bd = _as_array(b, a.data.dtype)
-    out = a.data - bd
+    bd, parents, reduce = _broadcast(a, b)
 
     def backward(g):
         _accumulate(a, g)
-        if isinstance(b, Tensor):
-            _accumulate(b, -_reduce_to_shape(g, b.data.shape))
+        if reduce is not None:
+            _accumulate(b, -reduce(g))
 
-    return _result(out, (a, b) if isinstance(b, Tensor) else (a,), backward)
+    return _result(a.data - bd, parents, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; b may be a same-shape tensor, a row, or a scalar."""
-    _check_broadcastable(a, b)
-    bd = _as_array(b, a.data.dtype)
-    out = a.data * bd
+    """Elementwise product; b may be a tensor (``_broadcast``) or a python
+    scalar."""
+    bd, parents, reduce = _broadcast(a, b)
 
     def backward(g):
         _accumulate(a, g * bd)
-        if isinstance(b, Tensor):
-            _accumulate(b, _reduce_to_shape(g * a.data, b.data.shape))
+        if reduce is not None:
+            _accumulate(b, reduce(g * a.data))
 
-    return _result(out, (a, b) if isinstance(b, Tensor) else (a,), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain python scalar."""
-    c = float(c)
-    out = a.data * np.asarray(c, dtype=a.data.dtype)
-
-    def backward(g):
-        _accumulate(a, g * c)
-
-    return _result(out, (a,), backward)
+    return _result(a.data * bd, parents, backward)
 
 
 # ---------------------------------------------------------------------------

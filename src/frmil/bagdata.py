@@ -107,8 +107,9 @@ class InstanceBag:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError(f"bag {self.bag_id}: features must be (n >= 1, D)")
+        if self.features.ndim != 2 or 0 in self.features.shape:
+            raise ValueError(f"bag {self.bag_id}: features must be "
+                             f"(n >= 1, D >= 1)")
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.shape != (self.features.shape[0],):
             raise ValueError(f"bag {self.bag_id}: mask length "

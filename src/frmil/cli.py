@@ -49,6 +49,7 @@ from .training import (
     TrainingError,
     evaluate,
     load_checkpoint,
+    metric_text,
     save_checkpoint,
     train,
     write_metrics_csv,
@@ -224,10 +225,6 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _auc_text(area, digits=4) -> str:
-    return "nan" if area is None else f"{area:.{digits}f}"
-
-
 def _train_run(store, split, config: TrainConfig, run_dir=None,
                kind="frmil"):
     """Train one config, fill run_dir (config, metrics, final and best
@@ -260,9 +257,9 @@ def cmd_train(args) -> int:
               f"{result.best_epoch} -> best.ckpt")
     last_train = [r for r in result.history if r["split"] == "train"][-1]
     print(f"final train acc {last_train['acc']:.4f} "
-          f"auc {_auc_text(last_train['auc'])}")
+          f"auc {metric_text(last_train['auc'], 4)}")
     if report is not None:
-        print(f"test acc {report.accuracy:.4f} auc {_auc_text(report.auc)}")
+        print(f"test acc {report.accuracy:.4f} auc {metric_text(report.auc, 4)}")
     print(f"run artifacts in {run_dir}")
     return EXIT_OK
 
@@ -280,7 +277,7 @@ def cmd_eval(args) -> int:
     report = evaluate(store, ids, params, threshold=config.threshold,
                       pem_residual=config.pem_residual, split=args.split)
     print(f"split {args.split}: acc {report.accuracy:.4f} "
-          f"auc {_auc_text(report.auc)}")
+          f"auc {metric_text(report.auc, 4)}")
     if args.out:
         write_scores_csv(report, args.out)
         print(f"per-bag scores in {args.out}")
@@ -307,8 +304,8 @@ def cmd_ablate(args) -> int:
     for name, cfg, sub_dir, kind in runs:
         _, report = _train_run(store, split, cfg, sub_dir, kind)
         print(f"{name:<12s} acc {report.accuracy:.4f} "
-              f"auc {_auc_text(report.auc)}")
-        lines.append(f"{name},{report.accuracy:.6f},{_auc_text(report.auc, 6)}")
+              f"auc {metric_text(report.auc, 4)}")
+        lines.append(f"{name},{report.accuracy:.6f},{metric_text(report.auc)}")
     write_atomic(run_dir / "ablation.csv", "\n".join(lines) + "\n")
     print(f"results table in {run_dir / 'ablation.csv'}")
     return EXIT_OK

@@ -164,7 +164,8 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def select_max_instance(h: Tensor, mask: np.ndarray,
-                        params: ModelParams) -> Tuple[np.ndarray, int, Tensor, Tensor]:
+                        params: ModelParams | ComparatorParams
+                        ) -> Tuple[np.ndarray, int, Tensor, Tensor]:
     """Instance probabilities and the critical (top-scoring) instance.
 
     Returns (scores, max_index, h_q, a_max) where h_q is the raw feature
@@ -282,46 +283,46 @@ def bag_forward(bag: InstanceBag, params: ModelParams,
 # classic pooling comparators
 
 
+COMPARATOR_KINDS = ("mean_pool", "max_pool")
+SCORER = ("scorer_w", "scorer_b")  # the param_shapes rows a pooling head has
+
+
 @dataclass
 class ComparatorParams:
-    """A single linear scorer; all either pooling needs."""
+    """The model's instance scorer alone; all either pooling needs."""
 
     kind: str  # "mean_pool" or "max_pool"
     dim: int
-    w: Tensor  # (D, 1)
-    b: Tensor  # (1,)
+    scorer_w: Tensor  # (D, 1)
+    scorer_b: Tensor  # (1,)
     detached_view: Optional[ComparatorParams] = field(
         default=None, init=False, repr=False, compare=False)
 
     def named(self) -> Dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
-
-
-COMPARATOR_KINDS = ("mean_pool", "max_pool")
+        return {k: getattr(self, k) for k in SCORER}
 
 
 def init_comparator(kind: str, dim: int, seed: int,
                     dtype=np.float32) -> ComparatorParams:
+    """The scorer rows of ``param_shapes``, drawn as ``init_params`` draws
+    them."""
     if kind not in COMPARATOR_KINDS:
         raise ValueError(f"unknown comparator {kind!r}")
+    shapes = param_shapes(dim)
     return ComparatorParams(kind=kind, dim=dim, **_init_tensors(
-        {"w": (dim, 1), "b": (1,)}, dim, seed, dtype))
+        {k: shapes[k] for k in SCORER}, dim, seed, dtype))
 
 
 def comparator_forward(cparams: ComparatorParams, bag: InstanceBag) -> Tensor:
-    """Bag probability under mean pooling or max pooling.
+    """Bag probability under mean pooling or max pooling of the scorer.
 
-    mean_pool: sigmoid of the linear head applied to the mean instance
-    feature. max_pool: maximum per-instance sigmoid score. Masked rows
-    are excluded from both.
+    mean_pool: the scorer's probability of the mean instance feature.
+    max_pool: the critical instance's probability, ``a_max`` of
+    ``select_max_instance``. Masked rows are excluded from both, and a bag
+    with no unmasked row raises MaskError.
     """
-    mask = np.asarray(bag.mask, dtype=bool)
-    if not mask.any():
-        raise MaskError("empty bag: no unmasked instances")
-    h = Tensor(np.asarray(bag.features, dtype=cparams.w.dtype))
-    if cparams.kind == "mean_pool":
-        mean_feat = ad.masked_reduce("mean", h, mask)
-        return ad.sigmoid(_linear(mean_feat, cparams.w, cparams.b))
-    probs = ad.sigmoid(_linear(h, cparams.w, cparams.b))  # (n, 1)
-    ranked = np.where(mask, probs.data[:, 0], -np.inf)
-    return ad.take_rows(probs, [int(np.argmax(ranked))])
+    h = Tensor(np.asarray(bag.features, dtype=cparams.scorer_w.dtype))
+    if cparams.kind == "max_pool":
+        return select_max_instance(h, bag.mask, cparams)[3]
+    return ad.sigmoid(_linear(ad.masked_reduce("mean", h, bag.mask),
+                              cparams.scorer_w, cparams.scorer_b))

@@ -24,14 +24,16 @@ class BalancedBatchError(ValueError):
     """A balanced batch must contain exactly one bag of each label."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
+    """The term weights and the margin, checked once when built."""
+
     gamma_bag: float = 0.33
     gamma_max: float = 0.33
     gamma_fm: float = 0.33
     tau: float = 8.48
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("gamma_bag", "gamma_max", "gamma_fm"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -50,8 +52,13 @@ def bce_loss(p: Union[Tensor, float], y: int) -> Tensor:
         raise ValueError(f"label must be 0 or 1, got {y}")
     pt = ad.clamp(_as_tensor(p), PROB_EPS, 1.0 - PROB_EPS)
     if y == 0:
-        pt = ad.scale(ad.sub(pt, 1.0), -1.0)  # 1 - p
-    return ad.scale(ad.log(pt), -1.0)
+        pt = ad.mul(ad.sub(pt, 1.0), -1.0)  # 1 - p
+    return ad.mul(ad.log(pt), -1.0)
+
+
+def pair_bce(p_pos: Tensor, p_neg: Tensor) -> Tensor:
+    """Cross-entropy of a balanced pair, 0.5 (BCE(p_pos, 1) + BCE(p_neg, 0))."""
+    return ad.mul(ad.add(bce_loss(p_pos, 1), bce_loss(p_neg, 0)), 0.5)
 
 
 def feature_magnitude_loss(h_pos: Tensor, mask_pos: np.ndarray,
@@ -70,7 +77,7 @@ def feature_magnitude_loss(h_pos: Tensor, mask_pos: np.ndarray,
     mask_neg = np.asarray(mask_neg, dtype=bool)
     pos_norms = ad.l2_norm_rows(h_pos, squared=squared)
     neg_norms = ad.l2_norm_rows(h_neg, squared=squared)
-    hinge = ad.relu(ad.add(ad.scale(pos_norms, -1.0), tau))
+    hinge = ad.relu(ad.add(ad.mul(pos_norms, -1.0), tau))
     pos_term = ad.masked_reduce("mean", hinge, mask_pos)
     neg_term = ad.masked_reduce("mean", neg_norms, mask_neg)
     return ad.add(pos_term, neg_term)
@@ -84,20 +91,17 @@ def total_loss(trace_pos: ForwardTrace, trace_neg: ForwardTrace,
     Returns (scalar tensor, breakdown) where the breakdown holds the
     unweighted values of each term and the weighted total.
     """
-    weights.validate()
     if labels != (1, 0):
         raise BalancedBatchError(f"a balanced batch is one (positive, negative) "
                                  f"pair, labels (1, 0), got {labels}")
-    l_bag = ad.scale(ad.add(bce_loss(trace_pos.bag_prob, 1),
-                            bce_loss(trace_neg.bag_prob, 0)), 0.5)
-    l_max = ad.scale(ad.add(bce_loss(trace_pos.a_max, 1),
-                            bce_loss(trace_neg.a_max, 0)), 0.5)
+    l_bag = pair_bce(trace_pos.bag_prob, trace_neg.bag_prob)
+    l_max = pair_bce(trace_pos.a_max, trace_neg.a_max)
     l_fm = feature_magnitude_loss(trace_pos.h_recal, trace_pos.mask,
                                   trace_neg.h_recal, trace_neg.mask,
                                   weights.tau, squared=fm_squared)
-    total = ad.add(ad.add(ad.scale(l_bag, weights.gamma_bag),
-                          ad.scale(l_max, weights.gamma_max)),
-                   ad.scale(ad.reshape(l_fm, (1, 1)), weights.gamma_fm))
+    total = ad.add(ad.add(ad.mul(l_bag, weights.gamma_bag),
+                          ad.mul(l_max, weights.gamma_max)),
+                   ad.mul(l_fm, weights.gamma_fm))
     parts = {"bag": l_bag.item(), "max": l_max.item(), "fm": l_fm.item()}
     # recombine in float64 so the logged terms sum to the logged total
     parts["total"] = (weights.gamma_bag * parts["bag"]

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .bagdata import (
     BagStore,
@@ -56,7 +55,7 @@ from .model import (
     init_params,
     param_shapes,
 )
-from .objectives import LossWeights, bce_loss, total_loss
+from .objectives import LossWeights, bce_loss, pair_bce, total_loss
 
 CHECKPOINT_MAGIC = b"FRML"
 CHECKPOINT_VERSION = 2
@@ -212,17 +211,14 @@ class AdamState:
 
     @classmethod
     def for_params(cls, named: Dict[str, Tensor]) -> "AdamState":
-        """State over the parameters' arena. Parameters that are not the
-        views of one, such as hand-built tensors, move into a new one once,
-        by rebinding their ``data``."""
+        """State over the parameters' arena; TrainingError unless they are
+        its views in order (``model.arena``)."""
         params = {name: t.data for name, t in named.items()}
-        shapes = {name: a.shape for name, a in params.items()}
         flat = arena_of(params)
         if flat is None:
-            flat, params = arena(shapes, np.result_type(*params.values()))
-            for name, t in named.items():
-                params[name][...] = t.data
-                t.data = params[name]
+            raise TrainingError(f"parameters {', '.join(params)} are not the "
+                                f"views of one arena (model.arena)")
+        shapes = {name: a.shape for name, a in params.items()}
         (g, gv), (m, mv), (v, vv) = (arena(shapes, flat.dtype) for _ in range(3))
         return cls(params, mv, vv, gv, (flat, g, m, v))
 
@@ -535,10 +531,10 @@ def evaluate(store: BagStore, ids: Sequence[str],
                       rows=rows, mean_bce=float(np.mean(bces)))
 
 
-def _metric_cell(value) -> str:
-    if value is None:
-        return "nan"
-    return f"{value:.6f}"
+def metric_text(value: Optional[float], digits: int = 6) -> str:
+    """value to ``digits`` decimals, or "nan" for None (an AUC over one
+    class)."""
+    return "nan" if value is None else f"{value:.{digits}f}"
 
 
 METRIC_COLUMNS = ("loss", "loss_bag", "loss_max", "loss_fm", "acc", "auc")
@@ -547,7 +543,7 @@ METRIC_COLUMNS = ("loss", "loss_bag", "loss_max", "loss_fm", "acc", "auc")
 def write_metrics_csv(history: Sequence[dict], path) -> None:
     write_csv(path, [["epoch", "split", *METRIC_COLUMNS]]
               + [[row["epoch"], row["split"]]
-                 + [_metric_cell(row[k]) for k in METRIC_COLUMNS]
+                 + [metric_text(row[k]) for k in METRIC_COLUMNS]
                  for row in history])
 
 
@@ -607,8 +603,8 @@ def _dropout_rng(seed, epoch, pair, side) -> np.random.Generator:
 
 def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
                 grads: Dict[str, np.ndarray], key: Tuple[int, int],
-                config: TrainConfig, cpus: List[Optional[int]],
-                batch: str) -> Dict[str, float]:
+                config: TrainConfig, weights: LossWeights,
+                cpus: List[Optional[int]], batch: str) -> Dict[str, float]:
     """One training step over a balanced pair, each bag's forward and
     backward on a CPU of its own: the positive bag's on the caller, the
     negative bag's on a helper thread (``_on_cpus``). Writes every
@@ -641,8 +637,7 @@ def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
                                                     requires_grad=True)
                                        for root in ("bag_prob", "a_max")})
                          for t in traces]
-            loss, loss_parts = total_loss(*stand_ins, (1, 0),
-                                          config.loss_weights(),
+            loss, loss_parts = total_loss(*stand_ins, (1, 0), weights,
                                           fm_squared=config.fm_squared)
             parts.update(loss_parts)
             _check_loss(parts, batch)
@@ -698,9 +693,8 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
         weights = LossWeights(1.0, 0.0, 0.0)
 
         def pair_loss(pos, neg, key):
-            loss = ad.scale(ad.add(bce_loss(comparator_forward(params, pos), 1),
-                                   bce_loss(comparator_forward(params, neg), 0)),
-                            0.5)
+            loss = pair_bce(comparator_forward(params, pos),
+                            comparator_forward(params, neg))
             value = loss.item()
             return loss, {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
     named = params.named()
@@ -716,7 +710,8 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
             cpus = [] if views is None else _worker_cpus((pos, neg))
             if len(cpus) == 2:
                 parts = _split_step(pos, neg, params, views, state.g,
-                                    (epoch, pair), config, cpus, batch)
+                                    (epoch, pair), config, weights, cpus,
+                                    batch)
             else:
                 loss, parts = pair_loss(pos, neg, (epoch, pair))
                 _check_loss(parts, batch)

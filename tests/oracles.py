@@ -201,7 +201,7 @@ def pmsa_composite(h_q, tokens, token_mask, params):
         qi = slice_cols(q, lo, hi)
         ki = slice_cols(k, lo, hi)
         vi = slice_cols(v, lo, hi)
-        logits = ad.scale(ad.matmul(qi, transpose2d(ki)), 1.0 / math.sqrt(dh))
+        logits = ad.mul(ad.matmul(qi, transpose2d(ki)), 1.0 / math.sqrt(dh))
         attn = softmax_lastdim(logits, mask=token_mask)
         pooled.append(ad.matmul(attn, vi))
         weights.append(attn.data.copy())
@@ -239,7 +239,7 @@ def reference_op_checks():
         def f():
             cat = concat_rows([a, b])
             picked = ad.take_rows(cat, idx)
-            wide = concat_cols([picked, ad.scale(picked, 0.5)])
+            wide = concat_cols([picked, ad.mul(picked, 0.5)])
             cols = slice_cols(wide, 1, d + 1)
             back = transpose2d(ad.reshape(cols, (d, n + 1)))
             return _scalarize(back)

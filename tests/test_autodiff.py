@@ -29,7 +29,6 @@ from frmil.autodiff import (
     mul,
     relu,
     reshape,
-    scale,
     sigmoid,
     sub,
     take_rows,
@@ -130,7 +129,7 @@ class TestElementwise:
 
     def test_scale_identity(self):
         x = t64([[1.5, -2.5]])
-        np.testing.assert_array_equal(scale(x, 1.0).data, x.data)
+        np.testing.assert_array_equal(mul(x, 1.0).data, x.data)
 
     def test_add_scalar(self):
         x = t64([1.0, 2.0])
@@ -139,6 +138,22 @@ class TestElementwise:
     def test_non_broadcastable_shapes_raise(self):
         with pytest.raises(ShapeError):
             add(t64(np.zeros((3, 2))), t64(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_one_element_operand_wider_than_a_raises(self, op):
+        # () against (1, 1) would give a (1, 1) output, whose gradient
+        # cannot be written into the () operand's grad
+        a = Tensor(np.float64(2.0), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"\(\) and \(1, 1\)"):
+            op(a, Tensor(np.ones((1, 1)), requires_grad=True))
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_one_element_operand_reduces_to_its_shape(self, op):
+        a = Tensor(np.full((1, 1), 3.0), requires_grad=True)
+        b = Tensor(np.float64(2.0), requires_grad=True)
+        backward(op(a, b))
+        assert a.grad.shape == (1, 1) and b.grad.shape == ()
+        assert float(b.grad) == {add: 1.0, sub: -1.0, mul: 3.0}[op]
 
     def test_row_broadcast_gradient_sums_rows(self):
         rng = np.random.default_rng(1)
@@ -453,7 +468,7 @@ class TestGradCheck:
             def f():
                 h = matmul(x, w)
                 h = add(h, row)
-                h = sub(h, scale(row, 0.5))
+                h = sub(h, mul(row, 0.5))
                 h = mul(h, 1.5)
                 h = relu(add(h, 0.05))  # keep clear of the kink
                 h = layer_norm(h, gain, bias)
@@ -499,7 +514,7 @@ class TestGradCheck:
         def f():
             c = clamp(p, 1e-7, 1 - 1e-7)
             dr = dropout(c, 0.3, training=True, rng=np.random.default_rng(42))
-            return masked_reduce("sum", l2_norm_rows(scale(log(add(dr, 1.5)), -1.0)),
+            return masked_reduce("sum", l2_norm_rows(mul(log(add(dr, 1.5)), -1.0)),
                                  np.ones(3, bool))
 
         assert grad_check(f, [p], h=1e-6) <= 1e-4
@@ -575,7 +590,7 @@ class TestMultiRootBackward:
             roots = self.two_roots(w, b, x)
             stand_ins = [Tensor(r.data, requires_grad=True) for r in roots]
             loss = add(mul(log(stand_ins[0]), stand_ins[1]),
-                       scale(stand_ins[1], 2.0))
+                       mul(stand_ins[1], 2.0))
             out = Tensor(loss.data, requires_grad=True)
 
             def run(g):

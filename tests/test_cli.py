@@ -340,6 +340,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "dim" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "tau"])
+    def test_zero_dim_store_with_bags_exits_3(self, store_dir, tmp_path,
+                                               capsys, command):
+        # every bag is (n, 0): its feature files are empty
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["dim"] = 0
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        for entry in manifest["bags"]:
+            (root / entry["path"]).write_bytes(b"")
+        flags = (["--out", str(tmp_path / "run"), "--epochs", "1",
+                  "--heads", "2"] if command == "train" else [])
+        assert run_cli(command, "--data", str(root), *flags) == 3
+        err = capsys.readouterr().err
+        assert "D >= 1" in err and "Traceback" not in err
+
     def test_overlapping_splits_exit_3(self, store_dir, tmp_path, capsys):
         root = tmp_path / "store"
         shutil.copytree(store_dir, root)

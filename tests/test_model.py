@@ -11,6 +11,7 @@ from frmil import autodiff as ad
 from frmil.autodiff import MaskError, Tensor, backward
 from frmil.bagdata import make_bag
 from frmil.model import (
+    COMPARATOR_KINDS,
     bag_forward,
     comparator_forward,
     init_comparator,
@@ -621,7 +622,7 @@ class TestComparators:
         bag = random_bag(rng, n=9, dim=6)
         prob = comparator_forward(cp, bag).item()
         h = Tensor(bag.features)
-        scores = ad.sigmoid(ad.add(ad.matmul(h, cp.w), cp.b)).data[:, 0]
+        scores = ad.sigmoid(ad.add(ad.matmul(h, cp.scorer_w), cp.scorer_b)).data[:, 0]
         assert prob >= scores.max() - 1e-9
 
     def test_max_pool_duplicate_max_idempotent(self):
@@ -630,7 +631,7 @@ class TestComparators:
         bag = random_bag(rng, n=9, dim=6)
         p1 = comparator_forward(cp, bag).item()
         h = Tensor(bag.features)
-        scores = ad.sigmoid(ad.add(ad.matmul(h, cp.w), cp.b)).data[:, 0]
+        scores = ad.sigmoid(ad.add(ad.matmul(h, cp.scorer_w), cp.scorer_b)).data[:, 0]
         top = bag.features[int(np.argmax(scores))]
         bigger = make_bag("c", 1, np.vstack([bag.features, top[None, :]]))
         assert comparator_forward(cp, bigger).item() == pytest.approx(p1)
@@ -638,3 +639,17 @@ class TestComparators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             init_comparator("median_pool", 4, seed=0)
+
+    def test_heads_are_the_models_scorer(self):
+        # the same draws as the model's scorer rows, and max pooling is
+        # the model's critical-instance probability
+        rng = np.random.default_rng(23)
+        params = init_params(8, 2, seed=3)
+        bag = random_bag(rng, n=9, dim=8)
+        for kind in COMPARATOR_KINDS:
+            cp = init_comparator(kind, 8, seed=3)
+            for name, t in cp.named().items():
+                assert t.data.tobytes() == getattr(params, name).data.tobytes()
+        cp = init_comparator("max_pool", 8, seed=3)
+        a_max = bag_forward(bag, params).a_max.data
+        assert comparator_forward(cp, bag).data.tobytes() == a_max.tobytes()

@@ -183,6 +183,18 @@ class TestTotalLoss:
         assert abs(recombined - parts["total"]) < 1e-9
         assert parts["total"] == pytest.approx(loss.item())
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma_bag", -0.1), ("gamma_max", math.nan), ("gamma_fm", -1.0),
+        ("tau", 0.0), ("tau", math.inf), ("tau", -2.0)])
+    def test_invalid_weights_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LossWeights(**{field: value})
+
+    def test_weights_are_frozen(self):
+        w = LossWeights()
+        with pytest.raises(AttributeError):
+            w.tau = -1.0
+
     def test_same_label_rejected(self):
         params, pos, neg = forward_pair(6)
         tp = bag_forward(pos, params)

@@ -52,10 +52,19 @@ from oracles import (
 )
 
 
+def arena_leaves(**arrays):
+    """Leaves over one new arena (``model.arena``) holding the arrays."""
+    _, views = model.arena({k: a.shape for k, a in arrays.items()},
+                           np.result_type(*arrays.values()))
+    for k, a in arrays.items():
+        views[k][...] = a
+    return {k: Tensor(v, requires_grad=True) for k, v in views.items()}
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        t = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-        named = {"w": t}
+        named = arena_leaves(w=np.array([1.0, -2.0], dtype=np.float32))
+        t = named["w"]
         state = AdamState.for_params(named)
         before = t.data.copy()
         for _ in range(5):
@@ -64,8 +73,8 @@ class TestAdam:
 
     def test_first_step_is_signed_lr(self):
         # after bias correction the first update is lr * g / (|g| + eps)
-        t = Tensor(np.array([1.0, 1.0], dtype=np.float64), requires_grad=True)
-        named = {"w": t}
+        named = arena_leaves(w=np.array([1.0, 1.0], dtype=np.float64))
+        t = named["w"]
         state = AdamState.for_params(named)
         g = np.array([0.3, -7.0])
         adam_step(named, {"w": g}, state, lr=0.01)
@@ -73,8 +82,8 @@ class TestAdam:
 
     def test_quadratic_convergence_matches_reference_loop(self):
         # minimize theta^2 from theta=1 with lr 0.1 for 200 steps
-        t = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-        named = {"w": t}
+        named = arena_leaves(w=np.array([1.0], dtype=np.float64))
+        t = named["w"]
         state = AdamState.for_params(named)
         # independent reference implementation
         theta, m, v = 1.0, 0.0, 0.0
@@ -104,11 +113,10 @@ class TestAdam:
     def _compare_with_reference(dtype):
         rng = np.random.default_rng(9)
         shapes = {"w": (16, 8), "b": (8,), "unused": (3,)}
-        named = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
-                 for k, s in shapes.items()}
+        named = arena_leaves(**{k: rng.normal(size=s).astype(dtype)
+                                for k, s in shapes.items()})
         state = AdamState.for_params(named)
-        ref_named = {k: Tensor(t.data.copy(), requires_grad=True)
-                     for k, t in named.items()}
+        ref_named = arena_leaves(**{k: t.data for k, t in named.items()})
         ref_state = AdamState.for_params(ref_named)
         for _ in range(8):
             # magnitudes from 1e-6 to 1e3, signed zeros, and a missing grad
@@ -123,8 +131,7 @@ class TestAdam:
                 assert state.v[k].tobytes() == ref_state.v[k].tobytes()
 
     def test_non_finite_gradient_aborts_with_name(self):
-        t = Tensor(np.ones(2, np.float32), requires_grad=True)
-        named = {"spike": t}
+        named = arena_leaves(spike=np.ones(2, np.float32))
         state = AdamState.for_params(named)
         from frmil.training import TrainingError
         with pytest.raises(TrainingError, match="spike"):
@@ -168,8 +175,9 @@ class TestArena:
         starts = [address(a) for a in views.values()]
         assert all(start % 64 == 0 for start in starts)
         assert starts == sorted(starts) and starts[0] == address(flat)
-        shapes = (model.param_shapes(params.dim) if isinstance(
-            params, model.ModelParams) else {"w": (params.dim, 1), "b": (1,)})
+        shapes = model.param_shapes(params.dim)
+        if isinstance(params, model.ComparatorParams):
+            shapes = {k: shapes[k] for k in model.SCORER}
         assert [(k, a.shape) for k, a in views.items()] == list(shapes.items())
 
     @pytest.mark.parametrize("dim", [8, 64, 512])
@@ -200,8 +208,7 @@ class TestArena:
     def test_full_model_equals_the_reference_for_five_steps(self, dim):
         rng = np.random.default_rng(dim)
         named = init_params(dim, 8, seed=2).named()
-        ref = {k: Tensor(t.data.copy(), requires_grad=True)
-               for k, t in named.items()}
+        ref = arena_leaves(**{k: t.data for k, t in named.items()})
         state, ref_state = AdamState.for_params(named), AdamState.for_params(ref)
         for _ in range(5):
             grads = model_grads(rng, dim)
@@ -228,16 +235,17 @@ class TestArena:
         with pytest.raises(TrainingError, match="q_b was rebound"):
             adam_step(named, {}, state, lr=0.1)
 
-    def test_hand_built_tensors_move_into_one_arena(self):
+    def test_parameters_outside_an_arena_raise_naming_them(self):
         named = {"w": Tensor(np.ones((3, 2), np.float32), requires_grad=True),
                  "b": Tensor(np.full(5, 2.0, np.float32), requires_grad=True)}
+        with pytest.raises(TrainingError, match="parameters w, b are not"):
+            AdamState.for_params(named)
+        # views of one arena, but not in its order
+        named = arena_leaves(w=np.ones((3, 2), np.float32),
+                             b=np.full(5, 2.0, np.float32))
+        with pytest.raises(TrainingError, match="parameters b, w are not"):
+            AdamState.for_params({"b": named["b"], "w": named["w"]})
         state = AdamState.for_params(named)
-        views = {k: t.data for k, t in named.items()}
-        # rebound to the views of the state's arena
-        assert all(views[k] is state.params[k] for k in named)
-        assert address(model.arena_of(views)) == address(state.arenas[0])
-        assert (named["w"].data == 1).all() and (named["b"].data == 2).all()
-        AdamState.for_params(named)  # now found in place: no second move
         assert all(t.data is state.params[k] for k, t in named.items())
 
     def test_best_epoch_copy_shares_no_memory(self, tiny_store):
@@ -797,7 +805,8 @@ class TestSplitStep:
 
         def split_step(params, views, grads, pair):
             return training._split_step(pos, neg, params, views, grads,
-                                        (0, pair), config, cpus, "batch")
+                                        (0, pair), config,
+                                        config.loss_weights(), cpus, "batch")
 
         runs = []
         for split in (False, True):
