@@ -36,9 +36,9 @@ a backward closure), so there is no global tape and read-only tensors are
 safe to share across threads. Threads may build and differentiate graphs
 at the same time when each thread's graph has leaf tensors of its own:
 ``backward`` writes the ``grad`` of every tensor it reaches, so no two
-threads may reach one tensor. Two graphs over the same parameter arrays
-use two sets of leaves wrapping those arrays (``training`` steps a pair
-of bags that way, then adds the two gradients).
+threads may reach one tensor. ``training`` steps a pair of bags as two
+graphs over the same parameter arrays: on two threads, over two sets of
+leaves and then adding the gradients, or on one over the same leaves.
 
 Gradient ownership: a tensor's first gradient is ``0 + g``, which turns
 -0.0 into +0.0, and later ones add in place. ``_accumulate`` copies g on

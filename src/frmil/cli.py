@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen, tau, baseline, density, train, eval, ablate, selftest.
-Exit codes: 0 success, 1 I/O failure, 2 flag/config validation,
-3 data validation. Every training run directory receives an echo of the
-fully resolved config so the run can be replayed exactly. The FRMIL_SEED
-environment variable overrides the built-in default seed; explicit flags
-and config files still win.
+Exit codes: 0 success, 1 I/O failure or out of memory (one ``error:``
+line, no traceback), 2 flag/config validation (``tau --bins`` takes 2 to
+``MAX_TAU_BINS``), 3 data validation. Every training run directory
+receives an echo of the fully resolved config so the run can be replayed
+exactly. The FRMIL_SEED environment variable overrides the built-in
+default seed; explicit flags and config files still win.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_FLAGS = 2
 EXIT_DATA = 3
+
+MAX_TAU_BINS = 1 << 16  # tau's density grid: bins x bags floats at a time
 
 ABLATION_ROWS = (
     ("bag", False, False),
@@ -161,8 +164,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    if args.bins < 2:
-        raise ConfigError(f"--bins must be at least 2, got {args.bins}")
+    if not 2 <= args.bins <= MAX_TAU_BINS:
+        raise ConfigError(f"--bins must be from 2 to {MAX_TAU_BINS}, "
+                          f"got {args.bins}")
     store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     records = compute_magnitudes([store.bag(i) for i in ids],
@@ -354,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test",
                    choices=("train", "val", "test", "all"))
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tau-file", default=None)
+    tau = p.add_mutually_exclusive_group()
+    tau.add_argument("--tau", type=float, default=None)
+    tau.add_argument("--tau-file", default=None)
     p.add_argument("--recalibrate", action="store_true")
     p.add_argument("--out", default=None, help="per-bag probability CSV")
     p.set_defaults(func=cmd_baseline)
@@ -412,6 +417,10 @@ def main(argv=None) -> int:
         return EXIT_FLAGS
     except (StoreMissingFileError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_IO
     except (StoreError, SingleClassError, SplitError, BalancedBatchError,
             CheckpointError, TrainingError, ValueError) as exc:

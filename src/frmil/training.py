@@ -239,7 +239,7 @@ def adam_step(named: Dict[str, Tensor], grads: Dict[str, np.ndarray],
     """One bias-corrected Adam update of the whole parameter arena, in place.
 
     Each gradient is copied into the gradient arena unless it is its view
-    there already (``_split_step``); a missing one is zeros. Parameters and
+    there already (``_pair_step``); a missing one is zeros. Parameters and
     moments change in place, through two scratch arrays, rounding in the
     order of ``m += (1 - b1) g``, ``v += ((1 - b2) g) g`` and
     ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, over bands of about
@@ -587,11 +587,6 @@ def _epoch_rows(epoch, parts_mean, weights, train_report, val_report):
     return rows
 
 
-def _check_loss(parts: Dict[str, float], batch: str) -> None:
-    if not np.isfinite(parts["total"]):
-        raise TrainingError(f"non-finite loss {batch}")
-
-
 def _dropout_rng(seed, epoch, pair, side) -> np.random.Generator:
     """One bag's dropout generator in a training forward: side 0 (positive)
     or 1 of pair ``pair`` of ``balanced_batches(labeled, seed, epoch)``. Its
@@ -601,72 +596,80 @@ def _dropout_rng(seed, epoch, pair, side) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(1, epoch, pair, side)))
 
 
-def _split_step(pos, neg, params: ModelParams, views: Sequence[ModelParams],
-                grads: Dict[str, np.ndarray], key: Tuple[int, int],
-                config: TrainConfig, weights: LossWeights,
-                cpus: List[Optional[int]], batch: str) -> Dict[str, float]:
-    """One training step over a balanced pair, each bag's forward and
-    backward on a CPU of its own: the positive bag's on the caller, the
-    negative bag's on a helper thread (``_on_cpus``). Writes every
-    parameter's gradient into ``grads`` (``AdamState.g``), leaves it in its
-    ``grad`` too, and returns the loss parts.
+def _pair_step(pos, neg, params: ModelParams, grads: Dict[str, np.ndarray],
+               key: Tuple[int, int], config: TrainConfig,
+               weights: LossWeights) -> Dict[str, float]:
+    """The model's training step over a balanced pair, on one CPU or two:
+    leaves each parameter's gradient in its ``grad`` and returns the loss
+    parts.
 
-    ``views`` are two sets of leaves over the parameter arrays, one per
-    bag, so that no two threads write one ``grad``. ``key`` is the pair's
-    (epoch, pair index), and each bag draws its own dropout masks from
-    ``_dropout_rng``. Once both forwards are done the caller runs
-    ``total_loss`` over stand-in leaves for each bag's ``bag_prob`` and
-    ``a_max``, the only tensors through which the loss reaches a parameter,
-    and seeds those roots with their gradients; each bag then runs its own
-    backward. Each parameter is used once per bag, so its gradient in one
-    graph over both bags is the sum of two terms, and ``g_pos + g_neg`` has
-    the same bytes whichever term comes first.
+    Each bag's forward draws its dropout masks from ``_dropout_rng`` with
+    ``key``, the pair's (epoch, pair index). ``total_loss`` then runs over
+    stand-ins for each bag's ``bag_prob`` and ``a_max``, the only tensors
+    through which the loss reaches a parameter, and seeds those roots for
+    each bag's own backward. A parameter is used once per bag, so its
+    gradient is ``g_pos + g_neg``, the same bytes in either order. The
+    positive bag runs on the caller over ``params``. When ``_worker_cpus``
+    gives two CPUs the negative bag runs beside it, on a helper thread
+    (``_on_cpus``) over leaves of its own, and the sum is written into
+    ``grads`` (``AdamState.g``); otherwise it runs next, over ``params``.
     """
+    cpus = _worker_cpus((pos, neg))
+    leaves = [params, _wrap(params, True) if len(cpus) == 2 else params]
     traces: list = [None, None]
     parts: Dict[str, float] = {}
+    for t in params.named().values():
+        t.grad = None
+
+    def forward(i: int) -> None:
+        traces[i] = bag_forward((pos, neg)[i], leaves[i], training=True,
+                                rng=_dropout_rng(config.seed, *key, i),
+                                dropout=config.dropout,
+                                pem_residual=config.pem_residual)
+
+    def seed_roots() -> None:
+        stand_ins = [replace(t, **{root: Tensor(getattr(t, root).data,
+                                                requires_grad=True)
+                                   for root in ("bag_prob", "a_max")})
+                     for t in traces]
+        loss, loss_parts = total_loss(*stand_ins, (1, 0), weights,
+                                      fm_squared=config.fm_squared)
+        parts.update(loss_parts)
+        backward(loss)
+        for t, stand_in in zip(traces, stand_ins):
+            t.bag_prob.grad = stand_in.bag_prob.grad
+            t.a_max.grad = stand_in.a_max.grad
+
+    if len(cpus) < 2:
+        forward(0)
+        forward(1)
+        seed_roots()
+        for t in traces:
+            backward(t.bag_prob, t.a_max)
+        return parts
     barrier = threading.Barrier(2)
 
     def work(i: int) -> None:
-        traces[i] = trace = bag_forward(
-            (pos, neg)[i], views[i], training=True,
-            rng=_dropout_rng(config.seed, *key, i), dropout=config.dropout,
-            pem_residual=config.pem_residual)
+        forward(i)
         barrier.wait()  # both forwards are done
         if i == 0:
-            stand_ins = [replace(t, **{root: Tensor(getattr(t, root).data,
-                                                    requires_grad=True)
-                                       for root in ("bag_prob", "a_max")})
-                         for t in traces]
-            loss, loss_parts = total_loss(*stand_ins, (1, 0), weights,
-                                          fm_squared=config.fm_squared)
-            parts.update(loss_parts)
-            _check_loss(parts, batch)
-            backward(loss)
-            for t, stand_in in zip(traces, stand_ins):
-                t.bag_prob.grad = stand_in.bag_prob.grad
-                t.a_max.grad = stand_in.a_max.grad
+            seed_roots()
         barrier.wait()  # both bags' roots are seeded
-        backward(trace.bag_prob, trace.a_max)
+        backward(traces[i].bag_prob, traces[i].a_max)
 
     _on_cpus(cpus, work, barrier.abort, "train")
-    pos_leaves, neg_leaves = (view.named() for view in views)
-    for name, t in params.named().items():
-        g_pos, g_neg = pos_leaves[name].grad, neg_leaves[name].grad
-        t.grad = np.add(g_pos, g_neg, out=grads[name])
-        pos_leaves[name].grad = neg_leaves[name].grad = None
+    for (name, t), neg_leaf in zip(params.named().items(),
+                                   leaves[1].named().values()):
+        t.grad = np.add(t.grad, neg_leaf.grad, out=grads[name])
     return parts
 
 
 def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
           kind: str = "frmil") -> TrainResult:
     """Train on the train split, tracking val each epoch. kind "frmil" is
-    the full model on the weighted objective; "mean_pool" and "max_pool"
-    are pooling heads on plain bag cross-entropy.
-
-    A model step whose two bags both hold ``PARALLEL_MIN_VALUES`` feature
-    values or more runs on two CPUs when the process may use two
-    (``_split_step``), with the bytes of the one-graph step that every
-    other step takes: each bag draws its masks from ``_dropout_rng``."""
+    the full model on the weighted objective, stepped by ``_pair_step`` on
+    one CPU or two with the same bytes; "mean_pool" and "max_pool" are
+    pooling heads on plain bag cross-entropy, stepped on one graph."""
     config.validate()
     if config.dim is not None and config.dim != store.dim:
         raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
@@ -679,45 +682,32 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     if kind == "frmil":
         params = init_params(store.dim, config.heads, config.seed)
         weights = config.loss_weights()
-
-        def pair_loss(pos, neg, key):
-            tp, tn = (bag_forward(bag, params, training=True,
-                                  rng=_dropout_rng(config.seed, *key, side),
-                                  dropout=config.dropout,
-                                  pem_residual=config.pem_residual)
-                      for side, bag in enumerate((pos, neg)))
-            return total_loss(tp, tn, (1, 0), weights,
-                              fm_squared=config.fm_squared)
     else:
         params = init_comparator(kind, store.dim, config.seed)
         weights = LossWeights(1.0, 0.0, 0.0)
 
-        def pair_loss(pos, neg, key):
+        def head_step(pos, neg):
             loss = pair_bce(comparator_forward(params, pos),
                             comparator_forward(params, neg))
+            for t in params.named().values():
+                t.grad = None
+            backward(loss)
             value = loss.item()
-            return loss, {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
+            return {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
     named = params.named()
     state = AdamState.for_params(named)
-    views = [_wrap(params, True) for _ in range(2)] if kind == "frmil" else None
     result = TrainResult(params=params)
     for epoch in range(config.epochs):
         sums = {"bag": 0.0, "max": 0.0, "fm": 0.0}
         pairs = balanced_batches(labeled, config.seed, epoch)
         for pair, (pos_id, neg_id) in enumerate(pairs):
             pos, neg = store.bag(pos_id), store.bag(neg_id)
-            batch = f"at epoch {epoch} on batch ({pos_id}, {neg_id})"
-            cpus = [] if views is None else _worker_cpus((pos, neg))
-            if len(cpus) == 2:
-                parts = _split_step(pos, neg, params, views, state.g,
-                                    (epoch, pair), config, weights, cpus,
-                                    batch)
-            else:
-                loss, parts = pair_loss(pos, neg, (epoch, pair))
-                _check_loss(parts, batch)
-                for t in named.values():
-                    t.grad = None
-                backward(loss)
+            parts = (_pair_step(pos, neg, params, state.g, (epoch, pair),
+                                config, weights) if kind == "frmil"
+                     else head_step(pos, neg))
+            if not np.isfinite(parts["total"]):
+                raise TrainingError(f"non-finite loss at epoch {epoch} on "
+                                    f"batch ({pos_id}, {neg_id})")
             adam_step(named, {k: t.grad for k, t in named.items()}, state,
                       config.lr)
             for key in sums:

@@ -26,9 +26,9 @@ moved onto in-place ufuncs, one temporary array per operation.
 does: the tests use it to check that padding changes nothing.
 
 ``pair_step_reference`` is the model's training step over one balanced
-pair as one graph over both bags, on one thread, as ``training.train``
-took it before large pairs were split over two CPUs, each bag's dropout
-masks drawn from a generator of its own.
+pair as one graph over both bags, on one thread, each bag's dropout masks
+drawn from a generator of its own. ``training._pair_step`` runs a
+per-bag graph for each bag, on one CPU or two, and must give its bytes.
 """
 
 import math

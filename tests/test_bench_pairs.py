@@ -70,16 +70,34 @@ def test_an_11_percent_cut_against_a_12_percent_spread_prints_not_met(
         "CLAIM MET: epoch_s")
 
 
-def test_claim_of_unknown_metric_is_a_usage_error(tmp_path):
+def usage_error(tmp_path, monkeypatch, capsys, *flags):
+    """bench_pairs' exit code and stderr for flags against a one-workload,
+    one-metric BENCHMARK.json, failing the test if it runs a benchmark."""
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").touch()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "epoch_s", "better": "lower", "bound": 0.25}]}))
+        {"workloads": [{"name": "w"}],
+         "end_to_end": [{"name": "epoch_s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail(
+        "a run started before the arguments were checked"))
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
-                          "--workload", "w", "--seeds", "1", "--seconds", "1",
-                          "--claim", "speed"])
-    assert exc.value.code == 2
+                          "--seeds", "1-3", "--seconds", "1", *flags])
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_claim_of_unknown_metric_is_a_usage_error(tmp_path, monkeypatch,
+                                                  capsys):
+    code, err = usage_error(tmp_path, monkeypatch, capsys,
+                            "--workload", "w", "--claim", "speed")
+    assert code == 2 and "--claim" in err
+
+
+def test_unknown_workload_is_a_usage_error_before_any_run(tmp_path,
+                                                          monkeypatch, capsys):
+    code, err = usage_error(tmp_path, monkeypatch, capsys,
+                            "--workload", "bogus")
+    assert code == 2 and "--workload" in err and "'bogus'" in err
 
 
 def test_out_writes_runs_and_summary_and_keeps_other_workloads(
@@ -346,7 +364,7 @@ def test_runs_without_cpu_figures_print_na(tmp_path, monkeypatch, capsys):
         "code": 0, "fingerprint": "f", "stderr": "", "cpu_per_wall": None,
         "result": {"correct": True, "metrics": {"epoch_s": {"value": 0.3}}}})
     assert bench_pairs.main(["--parent", str(sides["parent"]), "--change",
-                             str(sides["change"]), "--workload", "w",
+                             str(sides["change"]), "--workload", "train-small",
                              "--seeds", "1-2", "--seconds", "1"]) == 0
     assert "CPU seconds per wall second, median: parent n/a, change n/a" \
         in capsys.readouterr().out

@@ -17,7 +17,7 @@ import pytest
 import frmil
 from frmil.baseline import baseline_classify, compute_magnitudes, estimate_tau
 from frmil.bagdata import read_store, read_split
-from frmil.cli import main
+from frmil.cli import MAX_TAU_BINS, main
 from frmil.model import param_shapes
 from frmil.training import TrainConfig, evaluate, load_checkpoint
 
@@ -26,6 +26,20 @@ CONFIG_FIELDS = [f.name for f in fields(TrainConfig)]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_limited(*argv):
+    """The command line in a child process under a 1 GiB address-space
+    limit, so that a size no check bounds fails there instead of taking
+    the host's memory: (exit code, stderr)."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(frmil.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "frmil.cli", *map(str, argv)],
+                          env=env, preexec_fn=limit_address_space,
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stderr.decode()
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +308,8 @@ def _rewrite_header(src, dst, edit):
 
 
 class TestMalformedInputs:
-    """Malformed stores, splits and checkpoints exit 3 without a traceback."""
+    """Malformed stores, splits and checkpoints exit 3, conflicting flags 2
+    and sizes too large for memory 1, each without a traceback."""
 
     @pytest.mark.parametrize("key", ["config", "params", *CONFIG_FIELDS])
     def test_checkpoint_header_without_key_exits_3(self, store_dir, run_dir,
@@ -553,6 +568,25 @@ class TestMalformedInputs:
         assert proc.returncode == 3, err
         assert f"for dim {dim}" in err and "Traceback" not in err
 
+    def test_tau_and_tau_file_together_exit_2(self, store_dir, tmp_path,
+                                              capsys):
+        tau_file = tmp_path / "tau.json"
+        tau_file.write_text(json.dumps({"tau": 2.0, "recalibrated": True}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("baseline", "--data", str(store_dir), "--tau", "1000",
+                    "--tau-file", str(tau_file))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("flag", ["--bags", "--dim"])
+    def test_gen_out_of_memory_exits_1_without_traceback(self, tmp_path, flag):
+        code, err = run_cli_limited("gen", "--out", tmp_path / "s",
+                                    flag, 10 ** 9)
+        assert code == 1, err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("outside", ["../other/features/x.f32", "absolute"])
     def test_manifest_path_outside_store_exits_3(self, store_dir, tmp_path,
                                                  capsys, outside):
@@ -616,6 +650,18 @@ class TestFlagErrors:
     def test_one_tau_bin_exits_2(self, store_dir, capsys):
         assert run_cli("tau", "--data", str(store_dir), "--bins", "1") == 2
         assert "bins" in capsys.readouterr().err
+
+    def test_tau_bins_above_the_ceiling_exit_2_before_any_work(self,
+                                                               store_dir):
+        code, err = run_cli_limited("tau", "--data", store_dir,
+                                    "--bins", 10 ** 9)
+        assert code == 2, err
+        assert f"--bins must be from 2 to {MAX_TAU_BINS}" in err
+        assert "Traceback" not in err
+        assert run_cli("tau", "--data", str(store_dir),
+                       "--bins", str(MAX_TAU_BINS + 1)) == 2
+        assert run_cli("tau", "--data", str(store_dir),
+                       "--bins", str(MAX_TAU_BINS)) == 0
 
     @pytest.mark.parametrize("fracs", ["0.5,0.5,0.5", "1.2,-0.1,-0.1",
                                        "nan,0.5,0.5"])

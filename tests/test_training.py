@@ -772,22 +772,16 @@ def wide_config(**kw):
                                    seed=3), **kw))
 
 
-def spy_split_steps(monkeypatch):
-    """A list that gets the bag ids of each split step train takes."""
-    calls = []
-    real = training._split_step
-
-    def step(pos, neg, *args, **kwargs):
-        calls.append((pos.bag_id, neg.bag_id))
-        return real(pos, neg, *args, **kwargs)
-
-    monkeypatch.setattr(training, "_split_step", step)
-    return calls
+def helper_threads(calls):
+    """The threads other than the caller that ran ``_on_cpus`` workers in
+    ``spy_on_cpus`` calls."""
+    return {t for _, threads in calls for t in threads} - {
+        threading.current_thread()}
 
 
 class TestSplitStep:
-    """A pair of large bags steps on two CPUs with the bytes of one graph
-    over both bags on one."""
+    """A pair of large bags steps on two CPUs, and any pair on one, with
+    the bytes of one graph over both bags on one CPU."""
 
     def test_three_steps_equal_the_one_graph_step(self, two_cpus,
                                                   monkeypatch):
@@ -796,56 +790,57 @@ class TestSplitStep:
         neg = pad_to(make_bag("n", 0, rng.standard_normal(
             (256, 512)).astype(np.float32)), 290)  # 34 masked rows
         config = wide_config(tau=8.0)
-        cpus = training._worker_cpus((pos, neg))
-        assert len(cpus) == 2
+        two = training._worker_cpus((pos, neg))
+        assert len(two) == 2
         caller = threading.current_thread()
         threads = {}
         spy_forward(monkeypatch, "frmil", lambda out: threads.setdefault(
             out.mask.size, threading.current_thread()))
-
-        def split_step(params, views, grads, pair):
-            return training._split_step(pos, neg, params, views, grads,
-                                        (0, pair), config,
-                                        config.loss_weights(), cpus, "batch")
-
         runs = []
-        for split in (False, True):
+        for cpus in (None, [], two):  # the reference, inline, two CPUs
+            monkeypatch.setattr(training, "_worker_cpus", lambda bags: cpus)
+            threads.clear()
             params = init_params(512, 8, seed=4)
-            views = [training._wrap(params, True) for _ in range(2)]
             named = params.named()
             state = AdamState.for_params(named)
             parts = []
             for pair in range(3):
                 parts.append(
-                    split_step(params, views, state.g, pair) if split
+                    training._pair_step(pos, neg, params, state.g, (0, pair),
+                                        config, config.loss_weights())
+                    if cpus is not None
                     else pair_step_reference(pos, neg, params,
                                              keyed_rngs(config.seed, 0, pair),
                                              config))
                 adam_step(named, {k: t.grad for k, t in named.items()}, state,
                           config.lr)
-            runs.append((parts, named, state))
-        (ref_parts, ref, ref_state), (parts, named, state) = runs
-        assert threads[300] is caller and threads[290] is not caller
-        assert [{k: v.hex() for k, v in p.items()} for p in parts] == \
-            [{k: v.hex() for k, v in p.items()} for p in ref_parts]
-        for name, t in named.items():
-            assert t.data.tobytes() == ref[name].data.tobytes(), name
-            assert t.grad.tobytes() == ref[name].grad.tobytes(), name
-            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
-            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+            runs.append((parts, named, state, dict(threads)))
+        ref_parts, ref, ref_state, _ = runs[0]
+        for cpus, (parts, named, state, seen) in zip(([], two), runs[1:]):
+            assert seen[300] is caller
+            assert (seen[290] is caller) == (cpus == []), cpus
+            assert [{k: v.hex() for k, v in p.items()} for p in parts] == \
+                [{k: v.hex() for k, v in p.items()} for p in ref_parts]
+            for name, t in named.items():
+                assert t.data.tobytes() == ref[name].data.tobytes(), name
+                assert t.grad.tobytes() == ref[name].grad.tobytes(), name
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes()
 
     def test_train_on_one_cpu_gives_the_same_parameters(self, wide_store,
                                                         two_cpus,
                                                         monkeypatch):
         split = {"train": wide_store.ids()}
         config = wide_config(epochs=2)
-        calls = spy_split_steps(monkeypatch)
+        calls = spy_on_cpus(monkeypatch)
         two = train(wide_store, split, config)
-        assert calls  # the pairs without the 40-row bag took two CPUs
+        # the pairs without the 40-row bag took two CPUs
+        assert any(name == "train" and len(set(threads)) == 2
+                   for name, threads in calls)
         monkeypatch.setattr(training, "_usable_cpus", lambda: [0])
         calls.clear()
         one = train(wide_store, split, config)
-        assert calls == []
+        assert helper_threads(calls) == set()
         assert param_digest(two.params) == param_digest(one.params)
         assert two.history == one.history
 
@@ -913,10 +908,10 @@ class TestSplitStepThreads:
             return real(bag, *args, **kwargs)
 
         monkeypatch.setattr(training, "bag_forward", forward)
-        calls = spy_split_steps(monkeypatch)
+        calls = spy_on_cpus(monkeypatch)
         with pytest.raises(MaskError):
             train(pair_store, PAIR_SPLIT, wide_config())
-        assert calls == [("p", "n")]
+        assert [name for name, _ in calls] == ["train"]
         assert self.state() == before
 
     def test_non_finite_loss_names_the_batch(self, pair_store, two_cpus,
@@ -929,11 +924,11 @@ class TestSplitStepThreads:
             return loss, dict(parts, total=float("nan"))
 
         monkeypatch.setattr(training, "total_loss", nan_loss)
-        calls = spy_split_steps(monkeypatch)
+        calls = spy_on_cpus(monkeypatch)
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0 "
                            r"on batch \(p, n\)"):
             train(pair_store, PAIR_SPLIT, wide_config())
-        assert calls == [("p", "n")]
+        assert [name for name, _ in calls] == ["train"]
         assert self.state() == before
 
     @pytest.mark.parametrize("case", ["one_cpu", "small_bags"])
@@ -952,9 +947,9 @@ class TestSplitStepThreads:
         spy_forward(monkeypatch, "frmil",
                     lambda _: seen.append((threading.current_thread(),
                                            threading.active_count())))
-        calls = spy_split_steps(monkeypatch)
+        calls = spy_on_cpus(monkeypatch)
         train(store, split, config)
-        assert calls == []
+        assert helper_threads(calls) == set()
         assert seen and set(seen) == {(caller, threads)}
 
 

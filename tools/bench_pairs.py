@@ -44,7 +44,8 @@ per metric each side's median and quartiles, the ratio, the pairs won,
 the parent's spread and the bound check.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
-2 on bad arguments.
+2 on bad arguments, before any run: among them a ``--workload`` that is
+not one of the parent's BENCHMARK.json ``workloads``.
 """
 
 import argparse
@@ -249,6 +250,10 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim must name one of {sorted(metrics)}, "
                      f"got {args.claim!r}")
+    workloads = [w["name"] for w in spec.get("workloads", [])]
+    if args.workload not in workloads:
+        parser.error(f"--workload must name one of {workloads}, "
+                     f"got {args.workload!r}")
 
     runs = {"parent": [], "change": []}
     ok = True

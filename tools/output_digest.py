@@ -9,10 +9,11 @@ variants), ``baseline --out`` (two variants) and ``density`` (two
 variants) run on it. A second store of two D=512 bags of 299 and 305
 rows (seed 13) is trained for two epochs and scored: its bags cross
 ``training.PARALLEL_MIN_VALUES``, so where the process may use two CPUs
-each step runs ``_split_step`` and each ``evaluate`` scores the two bags
-on two threads. Prints the environment (CPU model, numpy, BLAS) on its
-first line, then the sha256 of every file written and of each command's
-stdout, with the directory path stripped. Each ``.ckpt`` file gets a
+each step runs ``_pair_step`` on two threads, and each ``evaluate`` scores
+the two bags on two threads; the first store's steps run on one. Prints
+the environment (CPU model, numpy, BLAS) on its first line, then the
+sha256 of every file written and of each command's stdout, with the
+directory path stripped. Each ``.ckpt`` file gets a
 second line, ``<sha256>  <path>#params``: the digest of the bytes after
 its header. The framing (magic, version byte, uint32 header length)
 is the same in every checkpoint version, so this line stays equal across
