@@ -62,7 +62,7 @@ EXIT_IO = 1
 EXIT_FLAGS = 2
 EXIT_DATA = 3
 
-MAX_TAU_BINS = 1 << 16  # tau's density grid: bins x bags floats at a time
+MAX_TAU_BINS = 1 << 16  # tau's density grid points
 
 ABLATION_ROWS = (
     ("bag", False, False),
@@ -199,19 +199,31 @@ def cmd_baseline(args) -> int:
     store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     bags = [store.bag(i) for i in ids]
-    train_ids = _split_bag_ids(store, args.data, "train")
+    # an empty train split is one that cannot estimate a tau, not an error
+    train_ids = read_split(Path(args.data) / "splits.json").get("train", [])
     train_records = compute_magnitudes([store.bag(i) for i in train_ids])
+    chosen = bool(args.recalibrate)
+    no_tau = {}  # variant -> why the train split gives it no tau
     for recal in (False, True):
         if recal not in taus:
-            taus[recal] = estimate_tau(train_records, recalibrated=recal).tau
+            try:
+                taus[recal] = estimate_tau(train_records,
+                                           recalibrated=recal).tau
+            except SingleClassError as exc:
+                if recal == chosen:
+                    raise
+                no_tau[recal] = str(exc)
 
-    reports = {recal: baseline_classify(bags, taus[recal], recalibrate=recal)
-               for recal in (False, True)}
+    reports = {recal: baseline_classify(bags, tau, recalibrate=recal)
+               for recal, tau in taus.items()}
     for recal in (False, True):
         name = "recalibrated" if recal else "raw"
+        if recal in no_tau:
+            print(f"{name:>12s}: no tau: {no_tau[recal]}")
+            continue
         rep = reports[recal]
         print(f"{name:>12s}: tau {rep.tau:10.4f}  accuracy {rep.accuracy:.4f}")
-    selected = reports[bool(args.recalibrate)]
+    selected = reports[chosen]
     if args.out:
         lines = ["bag_id,label,mu,probability,prediction"]
         lines += [f"{r[0]},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]}"

@@ -19,6 +19,11 @@ ops above, in the format of ``selftest.gradient_checks``.
 (positive, negative) pairs, and ``brute_force_baseline`` the magnitude
 baseline's predictions as plain per-bag Python loops.
 
+``mean_magnitude`` and ``recalibrate_by_norm_max`` are the baseline's
+formulas over a whole-bag float64 copy, and ``kde_whole_grid`` its class
+density as one (grid points, values) block: the banded passes of
+``frmil.baseline`` must give their bytes.
+
 ``adam_step_reference`` is ``training.adam_step`` as it was before it
 moved onto in-place ufuncs, one temporary array per operation.
 
@@ -267,6 +272,32 @@ def brute_force_baseline(bags, tau, recalibrate):
         mu = sum(float(sum(v * v for v in row)) for row in h) / len(h)
         preds.append(1 if min(tau, mu) / tau >= 0.5 else 0)
     return preds
+
+
+def mean_magnitude(features, squared=True):
+    """Mean over instances of the per-row (squared) Euclidean norm."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValueError("mean_magnitude needs a non-empty (n, D) array")
+    sq = (feats ** 2).sum(axis=1)
+    return float(np.mean(sq if squared else np.sqrt(sq)))
+
+
+def recalibrate_by_norm_max(features):
+    """Subtract the largest-norm row from every row (ties: lowest index)."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValueError("recalibrate_by_norm_max needs a non-empty (n, D) "
+                         "array")
+    norms = (feats ** 2).sum(axis=1)
+    return feats - feats[int(np.argmax(norms))]
+
+
+def kde_whole_grid(values, grid, bandwidth):
+    """Gaussian-kernel density of values at every grid point at once."""
+    z = (grid[:, None] - values[None, :]) / bandwidth
+    dens = np.exp(-0.5 * z ** 2).sum(axis=1)
+    return dens / (len(values) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def adam_step_reference(named, grads, state, lr):

@@ -1,8 +1,10 @@
-"""Magnitude baseline: hand values, margin properties, tau estimation."""
+"""Magnitude baseline: hand values of the whole-array oracles, the banded
+passes against them byte for byte, margin properties, tau estimation."""
 
 import numpy as np
 import pytest
 
+from frmil import baseline
 from frmil.bagdata import SingleClassError, SyntheticSpec, generate_synthetic, make_bag
 from frmil.baseline import (
     MagnitudeRecord,
@@ -10,11 +12,15 @@ from frmil.baseline import (
     baseline_classify,
     compute_magnitudes,
     estimate_tau,
-    mean_magnitude,
-    recalibrate_by_norm_max,
     write_density_csv,
 )
-from oracles import brute_force_baseline
+from oracles import (
+    brute_force_baseline,
+    kde_whole_grid,
+    mean_magnitude,
+    pad_to,
+    recalibrate_by_norm_max,
+)
 
 
 class TestMeanMagnitude:
@@ -65,6 +71,99 @@ class TestRecalibrateByNormMax:
         shift = rng.normal(size=4) * 10
         np.testing.assert_allclose(recalibrate_by_norm_max(h + shift),
                                    recalibrate_by_norm_max(h), atol=1e-9)
+
+
+DIMS = (1, 7, 64, 512, 513)
+
+
+def banded_bag(dim, seed, bag_id="b", label=1):
+    """A bag of two full bands and a partial third at the module's band
+    size, its values spread over several orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    n = 2 * baseline._band(dim) + baseline._band(dim) // 3 + 1
+    scale = np.exp(rng.normal(size=(n, 1)))
+    return make_bag(bag_id, label, rng.normal(size=(n, dim)) * scale)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def oracle_magnitudes(bag, squared=True):
+    real = bag.features[bag.mask]
+    return (mean_magnitude(real, squared),
+            mean_magnitude(recalibrate_by_norm_max(real), squared))
+
+
+def assert_bytes_match_oracle(bags):
+    for squared in (True, False):
+        got = [(r.mu_raw, r.mu_recal)
+               for r in compute_magnitudes(bags, squared=squared)]
+        want = [oracle_magnitudes(b, squared) for b in bags]
+        assert [hexes(g) for g in got] == [hexes(w) for w in want]
+    for recal in (False, True):
+        mus = [row[2] for row in baseline_classify(bags, 1.0, recal).rows]
+        assert hexes(mus) == hexes(oracle_magnitudes(b)[recal] for b in bags)
+
+
+class TestBandedMagnitudes:
+    """The banded norm passes give the whole-array oracle's bytes."""
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bags_over_several_bands(self, dim):
+        bags = [banded_bag(dim, seed) for seed in range(2)]
+        assert bags[0].n_rows > 2 * baseline._band(dim)
+        assert bags[0].n_rows % baseline._band(dim)
+        assert_bytes_match_oracle(bags)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("band", (1, 3, 64))
+    def test_any_band_size(self, dim, band, monkeypatch):
+        monkeypatch.setattr(baseline, "_MAG_BAND_BYTES", band * 8 * dim)
+        rng = np.random.default_rng(dim + band)
+        bags = [make_bag(f"b{n}", 1, rng.normal(size=(n, dim)))
+                for n in (1, band, band + 1, 5 * band + 2)]
+        assert_bytes_match_oracle(bags)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_masked_rows(self, dim, monkeypatch):
+        monkeypatch.setattr(baseline, "_MAG_BAND_BYTES", 4 * 8 * dim)
+        bag = banded_bag(dim, 3)
+        padded = pad_to(bag, bag.n_rows + 9)
+        padded.mask[:5] = False  # masked rows at the front as well
+        assert_bytes_match_oracle([padded])
+
+    def test_bag_with_every_row_masked_raises(self):
+        bag = pad_to(make_bag("b", 1, np.ones((3, 4))), 5)
+        bag.mask[:] = False
+        with pytest.raises(ValueError, match="every row is masked"):
+            compute_magnitudes([bag])
+        with pytest.raises(ValueError, match="every row is masked"):
+            baseline_classify([bag], 1.0, recalibrate=False)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_tie_for_the_top_norm_goes_to_the_lowest_index(self, dim):
+        bag = banded_bag(dim, 4)
+        rows = bag.features
+        top = int(np.argmax((rows.astype(np.float64) ** 2).sum(axis=1)))
+        assert top >= baseline._band(dim)  # the tie spans two bands
+        rows[0] = -rows[top]  # the same squares, at a lower index
+        assert_bytes_match_oracle([bag])
+        # shifting by the later of the two rows would give other bytes
+        later = mean_magnitude(rows.astype(np.float64) - rows[top])
+        assert compute_magnitudes([bag])[0].mu_recal != later
+
+
+class TestBandedDensity:
+    @pytest.mark.parametrize("n_values", (1, 2, 9, 600))
+    @pytest.mark.parametrize("band_bytes", (8, 24 * 1024, 1 << 60))
+    def test_equals_the_whole_grid(self, n_values, band_bytes, monkeypatch):
+        monkeypatch.setattr(baseline, "_MAG_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(n_values)
+        values = rng.gamma(2.0, 3.0, size=n_values)
+        grid = np.linspace(0.0, 1.05 * values.max(), 5000)
+        got = baseline._kde(values, grid, 0.7)
+        assert hexes(got) == hexes(kde_whole_grid(values, grid, 0.7))
 
 
 class TestBagProbability:

@@ -140,22 +140,97 @@ class TestTau:
     def test_missing_store_exits_1(self, tmp_path):
         assert run_cli("tau", "--data", str(tmp_path / "absent")) == 1
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak resident set from /proc")
+    def test_largest_grid_keeps_the_default_grids_memory(self, tmp_path):
+        """``tau --bins`` at the ceiling peaks near the 256-point run and
+        prints what the density over the whole grid at once gives; that
+        whole grid took 6.5 times the memory on this store.
+
+        Each run is a child process that reports its own peak resident
+        set, ``VmHWM``. Its ``ru_maxrss`` would not do: Linux carries the
+        forking process's resident set over into it, so every child of a
+        large test process would read that process's size."""
+        root = tmp_path / "store"
+        assert run_cli("gen", "--out", str(root), "--bags", "400", "--dim",
+                       "8", "--bag-min", "3", "--bag-max", "9",
+                       "--seed", "1") == 0
+        child = ("import re, sys\n"
+                 "from frmil import baseline\n"
+                 "from frmil.cli import main\n"
+                 "if sys.argv[1] == 'whole':\n"
+                 "    from oracles import kde_whole_grid\n"
+                 "    baseline._kde = kde_whole_grid\n"
+                 "code = main(sys.argv[2:])\n"
+                 "status = open('/proc/self/status').read()\n"
+                 "print(re.search(r'VmHWM:\\s*(\\d+)', status)[1],"
+                 " file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(frmil.__file__).resolve().parents[1]), str(here)]))
+
+        def tau(kde, bins):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, kde, "tau", "--data", str(root),
+                 "--bins", str(bins)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout, int(proc.stderr.splitlines()[-1])
+
+        _, default_kb = tau("banded", 256)
+        out, ceiling_kb = tau("banded", MAX_TAU_BINS)
+        assert ceiling_kb < 1.2 * default_kb
+        assert out == tau("whole", MAX_TAU_BINS)[0]
+
 
 class TestBaselineAndDensity:
     def test_baseline_matches_library(self, store_dir, tmp_path, capsys):
         out = tmp_path / "probs.csv"
         assert run_cli("baseline", "--data", str(store_dir), "--tau", "60",
                        "--recalibrate", "--out", str(out)) == 0
-        captured = capsys.readouterr().out
-        assert "raw" in captured and "recalibrated" in captured
         store = read_store(store_dir)
         split = read_split(store_dir / "splits.json")
-        report = baseline_classify([store.bag(i) for i in split["test"]],
-                                   tau=60.0, recalibrate=True)
+        recs = compute_magnitudes([store.bag(i) for i in split["train"]])
+        taus = (estimate_tau(recs, recalibrated=False).tau, 60.0)
+        test = [store.bag(i) for i in split["test"]]
+        want = ""
+        for recal, name in ((False, "raw"), (True, "recalibrated")):
+            report = baseline_classify(test, taus[recal], recalibrate=recal)
+            want += (f"{name:>12s}: tau {taus[recal]:10.4f}  "
+                     f"accuracy {report.accuracy:.4f}\n")
+        assert capsys.readouterr().out == want
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + len(split["test"])
-        got_acc = f"accuracy {report.accuracy:.4f}"
-        assert got_acc in captured
+
+    @pytest.mark.parametrize("recal", [False, True])
+    @pytest.mark.parametrize("fracs, n_train", [("1,0,0", 1), ("0,0,1", 0)])
+    def test_given_tau_runs_when_the_other_has_none(self, tmp_path, capsys,
+                                                    recal, fracs, n_train):
+        root = tmp_path / "two"
+        assert run_cli("gen", "--out", str(root), "--bags", "2", "--dim", "8",
+                       "--split-fracs", fracs, "--seed", "3") == 0
+        out = tmp_path / "probs.csv"
+        flags = ["--recalibrate"] if recal else []
+        capsys.readouterr()
+        assert run_cli("baseline", "--data", str(root), "--split", "all",
+                       "--tau", "20", "--out", str(out), *flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["         raw", "recalibrated"]
+        assert lines[recal].startswith(f"{names[recal]}: tau    20.0000  "
+                                       f"accuracy ")
+        assert lines[not recal] == (f"{names[not recal]}: no tau: tau "
+                                    f"estimation needs >= 2 bags of label "
+                                    f"0, got {n_train}")
+        report = baseline_classify(list(read_store(root).bags.values()),
+                                   20.0, recal)
+        assert out.read_text().splitlines() == (
+            ["bag_id,label,mu,probability,prediction"]
+            + [f"{r[0]},{r[1]},{r[2]:.6f},{r[3]:.6f},{r[4]}"
+               for r in report.rows])
+        # with no tau given, the chosen variant's own estimate still fails
+        assert run_cli("baseline", "--data", str(root), "--split", "all",
+                       *flags) == 3
 
     def test_density_row_count(self, store_dir, tmp_path):
         out = tmp_path / "density.csv"

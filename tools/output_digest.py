@@ -10,7 +10,10 @@ variants) run on it. A second store of two D=512 bags of 299 and 305
 rows (seed 13) is trained for two epochs and scored: its bags cross
 ``training.PARALLEL_MIN_VALUES``, so where the process may use two CPUs
 each step runs ``_pair_step`` on two threads, and each ``evaluate`` scores
-the two bags on two threads; the first store's steps run on one. Prints
+the two bags on two threads; the first store's steps run on one. A third
+store of eight D=512 bags of 130-300 rows (seed 17) runs ``tau`` (two
+variants), ``baseline --split all --out`` and ``density``: each of its
+bags spans several of the magnitude path's row bands. Prints
 the environment (CPU model, numpy, BLAS) on its first line, then the
 sha256 of every file written and of each command's stdout, with the
 directory path stripped. Each ``.ckpt`` file gets a
@@ -68,6 +71,18 @@ COMMANDS = [
                     "1e-3", "--seed", "3"]),
     ("eval-wide", ["eval", "--data", "wide", "--ckpt", "wide-run/final.ckpt",
                    "--split", "all", "--out", "wide_scores.csv"]),
+    ("gen-banded", ["gen", "--out", "banded", "--bags", "8", "--dim", "512",
+                    "--bag-min", "130", "--bag-max", "300", "--split-fracs",
+                    "1,0,0", "--seed", "17"]),
+    ("tau-banded", ["tau", "--data", "banded", "--recalibrate",
+                    "--out", "banded_tau.json"]),
+    ("tau-banded-unsquared", ["tau", "--data", "banded", "--unsquared",
+                              "--bins", "64", "--out",
+                              "banded_tau_unsquared.json"]),
+    ("baseline-banded", ["baseline", "--data", "banded", "--split", "all",
+                         "--out", "banded_baseline.csv"]),
+    ("density-banded", ["density", "--data", "banded",
+                        "--out", "banded_density.csv"]),
 ]
 
 
