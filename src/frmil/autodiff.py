@@ -722,12 +722,11 @@ def dropout(a: Tensor, rate: float, training: bool,
 # backward pass and gradient checking
 
 
-def _topo_order(roots: Sequence[Tensor]) -> list:
-    """Parents-before-children ordering of the graph reachable from the
-    roots."""
+def _topo_order(root: Tensor) -> list:
+    """Parents-before-children ordering of the graph reachable from root."""
     order: list = []
     visited: set = set()
-    stack: list = [(root, False) for root in reversed(roots)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -743,26 +742,18 @@ def _topo_order(roots: Sequence[Tensor]) -> list:
     return order
 
 
-def backward(*roots: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from the
-    roots.
+def backward(root: Tensor) -> None:
+    """Populate grads of every requires_grad tensor reachable from root.
 
-    One root whose grad is unset is seeded with ones, so a scalar root
+    A root whose grad is unset is seeded with ones, so a scalar root
     yields plain derivatives and a non-scalar root yields sum-of-outputs
-    derivatives. With several roots the caller seeds every root's grad,
-    for example with a loss's gradients with respect to them, and the
-    backward is that of the sum of the roots weighted by their seeds.
+    derivatives.
     """
-    if not roots:
-        raise ValueError("backward needs at least one root")
-    if not all(root.requires_grad for root in roots):
+    if not root.requires_grad:
         raise ValueError("backward from a tensor outside the computation graph")
-    if len(roots) > 1 and any(root.grad is None for root in roots):
-        raise ValueError("backward from several roots needs every root's "
-                         "grad seeded")
-    order = _topo_order(roots)
-    if roots[0].grad is None:
-        roots[0].grad = np.ones_like(roots[0].data)
+    order = _topo_order(root)
+    if root.grad is None:
+        root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

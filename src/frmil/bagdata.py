@@ -83,6 +83,15 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
     write_atomic(path, text.getvalue())
 
 
+def read_json(path: Path, what: str, error: type):
+    """The parsed contents of a UTF-8 JSON file, or ``error`` naming the
+    file when it is not one."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+
+
 def require_fields(obj, names: Sequence[str], where: str, error: type) -> None:
     """Raise ``error`` unless obj is a JSON object holding every name."""
     if not isinstance(obj, dict):
@@ -201,7 +210,7 @@ def read_store(root) -> BagStore:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise StoreMissingFileError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path, "manifest", StoreManifestError)
     require_fields(manifest, ("dim", "bags"), str(manifest_path),
                    StoreManifestError)
     if not isinstance(manifest["bags"], list):
@@ -399,7 +408,7 @@ def read_split(path) -> Dict[str, List[str]]:
     path = Path(path)
     if not path.exists():
         raise StoreMissingFileError(f"no split file at {path}")
-    data = json.loads(path.read_text())
+    data = read_json(path, "split file", SplitError)
     if not isinstance(data, dict):
         raise SplitError(f"{path} is not a JSON object")
     split: Dict[str, List[str]] = {}

@@ -26,6 +26,7 @@ from .bagdata import (
     StoreMissingFileError,
     SyntheticSpec,
     generate_synthetic,
+    read_json,
     read_split,
     read_store,
     split_ids,
@@ -101,19 +102,11 @@ def _split_bag_ids(store, data_dir, split_name):
     return ids
 
 
-def _read_json_file(path: Path, what: str):
-    """The parsed contents of a JSON file named by a flag."""
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
-
-
 def _resolve_config(args) -> TrainConfig:
     """Config file first, then flag overrides; flags win."""
     data = {}
     if getattr(args, "config", None):
-        data = _read_json_file(Path(args.config), "config file")
+        data = read_json(Path(args.config), "config file", ConfigError)
     config = TrainConfig.from_dict(data)
     if data.get("seed") is None:
         config.seed = _default_seed()
@@ -186,7 +179,7 @@ def cmd_baseline(args) -> int:
     if args.tau is not None:
         taus[args.recalibrate] = args.tau
     elif args.tau_file:
-        loaded = _read_json_file(Path(args.tau_file), "tau file")
+        loaded = read_json(Path(args.tau_file), "tau file", ConfigError)
         tau = loaded.get("tau") if isinstance(loaded, dict) else None
         if isinstance(tau, bool) or not isinstance(tau, (int, float)):
             raise ConfigError(f"tau file {args.tau_file} has no numeric "
@@ -199,20 +192,21 @@ def cmd_baseline(args) -> int:
     store = read_store(args.data)
     ids = _split_bag_ids(store, args.data, args.split)
     bags = [store.bag(i) for i in ids]
-    # an empty train split is one that cannot estimate a tau, not an error
-    train_ids = read_split(Path(args.data) / "splits.json").get("train", [])
-    train_records = compute_magnitudes([store.bag(i) for i in train_ids])
     chosen = bool(args.recalibrate)
     no_tau = {}  # variant -> why the train split gives it no tau
-    for recal in (False, True):
-        if recal not in taus:
-            try:
-                taus[recal] = estimate_tau(train_records,
-                                           recalibrated=recal).tau
-            except SingleClassError as exc:
-                if recal == chosen:
-                    raise
-                no_tau[recal] = str(exc)
+    records = None  # the train split's, read only for a variant without tau
+    for recal in [r for r in (False, True) if r not in taus]:
+        # a missing split file or an empty train split gives no tau, an
+        # error only for the chosen variant
+        try:
+            if records is None:
+                train = read_split(Path(args.data) / "splits.json")["train"]
+                records = compute_magnitudes([store.bag(i) for i in train])
+            taus[recal] = estimate_tau(records, recalibrated=recal).tau
+        except (StoreMissingFileError, SingleClassError) as exc:
+            if recal == chosen:
+                raise
+            no_tau[recal] = str(exc)
 
     reports = {recal: baseline_classify(bags, tau, recalibrate=recal)
                for recal, tau in taus.items()}

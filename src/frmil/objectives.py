@@ -1,9 +1,10 @@
 """Training losses: bag and max-instance cross-entropy plus the
 feature-magnitude margin loss, combined with balancing weights.
 
-The margin loss needs one positive and one negative bag at a time: it
-hinges every real positive-bag instance's recalibrated norm against the
-margin from below and pulls every negative-bag norm toward zero.
+The margin loss hinges every real positive-bag instance's recalibrated
+norm against the margin from below and pulls every negative-bag norm
+toward zero. No term couples the two bags of a balanced pair, so the
+pair's loss is the sum of one loss per bag (``bag_loss``).
 """
 
 from __future__ import annotations
@@ -56,31 +57,44 @@ def bce_loss(p: Union[Tensor, float], y: int) -> Tensor:
     return ad.mul(ad.log(pt), -1.0)
 
 
-def pair_bce(p_pos: Tensor, p_neg: Tensor) -> Tensor:
-    """Cross-entropy of a balanced pair, 0.5 (BCE(p_pos, 1) + BCE(p_neg, 0))."""
-    return ad.mul(ad.add(bce_loss(p_pos, 1), bce_loss(p_neg, 0)), 0.5)
-
-
-def feature_magnitude_loss(h_pos: Tensor, mask_pos: np.ndarray,
-                           h_neg: Tensor, mask_neg: np.ndarray,
-                           tau: float, squared: bool = False) -> Tensor:
-    """Margin hinge on positive-bag norms plus plain negative-bag norms.
-
-    mean over real positive rows of max(0, tau - ||row||) plus the mean
-    over real negative rows of ||row||. Norms are unsquared by default.
-    Means are taken per bag, which matches the single shared-N sum exactly
-    when the bags have equal size and stays well defined otherwise.
-    """
+def magnitude_term(h: Tensor, mask: np.ndarray, label: int, tau: float,
+                   squared: bool = False) -> Tensor:
+    """One bag's share of the margin loss: the mean over its real rows of
+    max(0, tau - ||row||) for a positive bag (label 1), of ||row|| for a
+    negative one. Norms are unsquared by default."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    mask_pos = np.asarray(mask_pos, dtype=bool)
-    mask_neg = np.asarray(mask_neg, dtype=bool)
-    pos_norms = ad.l2_norm_rows(h_pos, squared=squared)
-    neg_norms = ad.l2_norm_rows(h_neg, squared=squared)
-    hinge = ad.relu(ad.add(ad.mul(pos_norms, -1.0), tau))
-    pos_term = ad.masked_reduce("mean", hinge, mask_pos)
-    neg_term = ad.masked_reduce("mean", neg_norms, mask_neg)
-    return ad.add(pos_term, neg_term)
+    norms = ad.l2_norm_rows(h, squared=squared)
+    if label == 1:
+        norms = ad.relu(ad.add(ad.mul(norms, -1.0), tau))
+    return ad.masked_reduce("mean", norms, np.asarray(mask, dtype=bool))
+
+
+def bag_loss(trace: ForwardTrace, label: int, weights: LossWeights,
+             fm_squared: bool = False) -> Tuple[Tensor, Dict[str, np.ndarray]]:
+    """One bag's weighted share of a balanced pair's loss and its
+    unweighted float32 parts: each cross-entropy halved, as the pair's
+    mean, and the bag's ``magnitude_term``."""
+    l_bag = ad.mul(bce_loss(trace.bag_prob, label), 0.5)
+    l_max = ad.mul(bce_loss(trace.a_max, label), 0.5)
+    l_fm = magnitude_term(trace.h_recal, trace.mask, label, weights.tau,
+                          squared=fm_squared)
+    loss = ad.add(ad.add(ad.mul(l_bag, weights.gamma_bag),
+                         ad.mul(l_max, weights.gamma_max)),
+                  ad.mul(l_fm, weights.gamma_fm))
+    return loss, {"bag": l_bag.data, "max": l_max.data, "fm": l_fm.data}
+
+
+def pair_parts(pos: Dict[str, np.ndarray], neg: Dict[str, np.ndarray],
+               weights: LossWeights) -> Dict[str, float]:
+    """A pair's loss parts from its two bags' float32 parts (``bag_loss``),
+    plus the weighted total."""
+    parts = {k: (pos[k] + neg[k]).item() for k in ("bag", "max", "fm")}
+    # recombine in float64 so the logged terms sum to the logged total
+    parts["total"] = (weights.gamma_bag * parts["bag"]
+                      + weights.gamma_max * parts["max"]
+                      + weights.gamma_fm * parts["fm"])
+    return parts
 
 
 def total_loss(trace_pos: ForwardTrace, trace_neg: ForwardTrace,
@@ -94,17 +108,7 @@ def total_loss(trace_pos: ForwardTrace, trace_neg: ForwardTrace,
     if labels != (1, 0):
         raise BalancedBatchError(f"a balanced batch is one (positive, negative) "
                                  f"pair, labels (1, 0), got {labels}")
-    l_bag = pair_bce(trace_pos.bag_prob, trace_neg.bag_prob)
-    l_max = pair_bce(trace_pos.a_max, trace_neg.a_max)
-    l_fm = feature_magnitude_loss(trace_pos.h_recal, trace_pos.mask,
-                                  trace_neg.h_recal, trace_neg.mask,
-                                  weights.tau, squared=fm_squared)
-    total = ad.add(ad.add(ad.mul(l_bag, weights.gamma_bag),
-                          ad.mul(l_max, weights.gamma_max)),
-                   ad.mul(l_fm, weights.gamma_fm))
-    parts = {"bag": l_bag.item(), "max": l_max.item(), "fm": l_fm.item()}
-    # recombine in float64 so the logged terms sum to the logged total
-    parts["total"] = (weights.gamma_bag * parts["bag"]
-                      + weights.gamma_max * parts["max"]
-                      + weights.gamma_fm * parts["fm"])
-    return total, parts
+    (pos, pos_parts), (neg, neg_parts) = (
+        bag_loss(trace, label, weights, fm_squared)
+        for trace, label in zip((trace_pos, trace_neg), labels))
+    return ad.add(pos, neg), pair_parts(pos_parts, neg_parts, weights)

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, mul
 from .bagdata import (
     BagStore,
     SingleClassError,
@@ -55,7 +55,7 @@ from .model import (
     init_params,
     param_shapes,
 )
-from .objectives import LossWeights, bce_loss, pair_bce, total_loss
+from .objectives import LossWeights, bag_loss, bce_loss, pair_parts
 
 CHECKPOINT_MAGIC = b"FRML"
 CHECKPOINT_VERSION = 2
@@ -596,80 +596,69 @@ def _dropout_rng(seed, epoch, pair, side) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(1, epoch, pair, side)))
 
 
-def _pair_step(pos, neg, params: ModelParams, grads: Dict[str, np.ndarray],
-               key: Tuple[int, int], config: TrainConfig,
+def _pair_step(pos, neg, params: ModelParams | ComparatorParams,
+               grads: Dict[str, np.ndarray], loss_of: Callable,
                weights: LossWeights) -> Dict[str, float]:
-    """The model's training step over a balanced pair, on one CPU or two:
-    leaves each parameter's gradient in its ``grad`` and returns the loss
-    parts.
+    """One training step over a balanced pair: leaves each parameter's
+    gradient in its ``grad`` and returns the loss parts.
 
-    Each bag's forward draws its dropout masks from ``_dropout_rng`` with
-    ``key``, the pair's (epoch, pair index). ``total_loss`` then runs over
-    stand-ins for each bag's ``bag_prob`` and ``a_max``, the only tensors
-    through which the loss reaches a parameter, and seeds those roots for
-    each bag's own backward. A parameter is used once per bag, so its
+    ``loss_of(side, bag, params)`` gives a bag's scalar loss and float32
+    parts, side 0 being the positive bag. Each bag runs its forward, loss
+    and backward on its own; a parameter is used once per bag, so its
     gradient is ``g_pos + g_neg``, the same bytes in either order. The
     positive bag runs on the caller over ``params``. When ``_worker_cpus``
-    gives two CPUs the negative bag runs beside it, on a helper thread
-    (``_on_cpus``) over leaves of its own, and the sum is written into
-    ``grads`` (``AdamState.g``); otherwise it runs next, over ``params``.
+    gives the model two CPUs, the negative bag runs beside it on a helper
+    thread (``_on_cpus``) over leaves of its own, and the sum is written
+    into ``grads`` (``AdamState.g``); otherwise it runs next, over
+    ``params``. The pooling heads always step on the caller.
     """
-    cpus = _worker_cpus((pos, neg))
+    cpus = (_worker_cpus((pos, neg)) if isinstance(params, ModelParams)
+            else [])
     leaves = [params, _wrap(params, True) if len(cpus) == 2 else params]
-    traces: list = [None, None]
-    parts: Dict[str, float] = {}
+    parts: list = [None, None]
     for t in params.named().values():
         t.grad = None
 
-    def forward(i: int) -> None:
-        traces[i] = bag_forward((pos, neg)[i], leaves[i], training=True,
-                                rng=_dropout_rng(config.seed, *key, i),
-                                dropout=config.dropout,
-                                pem_residual=config.pem_residual)
-
-    def seed_roots() -> None:
-        stand_ins = [replace(t, **{root: Tensor(getattr(t, root).data,
-                                                requires_grad=True)
-                                   for root in ("bag_prob", "a_max")})
-                     for t in traces]
-        loss, loss_parts = total_loss(*stand_ins, (1, 0), weights,
-                                      fm_squared=config.fm_squared)
-        parts.update(loss_parts)
+    def work(i: int) -> None:
+        loss, parts[i] = loss_of(i, (pos, neg)[i], leaves[i])
         backward(loss)
-        for t, stand_in in zip(traces, stand_ins):
-            t.bag_prob.grad = stand_in.bag_prob.grad
-            t.a_max.grad = stand_in.a_max.grad
 
     if len(cpus) < 2:
-        forward(0)
-        forward(1)
-        seed_roots()
-        for t in traces:
-            backward(t.bag_prob, t.a_max)
-        return parts
-    barrier = threading.Barrier(2)
+        work(0)
+        work(1)
+    else:
+        _on_cpus(cpus, work, lambda: None, "train")
+        for (name, t), neg_leaf in zip(params.named().items(),
+                                       leaves[1].named().values()):
+            t.grad = np.add(t.grad, neg_leaf.grad, out=grads[name])
+    return pair_parts(*parts, weights)
 
-    def work(i: int) -> None:
-        forward(i)
-        barrier.wait()  # both forwards are done
-        if i == 0:
-            seed_roots()
-        barrier.wait()  # both bags' roots are seeded
-        backward(traces[i].bag_prob, traces[i].a_max)
 
-    _on_cpus(cpus, work, barrier.abort, "train")
-    for (name, t), neg_leaf in zip(params.named().items(),
-                                   leaves[1].named().values()):
-        t.grad = np.add(t.grad, neg_leaf.grad, out=grads[name])
-    return parts
+def _model_loss(config: TrainConfig, weights: LossWeights,
+                key: Tuple[int, int], side: int, bag, params: ModelParams):
+    """The model's ``loss_of`` once given its first three arguments: the
+    bag's forward draws its dropout masks from ``_dropout_rng`` with
+    ``key``, the pair's (epoch, pair index)."""
+    trace = bag_forward(bag, params, training=True,
+                        rng=_dropout_rng(config.seed, *key, side),
+                        dropout=config.dropout,
+                        pem_residual=config.pem_residual)
+    return bag_loss(trace, 1 - side, weights, config.fm_squared)
+
+
+def _head_loss(side: int, bag, params: ComparatorParams):
+    """A pooling head's ``loss_of``: half the bag's cross-entropy."""
+    loss = mul(bce_loss(comparator_forward(params, bag), 1 - side), 0.5)
+    zero = np.float32(0.0)
+    return loss, {"bag": loss.data, "max": zero, "fm": zero}
 
 
 def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
           kind: str = "frmil") -> TrainResult:
     """Train on the train split, tracking val each epoch. kind "frmil" is
-    the full model on the weighted objective, stepped by ``_pair_step`` on
-    one CPU or two with the same bytes; "mean_pool" and "max_pool" are
-    pooling heads on plain bag cross-entropy, stepped on one graph."""
+    the full model on the weighted objective, "mean_pool" and "max_pool"
+    are pooling heads on plain bag cross-entropy; each steps by
+    ``_pair_step``, the model on one CPU or two with the same bytes."""
     config.validate()
     if config.dim is not None and config.dim != store.dim:
         raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
@@ -685,15 +674,6 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     else:
         params = init_comparator(kind, store.dim, config.seed)
         weights = LossWeights(1.0, 0.0, 0.0)
-
-        def head_step(pos, neg):
-            loss = pair_bce(comparator_forward(params, pos),
-                            comparator_forward(params, neg))
-            for t in params.named().values():
-                t.grad = None
-            backward(loss)
-            value = loss.item()
-            return {"bag": value, "max": 0.0, "fm": 0.0, "total": value}
     named = params.named()
     state = AdamState.for_params(named)
     result = TrainResult(params=params)
@@ -702,9 +682,10 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
         pairs = balanced_batches(labeled, config.seed, epoch)
         for pair, (pos_id, neg_id) in enumerate(pairs):
             pos, neg = store.bag(pos_id), store.bag(neg_id)
-            parts = (_pair_step(pos, neg, params, state.g, (epoch, pair),
-                                config, weights) if kind == "frmil"
-                     else head_step(pos, neg))
+            loss_of = (functools.partial(_model_loss, config, weights,
+                                         (epoch, pair))
+                       if kind == "frmil" else _head_loss)
+            parts = _pair_step(pos, neg, params, state.g, loss_of, weights)
             if not np.isfinite(parts["total"]):
                 raise TrainingError(f"non-finite loss at epoch {epoch} on "
                                     f"batch ({pos_id}, {neg_id})")

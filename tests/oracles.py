@@ -30,10 +30,16 @@ moved onto in-place ufuncs, one temporary array per operation.
 ``pad_to`` appends masked zero rows to a bag, which no product path
 does: the tests use it to check that padding changes nothing.
 
+``joint_pair_loss`` is a balanced pair's loss as one joint graph: each
+term the pair's mean over both bags, then weighted. ``objectives.bag_loss``
+splits it into one loss per bag, and the two bags' parts and gradients
+must give its bytes.
+
 ``pair_step_reference`` is the model's training step over one balanced
 pair as one graph over both bags, on one thread, each bag's dropout masks
-drawn from a generator of its own. ``training._pair_step`` runs a
-per-bag graph for each bag, on one CPU or two, and must give its bytes.
+drawn from a generator of its own. ``training._pair_step`` runs forward,
+loss and backward for each bag on its own, on one CPU or two, and must
+give its bytes.
 """
 
 import math
@@ -52,7 +58,7 @@ from frmil.autodiff import (
 )
 from frmil.bagdata import InstanceBag
 from frmil.model import bag_forward
-from frmil.objectives import total_loss
+from frmil.objectives import bce_loss, magnitude_term, total_loss
 from frmil.selftest import _check, _dims, _scalarize, _t
 
 
@@ -318,6 +324,24 @@ def adam_step_reference(named, grads, state, lr):
         v += (1.0 - state.beta2) * g * g
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         tensor.data = tensor.data - update.astype(tensor.data.dtype)
+
+
+def joint_pair_loss(trace_pos, trace_neg, weights, fm_squared=False):
+    """(scalar, parts): 0.5 (BCE(p_pos, 1) + BCE(p_neg, 0)) for the bag
+    and the max terms, the positive bag's margin term plus the negative
+    bag's, weighted and added, with the unweighted parts as floats."""
+    def pair_mean(root):
+        return ad.mul(ad.add(bce_loss(getattr(trace_pos, root), 1),
+                             bce_loss(getattr(trace_neg, root), 0)), 0.5)
+
+    l_bag, l_max = pair_mean("bag_prob"), pair_mean("a_max")
+    l_fm = ad.add(*(magnitude_term(t.h_recal, t.mask, label, weights.tau,
+                                   fm_squared)
+                    for t, label in ((trace_pos, 1), (trace_neg, 0))))
+    loss = ad.add(ad.add(ad.mul(l_bag, weights.gamma_bag),
+                         ad.mul(l_max, weights.gamma_max)),
+                  ad.mul(l_fm, weights.gamma_fm))
+    return loss, {"bag": l_bag.item(), "max": l_max.item(), "fm": l_fm.item()}
 
 
 def pair_step_reference(pos, neg, params, rngs, config, neg_first=False):

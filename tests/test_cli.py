@@ -232,6 +232,30 @@ class TestBaselineAndDensity:
         assert run_cli("baseline", "--data", str(root), "--split", "all",
                        *flags) == 3
 
+    @pytest.mark.parametrize("recal", [False, True])
+    def test_given_tau_runs_without_a_split_file(self, tmp_path, capsys,
+                                                 recal):
+        root = tmp_path / "nosplit"
+        assert run_cli("gen", "--out", str(root), "--bags", "20", "--dim", "4",
+                       "--seed", "3") == 0
+        (root / "splits.json").unlink()
+        flags = ["--recalibrate"] if recal else []
+        capsys.readouterr()
+        assert run_cli("baseline", "--data", str(root), "--split", "all",
+                       "--tau", "1.0", *flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["         raw", "recalibrated"]
+        report = baseline_classify(list(read_store(root).bags.values()),
+                                   1.0, recal)
+        assert lines[recal] == (f"{names[recal]}: tau     1.0000  "
+                                f"accuracy {report.accuracy:.4f}")
+        assert lines[not recal] == (f"{names[not recal]}: no tau: no split "
+                                    f"file at {root / 'splits.json'}")
+        # with no tau given, the chosen variant still needs the file
+        assert run_cli("baseline", "--data", str(root), "--split", "all",
+                       *flags) == 1
+        assert "no split file" in capsys.readouterr().err
+
     def test_density_row_count(self, store_dir, tmp_path):
         out = tmp_path / "density.csv"
         assert run_cli("density", "--data", str(store_dir),
@@ -409,6 +433,19 @@ class TestMalformedInputs:
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "splits.json"])
+    @pytest.mark.parametrize("data", [b'{\n "dim": 8,,', b'{"dim": "\xff"}'],
+                             ids=["not_json", "not_utf8"])
+    def test_unreadable_json_exits_3_naming_the_file(self, store_dir, tmp_path,
+                                                     capsys, name, data):
+        root = tmp_path / "store"
+        shutil.copytree(store_dir, root)
+        (root / name).write_bytes(data)
+        assert run_cli("tau", "--data", str(root)) == 3
+        err = capsys.readouterr().err
+        assert str(root / name) in err and "not valid UTF-8 JSON" in err
+        assert "Traceback" not in err
 
     def test_manifest_without_dim_exits_3(self, store_dir, tmp_path, capsys):
         root = tmp_path / "store"

@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from frmil import autodiff as ad
 from frmil.autodiff import Tensor, backward, grad_check
 from frmil.bagdata import make_bag
 from frmil.model import bag_forward, init_params
 from frmil.objectives import (
     BalancedBatchError,
     LossWeights,
+    bag_loss,
     bce_loss,
-    feature_magnitude_loss,
+    magnitude_term,
     total_loss,
 )
+from oracles import joint_pair_loss, pad_to
 
 
 class TestBceLoss:
@@ -66,6 +69,14 @@ class TestMaxInstanceLoss:
 
 def tensor_rows(rows):
     return Tensor(np.asarray(rows, dtype=np.float64))
+
+
+def feature_magnitude_loss(h_pos, mask_pos, h_neg, mask_neg, tau,
+                           squared=False):
+    """The pair's margin loss: the positive bag's term plus the negative
+    bag's (``magnitude_term``)."""
+    return ad.add(magnitude_term(h_pos, mask_pos, 1, tau, squared),
+                  magnitude_term(h_neg, mask_neg, 0, tau, squared))
 
 
 class TestFeatureMagnitudeLoss:
@@ -229,3 +240,53 @@ class TestTotalLoss:
 
         err = grad_check(f, list(params.named().values()), h=1e-5)
         assert err <= 1e-4, f"max relative error {err:.2e}"
+
+
+class TestBagLoss:
+    """One loss per bag: the two bags' parts and gradients are the bytes of
+    the pair's joint graph."""
+
+    CASES = [(seed, squared) for seed in range(4) for squared in (False, True)]
+
+    @staticmethod
+    def traces(seed):
+        params, pos, neg = forward_pair(seed, n_pos=7, n_neg=5)
+        neg = pad_to(neg, 9)  # 4 masked rows
+        return params, lambda: (bag_forward(pos, params),
+                                bag_forward(neg, params))
+
+    @pytest.mark.parametrize("seed, squared", CASES)
+    def test_parts_sum_to_the_pair_parts(self, seed, squared):
+        tp, tn = self.traces(seed)[1]()
+        w = LossWeights(0.4, 0.25, 0.1, tau=3.0)
+        (_, pp), (_, pn) = (bag_loss(t, y, w, squared)
+                            for t, y in ((tp, 1), (tn, 0)))
+        summed = {k: (pp[k] + pn[k]).item() for k in ("bag", "max", "fm")}
+        _, parts = total_loss(tp, tn, (1, 0), w, fm_squared=squared)
+        _, joint = joint_pair_loss(tp, tn, w, squared)
+        for k, v in summed.items():
+            assert v.hex() == parts[k].hex() == joint[k].hex(), k
+
+    @pytest.mark.parametrize("seed, squared", CASES)
+    def test_gradients_equal_the_joint_graph(self, seed, squared):
+        params, forward = self.traces(seed)
+        w = LossWeights(0.4, 0.25, 0.1, tau=3.0)
+
+        def grads(per_bag):
+            tp, tn = forward()
+            for t in params.named().values():
+                t.grad = None
+            if per_bag:
+                for t, y in ((tp, 1), (tn, 0)):
+                    backward(bag_loss(t, y, w, squared)[0])
+            else:
+                backward(joint_pair_loss(tp, tn, w, squared)[0])
+            return {k: t.grad.tobytes() for k, t in params.named().items()}
+
+        assert grads(True) == grads(False)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_0_1_raises(self, label):
+        tp, _ = self.traces(0)[1]()
+        with pytest.raises(ValueError, match="label"):
+            bag_loss(tp, label, LossWeights())

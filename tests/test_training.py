@@ -1,6 +1,7 @@
 """Optimizer, metrics, checkpointing, and training-loop determinism."""
 
 import copy
+import functools
 import hashlib
 import math
 import os
@@ -805,9 +806,13 @@ class TestSplitStep:
             state = AdamState.for_params(named)
             parts = []
             for pair in range(3):
+                weights = config.loss_weights()
                 parts.append(
-                    training._pair_step(pos, neg, params, state.g, (0, pair),
-                                        config, config.loss_weights())
+                    training._pair_step(
+                        pos, neg, params, state.g,
+                        functools.partial(training._model_loss, config,
+                                          weights, (0, pair)),
+                        weights)
                     if cpus is not None
                     else pair_step_reference(pos, neg, params,
                                              keyed_rngs(config.seed, 0, pair),
@@ -844,8 +849,25 @@ class TestSplitStep:
         assert param_digest(two.params) == param_digest(one.params)
         assert two.history == one.history
 
+    @pytest.mark.parametrize("kind", ["mean_pool", "max_pool"])
+    def test_heads_step_on_the_caller(self, wide_store, two_cpus, monkeypatch,
+                                      kind):
+        split = {"train": wide_store.ids()}
+        config = wide_config(epochs=2)
+        assert training._worker_cpus(wide_store.bags.values())
+        calls = spy_on_cpus(monkeypatch)
+        two = train(wide_store, split, config, kind)
+        names = [name for name, _ in calls]
+        assert "train" not in names and "evaluate" in names
+        monkeypatch.setattr(training, "_usable_cpus", lambda: [0])
+        calls.clear()
+        one = train(wide_store, split, config, kind)
+        assert helper_threads(calls) == set()
+        assert param_digest(two.params) == param_digest(one.params)
+        assert two.history == one.history
+
     def test_negative_bag_first_gives_the_same_bytes(self):
-        # below the gate: train takes the one-graph step
+        # below the gate: train steps both bags in turn on the caller
         config = wide_config(tau=4.0)
         store = BagStore(root=Path("small"), dim=16, bags=small_pair(23))
         trained = train(store, PAIR_SPLIT, config).params
@@ -917,13 +939,13 @@ class TestSplitStepThreads:
     def test_non_finite_loss_names_the_batch(self, pair_store, two_cpus,
                                              monkeypatch):
         before = (threading.active_count(), START_CPUS)
-        real = training.total_loss
+        real = training.bag_loss
 
         def nan_loss(*args, **kwargs):
             loss, parts = real(*args, **kwargs)
-            return loss, dict(parts, total=float("nan"))
+            return loss, dict(parts, fm=np.float32("nan"))
 
-        monkeypatch.setattr(training, "total_loss", nan_loss)
+        monkeypatch.setattr(training, "bag_loss", nan_loss)
         calls = spy_on_cpus(monkeypatch)
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0 "
                            r"on batch \(p, n\)"):

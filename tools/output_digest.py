@@ -9,8 +9,9 @@ variants), ``baseline --out`` (two variants) and ``density`` (two
 variants) run on it. A second store of two D=512 bags of 299 and 305
 rows (seed 13) is trained for two epochs and scored: its bags cross
 ``training.PARALLEL_MIN_VALUES``, so where the process may use two CPUs
-each step runs ``_pair_step`` on two threads, and each ``evaluate`` scores
-the two bags on two threads; the first store's steps run on one. A third
+each step runs ``_pair_step`` with one bag's forward, loss and backward on
+each of two threads, and each ``evaluate`` scores the two bags on two
+threads; the first store's steps, the pooling heads' included, run on one. A third
 store of eight D=512 bags of 130-300 rows (seed 17) runs ``tau`` (two
 variants), ``baseline --split all --out`` and ``density``: each of its
 bags spans several of the magnitude path's row bands. Prints
