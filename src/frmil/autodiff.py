@@ -22,7 +22,7 @@ each one graph node with a hand-written backward:
   flipped; the bias is added after the taps. The filter writes into the
   token buffer. A caller may hand the forward a two-thread runner: the
   fill and the filter then run in halves of grid rows on two threads,
-  with the same bytes.
+  with the same bytes. Below D = 2 channels it raises ``ShapeError``.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -326,13 +326,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 _PEM_BAND_BYTES = 256 * 1024
 
 
-def _widen(a: np.ndarray) -> np.ndarray:
-    """a with a zero channel appended on the last axis. At D = 1 numpy drops
-    the channel loop from an einsum and sums the taps of a cell in registers,
-    in another order; with two channels the channel loop stays innermost."""
-    return np.concatenate([a, np.zeros_like(a)], axis=-1)
-
-
 def _windows(pad: np.ndarray) -> np.ndarray:
     """Read-only (r, c, 3, 3, D) view of the 3x3 neighbourhood of every cell
     of the (r, c, D) interior of a zero-ringed (r + 2, c + 2, D) grid."""
@@ -351,14 +344,12 @@ def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool,
 
     One einsum per band of ``_PEM_BAND_BYTES`` of output rows: it starts
     each output at 0 and adds the nine taps in (dy, dx) order, the channel
-    axis innermost, so the bytes do not depend on the band size.
+    axis innermost, so the bytes do not depend on the band size. At D = 1
+    numpy would sum a cell's taps in another order; the caller needs D >= 2.
     """
     r, c, d = pad.shape[0] - 2, pad.shape[1] - 2, pad.shape[2]
     if out is None:
         out = np.empty((r, c, d), dtype=pad.dtype)
-    if d == 1:
-        out[...] = _filter(_widen(pad), _widen(taps), bias, residual)[..., :1]
-        return out
     win = _windows(pad)
     band = max(1, _PEM_BAND_BYTES // (c * d * pad.itemsize))
     for lo in range(0, r, band):
@@ -374,9 +365,7 @@ def _tap_gradient(gpad: np.ndarray, pad: np.ndarray) -> np.ndarray:
     """(3, 3, D) sums of the interior cells of gpad times the nine full
     (g, g) windows of pad, one einsum over the window view: each sum runs
     from 0 over the cells in row-major order."""
-    g, d = pad.shape[0] - 2, pad.shape[2]
-    if d == 1:
-        return _tap_gradient(_widen(gpad), _widen(pad))[..., :1]
+    g = pad.shape[0] - 2
     return np.einsum("yxijc,yxc->ijc", _windows(pad), gpad[1:g + 1, 1:g + 1])
 
 
@@ -387,8 +376,9 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     """The class token, then a depthwise 3x3 filter over the unmasked rows
     of h laid out on a grid: the (n_rows + 1, D) attention tokens.
 
-    The n unmasked rows of h (n_rows, D), in order, fill a g x g grid
-    row-major with g = ceil(sqrt(n)) and zero trailing cells. With a shift
+    The n unmasked rows of h (n_rows, D >= 2; ``ShapeError`` below two
+    channels, see ``_filter``), in order, fill a g x g grid row-major
+    with g = ceil(sqrt(n)) and zero trailing cells. With a shift
     h_q (1, D) each cell is ``max(row - h_q, 0)`` instead, the bytes of
     ``relu(sub(h, h_q))``: the rows are re-calibrated straight into the
     grid, and no (n_rows, D) copy of them is made. Each channel is
@@ -425,9 +415,9 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
-    if x.ndim != 2 or m.shape != (x.shape[0],):
-        raise ShapeError(f"grid_positional expects (n, D) rows and an (n,) "
-                         f"mask, got {x.shape} and {m.shape}")
+    if x.ndim != 2 or x.shape[1] < 2 or m.shape != (x.shape[0],):
+        raise ShapeError(f"grid_positional expects (n, D >= 2) rows and an "
+                         f"(n,) mask, got {x.shape} and {m.shape}")
     n_rows, d = x.shape
     if (conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,)
             or class_token.data.shape != (1, d)

@@ -7,7 +7,8 @@ On-disk layout of a store directory:
     splits.json            {"train": [...], "val": [...], "test": [...]}  (optional)
 
 Feature files are bit-exact round-trippable and trivially parseable from
-any language.
+any language. ``write_store`` returns nothing; ``read_store`` loads a
+store. Any ``dim`` is valid; the model needs ``model.MIN_DIM`` = 2.
 """
 
 from __future__ import annotations
@@ -172,9 +173,10 @@ class BagStore:
         return len(self.bags)
 
 
-def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
+def write_store(bags: Sequence[InstanceBag], root) -> None:
     """Write manifest plus one raw float32 file per bag, then delete any
-    other ``features/*.f32`` file, so the directory holds this store only."""
+    other ``features/*.f32`` file, so the directory holds this store only.
+    Returns nothing: ``read_store`` loads what was written."""
     root = Path(root)
     dims = {b.dim for b in bags}
     if len(dims) > 1:
@@ -199,9 +201,6 @@ def write_store(bags: Sequence[InstanceBag], root) -> BagStore:
     for path in (root / FEATURE_DIR).glob("*.f32"):
         if path not in named and path.is_file():
             path.unlink()  # left by a store written here before
-    return BagStore(root=root, dim=dim,
-                    bags={b.bag_id: make_bag(b.bag_id, b.label, b.real_features())
-                          for b in bags})
 
 
 def read_store(root) -> BagStore:

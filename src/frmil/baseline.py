@@ -177,7 +177,6 @@ def estimate_tau(records: Sequence[MagnitudeRecord],
 @dataclass
 class BaselineReport:
     tau: float
-    recalibrated: bool
     accuracy: float
     rows: List[Tuple[str, int, float, float, int]] = field(default_factory=list)
     # rows: (bag_id, label, mu, probability, prediction)
@@ -202,8 +201,7 @@ def baseline_classify(bags: Sequence[InstanceBag], tau: float,
         correct += int(pred == bag.label)
         rows.append((bag.bag_id, bag.label, mu, prob, pred))
     accuracy = correct / len(bags) if bags else 0.0
-    return BaselineReport(tau=tau, recalibrated=recalibrate,
-                          accuracy=accuracy, rows=rows)
+    return BaselineReport(tau=tau, accuracy=accuracy, rows=rows)
 
 
 def write_density_csv(records: Sequence[MagnitudeRecord], path) -> None:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 
 from .bagdata import (
+    SPLIT_NAME,
     SingleClassError,
     SplitError,
     StoreError,
@@ -95,7 +96,7 @@ def _parse_fracs(text: str):
 def _split_bag_ids(store, data_dir, split_name):
     if split_name == "all":
         return store.ids()
-    split = read_split(Path(data_dir) / "splits.json")
+    split = read_split(Path(data_dir) / SPLIT_NAME)
     ids = split.get(split_name, [])
     if not ids:
         raise SplitError(f"split {split_name!r} is empty")
@@ -147,7 +148,7 @@ def cmd_gen(args) -> int:
     split = split_ids([(b.bag_id, b.label) for b in bags], args.split_fracs,
                       spec.seed)
     write_store(bags, args.out)
-    write_split(split, Path(args.out) / "splits.json")
+    write_split(split, Path(args.out) / SPLIT_NAME)
     n_pos = sum(b.label for b in bags)
     print(f"wrote {len(bags)} bags ({n_pos} positive, {len(bags) - n_pos} "
           f"negative), dim {spec.dim}, to {args.out}")
@@ -184,7 +185,11 @@ def cmd_baseline(args) -> int:
         if isinstance(tau, bool) or not isinstance(tau, (int, float)):
             raise ConfigError(f"tau file {args.tau_file} has no numeric "
                               f"\"tau\" value")
-        taus[bool(loaded.get("recalibrated", args.recalibrate))] = float(tau)
+        recal = loaded.get("recalibrated", args.recalibrate)
+        if not isinstance(recal, bool):
+            raise ConfigError(f"tau file {args.tau_file} has a non-boolean "
+                              f"\"recalibrated\" value {recal!r}")
+        taus[recal] = float(tau)
     for tau in taus.values():
         if not 0 < tau < float("inf"):
             raise ConfigError(f"tau must be finite and positive, got {tau}")
@@ -200,7 +205,7 @@ def cmd_baseline(args) -> int:
         # error only for the chosen variant
         try:
             if records is None:
-                train = read_split(Path(args.data) / "splits.json")["train"]
+                train = read_split(Path(args.data) / SPLIT_NAME)["train"]
                 records = compute_magnitudes([store.bag(i) for i in train])
             taus[recal] = estimate_tau(records, recalibrated=recal).tau
         except (StoreMissingFileError, SingleClassError) as exc:
@@ -258,7 +263,7 @@ def _train_run(store, split, config: TrainConfig, run_dir=None,
 
 def cmd_train(args) -> int:
     store = read_store(args.data)
-    split = read_split(Path(args.data) / "splits.json")
+    split = read_split(Path(args.data) / SPLIT_NAME)
     config = _resolve_config(args)
     run_dir = Path(args.out)
     result, report = _train_run(store, split, config, run_dir)
@@ -299,7 +304,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     store = read_store(args.data)
-    split = read_split(Path(args.data) / "splits.json")
+    split = read_split(Path(args.data) / SPLIT_NAME)
     if not split["test"]:
         raise SplitError("split 'test' is empty")
     config = _resolve_config(args)

@@ -22,6 +22,8 @@ from . import autodiff as ad
 from .autodiff import MaskError, Tensor
 from .bagdata import InstanceBag
 
+MIN_DIM = 2  # channels layer_norm and grid_positional need; the heads take 1
+
 
 def param_shapes(dim: int) -> Dict[str, Tuple[int, ...]]:
     """Name -> shape of every ModelParams parameter, in checkpoint order.

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul
+from .autodiff import ShapeError, Tensor, backward, mul
 from .bagdata import (
     BagStore,
     SingleClassError,
@@ -45,6 +45,7 @@ from .bagdata import (
     write_csv,
 )
 from .model import (
+    MIN_DIM,
     ComparatorParams,
     ModelParams,
     arena,
@@ -138,8 +139,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.dim is not None and self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if self.dim is not None and self.dim < MIN_DIM:
+            raise ConfigError(f"dim must be >= {MIN_DIM}, got {self.dim}")
         if self.dim is not None and self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by {self.heads} heads")
         if not 0.0 < self.threshold < 1.0:
@@ -662,6 +663,9 @@ def train(store: BagStore, split: Dict[str, List[str]], config: TrainConfig,
     config.validate()
     if config.dim is not None and config.dim != store.dim:
         raise ConfigError(f"config dim {config.dim} != store dim {store.dim}")
+    if kind == "frmil" and store.dim < MIN_DIM:
+        raise ShapeError(f"store dim {store.dim} is below the model's floor "
+                         f"of {MIN_DIM} channels")
     if store.dim % config.heads != 0:
         raise ConfigError(f"store dim {store.dim} not divisible by "
                           f"{config.heads} heads")

@@ -65,7 +65,8 @@ def store_and_split(tmp_path_factory):
     spec = SyntheticSpec(n_bags=200, dim=64, bag_min=20, bag_max=50,
                          witness_rate=0.1, pos_frac=0.5, separation=1.0,
                          noise_scale=1.0, seed=STORE_SEED)
-    store = write_store(generate_synthetic(spec), root)
+    write_store(generate_synthetic(spec), root)
+    store = read_store(root)
     split = split_ids(store.labels(), SPLIT_FRACS, seed=STORE_SEED)
     write_split(split, root / "splits.json")
     return store, split, root

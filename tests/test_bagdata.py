@@ -48,6 +48,11 @@ class TestStoreRoundTrip:
             assert again.features.tobytes() == bag.features.tobytes()
             assert again.label == bag.label
 
+    def test_write_returns_nothing(self, tmp_path):
+        # the store is read back with read_store; no rebuilt copy is made
+        assert write_store(small_bags(np.random.default_rng(0)),
+                           tmp_path) is None
+
     def test_truncated_file_names_bag(self, tmp_path):
         rng = np.random.default_rng(1)
         bags = small_bags(rng)
@@ -166,8 +171,9 @@ class TestSyntheticGeneration:
 
     def test_same_seed_identical_bytes(self, tmp_path):
         spec = SyntheticSpec(n_bags=12, dim=6, seed=7)
-        s1 = write_store(generate_synthetic(spec), tmp_path / "a")
-        s2 = write_store(generate_synthetic(spec), tmp_path / "b")
+        write_store(generate_synthetic(spec), tmp_path / "a")
+        write_store(generate_synthetic(spec), tmp_path / "b")
+        s1, s2 = read_store(tmp_path / "a"), read_store(tmp_path / "b")
         for bag_id in s1.ids():
             assert (s1.bag(bag_id).features.tobytes()
                     == s2.bag(bag_id).features.tobytes())

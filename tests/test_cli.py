@@ -16,10 +16,22 @@ import pytest
 
 import frmil
 from frmil.baseline import baseline_classify, compute_magnitudes, estimate_tau
-from frmil.bagdata import read_store, read_split
+from frmil.bagdata import (
+    make_bag,
+    read_split,
+    read_store,
+    split_ids,
+    write_split,
+    write_store,
+)
 from frmil.cli import MAX_TAU_BINS, main
-from frmil.model import param_shapes
-from frmil.training import TrainConfig, evaluate, load_checkpoint
+from frmil.model import init_params, param_shapes
+from frmil.training import (
+    TrainConfig,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 CONFIG_FIELDS = [f.name for f in fields(TrainConfig)]
 
@@ -50,6 +62,20 @@ def store_dir(tmp_path_factory):
                    "--witness-rate", "0.25", "--separation", "2.0",
                    "--seed", "11")
     assert code == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def one_channel_store(tmp_path_factory):
+    """A valid store of 12 D=1 bags with a split: the baseline and the
+    pooling heads take it, the model does not."""
+    root = tmp_path_factory.mktemp("one_channel") / "store"
+    rng = np.random.default_rng(3)
+    bags = [make_bag(f"b{i:02d}", i % 2, rng.normal(size=(4 + i, 1)))
+            for i in range(12)]
+    write_store(bags, root)
+    write_split(split_ids([(b.bag_id, b.label) for b in bags],
+                          (0.5, 0.25, 0.25), seed=3), root / "splits.json")
     return root
 
 
@@ -516,6 +542,51 @@ class TestMalformedInputs:
                        "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err
         assert "unknown config keys: ['mu_squared']" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_one_channel_store_exits_3_before_training(
+            self, one_channel_store, tmp_path, capsys, command):
+        # one head, so the store's dim is the only fault
+        out = tmp_path / "run"
+        assert run_cli(command, "--data", str(one_channel_store), "--out",
+                       str(out), "--epochs", "1", "--heads", "1") == 3
+        err = capsys.readouterr().err
+        assert "store dim 1 is below the model's floor of 2" in err
+        assert "Traceback" not in err
+        assert not list(out.rglob("metrics.csv"))
+
+    def test_one_channel_checkpoint_header_exits_3(self, one_channel_store,
+                                                   tmp_path, capsys):
+        # a header, params list and blob that agree with each other at dim 1
+        ckpt = tmp_path / "d1.ckpt"
+        save_checkpoint(init_params(1, 1, seed=0), TrainConfig(heads=1), ckpt)
+        assert run_cli("eval", "--data", str(one_channel_store),
+                       "--ckpt", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "dim must be >= 2, got 1" in err
+        assert "Traceback" not in err
+
+    def test_one_channel_config_exits_2(self, one_channel_store, tmp_path,
+                                        capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dim": 1, "heads": 1}))
+        assert run_cli("train", "--data", str(one_channel_store), "--out",
+                       str(tmp_path / "r"), "--epochs", "1",
+                       "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert "dim must be >= 2, got 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_tau_file_non_boolean_recalibrated_exits_2(self, store_dir,
+                                                       tmp_path, capsys,
+                                                       value):
+        tau_path = tmp_path / "tau.json"
+        tau_path.write_text(json.dumps({"tau": 39.1, "recalibrated": value}))
+        assert run_cli("baseline", "--data", str(store_dir),
+                       "--tau-file", str(tau_path)) == 2
+        captured = capsys.readouterr()
+        assert str(tau_path) in captured.err and "recalibrated" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_tau_file_without_tau_exits_2(self, store_dir, tmp_path, capsys):
         tau_path = tmp_path / "tau.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from frmil import autodiff as ad
-from frmil.autodiff import MaskError, Tensor, backward
+from frmil.autodiff import MaskError, ShapeError, Tensor, backward
 from frmil.bagdata import make_bag
 from frmil.model import (
     COMPARATOR_KINDS,
@@ -196,17 +196,22 @@ class TestPemForward:
 
     def test_grid_layout_row_major(self):
         # with an identity kernel and no residual, output equals input, so
-        # use an asymmetric kernel to verify neighbours come from the grid
-        params = init_params(1, 1, seed=0)
+        # use asymmetric kernels to verify neighbours come from the grid
+        params = init_params(2, 1, seed=0)
         params.conv_w.data[:] = 0
         params.conv_w.data[0, 1, 2] = 1.0  # picks the right-hand neighbour
+        params.conv_w.data[1, 0, 1] = 1.0  # picks the neighbour above
         params.conv_b.data[:] = 0
-        h = Tensor(np.arange(9, dtype=np.float32).reshape(9, 1))
+        cells = np.arange(9, dtype=np.float32)
+        h = Tensor(np.stack([cells, cells + 100], axis=1))
         tokens = pem_forward(h, np.ones(9, bool), params, residual=False)
-        # rows 0..8 on a 3x3 grid: right neighbour of cell i is i+1 unless
-        # i is at the right edge (then zero padding)
-        expected = [1, 2, 0, 4, 5, 0, 7, 8, 0]
-        np.testing.assert_allclose(tokens.data[1:, 0], expected, atol=1e-7)
+        # rows 0..8 on a 3x3 grid: the right neighbour of cell i is i+1 and
+        # the one above is i-3, unless i is on that edge (zero padding)
+        np.testing.assert_allclose(tokens.data[1:, 0],
+                                   [1, 2, 0, 4, 5, 0, 7, 8, 0], atol=1e-7)
+        np.testing.assert_allclose(tokens.data[1:, 1],
+                                   [0, 0, 0, 100, 101, 102, 103, 104, 105],
+                                   atol=1e-7)
 
 
 class TestPmsaForward:
@@ -279,7 +284,7 @@ class TestFusedOpsMatchComposite:
     def test_pem_forward_equals_composite_exactly(self):
         rng = np.random.default_rng(23)
         for trial in range(40):
-            d = int(rng.choice([1, 2, 4, 6]))
+            d = int(rng.choice([2, 3, 4, 6]))
             params = _float64_params(rng, d, 1, seed=trial)
             n_rows = int(rng.integers(1, 40))
             mask = _random_mask(rng, n_rows)
@@ -320,7 +325,7 @@ class TestFusedOpsMatchComposite:
                             _grads_of(z_ref, weights, wrt)):
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("masked", [False, True])
     def test_fused_tokens_equal_class_token_concat_exactly(self, d, masked):
         # float32, as in training: the one-buffer tokens against the class
@@ -347,7 +352,7 @@ class TestFusedOpsMatchComposite:
     def test_pem_forward_grad_check_with_class_token(self):
         rng = np.random.default_rng(26)
         for trial in range(6):
-            d = (1, 3)[trial % 2]
+            d = (2, 3)[trial % 2]
             params = _float64_params(rng, d, 1, seed=trial)
             n_rows = int(rng.integers(2, 12))
             mask = _random_mask(rng, n_rows)
@@ -418,11 +423,11 @@ def _grid_positional_bytes(rng, n_rows, d, dtype, residual, mask=None):
 
 def _assert_bands_match_one_band(monkeypatch, rng, band_bytes, trials,
                                  dim=None):
-    """Random cases (D drawn from 1..23 unless given) give the same bytes
+    """Random cases (D drawn from 2..23 unless given) give the same bytes
     in bands of band_bytes as in one whole-grid band."""
     for trial in range(trials):
         n_rows = int(rng.integers(1, 120))
-        d = int(rng.integers(1, 24)) if dim is None else dim
+        d = int(rng.integers(2, 24)) if dim is None else dim
         run = _grid_positional_bytes(
             rng, n_rows, d, (np.float32, np.float64)[trial % 2],
             bool(trial % 4 // 2), _random_mask(rng, n_rows))
@@ -443,11 +448,21 @@ class TestGridPositionalBands:
                                      band_bytes, 24)
 
     @pytest.mark.parametrize("band_bytes", [1, 8, 100])
-    def test_single_channel_any_band_size(self, monkeypatch, band_bytes):
-        # D = 1 runs the filter on a widened two-channel grid
+    def test_two_channels_any_band_size(self, monkeypatch, band_bytes):
+        # D = 2, the fewest channels grid_positional takes
         _assert_bands_match_one_band(monkeypatch,
                                      np.random.default_rng(200 + band_bytes),
-                                     band_bytes, 12, dim=1)
+                                     band_bytes, 12, dim=2)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_fewer_than_two_channels_raise(self, d):
+        x = np.ones((4, d), np.float32)
+        conv = [Tensor(np.ones(s, np.float32))
+                for s in ((d, 3, 3), (d,), (1, d))]
+        for h_q in (None, Tensor(x[:1])):
+            with pytest.raises(ShapeError, match="D >= 2"):
+                ad.grid_positional(Tensor(x), np.ones(4, bool), *conv, True,
+                                   h_q=h_q)
 
     def test_wsi_bag_matches_one_band(self, monkeypatch):
         # 4096 x 512 float32: a 64 x 64 grid in bands of 2 rows
@@ -462,10 +477,9 @@ class TestGridPositionalSumOrder:
     """The filter adds a cell's nine taps from 0 in (dy, dx) order, then the
     bias, then the residual, with no tolerance."""
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_naive_conv_exactly(self, d, dtype):
-        # D = 1 takes the widened-grid path, D = 2 the plain one
         rng = np.random.default_rng(40 + d)
         for trial in range(20):
             n_rows = int(rng.integers(1, 60))

@@ -14,7 +14,7 @@ import pytest
 
 from frmil import autodiff as ad
 from frmil import model, training
-from frmil.autodiff import MaskError, Tensor
+from frmil.autodiff import MaskError, ShapeError, Tensor
 from frmil.bagdata import (
     BagStore,
     InstanceBag,
@@ -22,6 +22,7 @@ from frmil.bagdata import (
     SyntheticSpec,
     generate_synthetic,
     make_bag,
+    read_store,
     split_ids,
     write_split,
     write_store,
@@ -304,7 +305,8 @@ def tiny_store(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny_store")
     spec = SyntheticSpec(n_bags=24, dim=8, bag_min=3, bag_max=8,
                          witness_rate=0.25, separation=2.0, seed=5)
-    store = write_store(generate_synthetic(spec), root)
+    write_store(generate_synthetic(spec), root)
+    store = read_store(root)
     split = split_ids(store.labels(), (0.5, 0.25, 0.25), seed=5)
     return store, split
 
@@ -378,6 +380,22 @@ class TestTrainLoop:
             assert all(np.isfinite(t.data).all()
                        for t in result.params.named().values())
             assert [r["split"] for r in result.history] == ["train", "val"] * 2
+
+    def test_one_channel_store_trains_heads_not_the_model(self, tmp_path):
+        # the pooling heads build no grid and take D = 1; the model stops
+        # at its floor before the first step
+        rng = np.random.default_rng(4)
+        store = BagStore(tmp_path, 1, {
+            f"b{i}": make_bag(f"b{i}", i % 2, rng.normal(size=(3 + i, 1)))
+            for i in range(8)})
+        split = split_ids(store.labels(), (0.75, 0.25, 0.0), seed=4)
+        config = tiny_config(heads=1, epochs=2)
+        for kind in ("mean_pool", "max_pool"):
+            result = train(store, split, config, kind)
+            assert all(np.isfinite(t.data).all()
+                       for t in result.params.named().values())
+        with pytest.raises(ShapeError, match="store dim 1 is below"):
+            train(store, split, config)
 
 
 class TestEvaluate:
