@@ -3,8 +3,8 @@
 Just enough machinery to express the model forward pass and get exact
 gradients for every parameter: 2-D matmul, broadcast-aware elementwise
 arithmetic (add, sub, mul), relu, sigmoid, log, clamp, layer norm,
-masked reductions and row norms, row gather/reshape, dropout, the two
-fused ops below, and a finite-difference gradient checker.
+masked reductions and row norms, row gather, dropout, the two fused
+ops below, and a finite-difference gradient checker.
 
 Two fused ops carry the model's positional encoder and attention pooling,
 each one graph node with a hand-written backward:
@@ -65,10 +65,6 @@ class ShapeError(ValueError):
 
 class MaskError(ValueError):
     """A mask leaves no valid entries (all-masked row, empty bag, ...)."""
-
-
-class GradientCheckError(AssertionError):
-    """Analytic and finite-difference gradients disagree beyond tolerance."""
 
 
 class Tensor:
@@ -649,19 +645,6 @@ def l2_norm_rows(a: Tensor, squared: bool = False) -> Tensor:
 # structural ops
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.data.shape} ({a.data.size} values) "
-                         f"to {shape}")
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _result(out, (a,), backward)
-
-
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows by index; gradients scatter-add back."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -750,7 +733,7 @@ def backward(root: Tensor) -> None:
 
 
 def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
-               h: float = 1e-5, tol: Optional[float] = None) -> float:
+               h: float = 1e-5) -> float:
     """Compare analytic gradients of scalar f() against central differences.
 
     Returns the worst relative error max(|a - n|) / max(|a|, |n|, 1e-3)
@@ -780,6 +763,4 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
             numeric = (fp - fm) / (2.0 * h)
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-3)
             worst = max(worst, err)
-    if tol is not None and worst > tol:
-        raise GradientCheckError(f"max relative error {worst:.3e} exceeds {tol:.1e}")
     return worst

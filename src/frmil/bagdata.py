@@ -130,10 +130,6 @@ class InstanceBag:
             raise ValueError(f"bag {self.bag_id}: label must be 0 or 1")
 
     @property
-    def n_rows(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
     def dim(self) -> int:
         return int(self.features.shape[1])
 
@@ -168,9 +164,6 @@ class BagStore:
     def labels(self, ids: Iterable[str] | None = None) -> List[Tuple[str, int]]:
         ids = self.ids() if ids is None else list(ids)
         return [(i, self.bag(i).label) for i in ids]
-
-    def __len__(self) -> int:
-        return len(self.bags)
 
 
 def write_store(bags: Sequence[InstanceBag], root) -> None:

@@ -42,7 +42,6 @@ from .baseline import (
     write_density_csv,
 )
 from .model import COMPARATOR_KINDS
-from .objectives import BalancedBatchError
 from .selftest import run_selftest
 from .training import (
     CheckpointDimError,
@@ -433,8 +432,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
               file=sys.stderr)
         return EXIT_IO
-    except (StoreError, SingleClassError, SplitError, BalancedBatchError,
-            CheckpointError, TrainingError, ValueError) as exc:
+    except (StoreError, CheckpointError, TrainingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -308,15 +308,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         missing = "positive" if n_pos == 0 else "negative"
         raise SingleClassError(f"AUC undefined: no {missing} labels")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
+    _, where, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[where]
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -728,12 +721,15 @@ def _header_params(dim: int) -> List[list]:
 
 
 def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
-    """Write params, and config with its dim taken from them, atomically."""
+    """Write params, and config with its dim taken from them, atomically;
+    a config that fails ``TrainConfig.validate`` writes nothing."""
     if config.dim not in (None, params.dim) or config.heads != params.heads:
         raise ValueError(f"config dim {config.dim} and heads {config.heads} "
                          f"disagree with the parameters' dim {params.dim} "
                          f"and heads {params.heads}")
-    header = json.dumps({"config": dict(config.to_dict(), dim=params.dim),
+    config = replace(config, dim=params.dim)
+    config.validate()
+    header = json.dumps({"config": config.to_dict(),
                          "params": _header_params(params.dim)}).encode("utf-8")
     write_atomic(path, b"".join([
         CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),

@@ -2,8 +2,8 @@
 
 General autodiff ops that no product path uses, built on
 ``autodiff._result`` and ``autodiff._accumulate`` like the product ops:
-``softmax_lastdim``, ``depthwise_conv2d_3x3``, ``concat_rows``,
-``concat_cols``, ``transpose2d`` and ``slice_cols``.
+``reshape``, ``softmax_lastdim``, ``depthwise_conv2d_3x3``,
+``concat_rows``, ``concat_cols``, ``transpose2d`` and ``slice_cols``.
 
 ``pem_composite`` and ``pmsa_composite`` build the positional encoder and
 the attention pooling from those general ops (gather, transpose,
@@ -60,6 +60,19 @@ from frmil.bagdata import InstanceBag
 from frmil.model import bag_forward
 from frmil.objectives import bce_loss, magnitude_term, total_loss
 from frmil.selftest import _check, _dims, _scalarize, _t
+
+
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(int(s) for s in shape)
+    if int(np.prod(shape)) != a.data.size:
+        raise ShapeError(f"cannot reshape {a.data.shape} ({a.data.size} values) "
+                         f"to {shape}")
+    out = a.data.reshape(shape)
+
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _result(out, (a,), backward)
 
 
 def softmax_lastdim(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -183,11 +196,11 @@ def pem_composite(h_recal, mask, params, residual=True):
     if g * g > n:
         pad = Tensor(np.zeros((g * g - n, d), dtype=h_recal.dtype))
         rows = concat_rows([rows, pad])
-    grid = ad.reshape(transpose2d(rows), (1, d, g, g))
+    grid = reshape(transpose2d(rows), (1, d, g, g))
     conv = depthwise_conv2d_3x3(grid, params.conv_w, params.conv_b)
     if residual:
         conv = ad.add(conv, grid)
-    flat = transpose2d(ad.reshape(conv, (d, g * g)))
+    flat = transpose2d(reshape(conv, (d, g * g)))
     restored = ad.take_rows(flat, np.arange(n))
     if n < n_rows:
         zero_row = Tensor(np.zeros((1, d), dtype=h_recal.dtype))
@@ -204,7 +217,7 @@ def pmsa_composite(h_q, tokens, token_mask, params):
     q = ad.add(ad.matmul(h_q, params.q_w), params.q_b)
     k = ad.add(ad.matmul(tokens, params.k_w), params.k_b)
     v = ad.add(ad.matmul(tokens, params.v_w), params.v_b)
-    dh = params.head_dim
+    dh = params.dim // params.heads
     pooled = []
     weights = []
     for head in range(params.heads):
@@ -240,7 +253,7 @@ def reference_op_checks():
         b = _t(rng, (c,))
         def f():
             out = depthwise_conv2d_3x3(a, w, b)
-            return _scalarize(ad.reshape(out, (c, h * h)))
+            return _scalarize(reshape(out, (c, h * h)))
         return f, [a, w, b]
 
     def b_structural(rng):
@@ -252,7 +265,7 @@ def reference_op_checks():
             picked = ad.take_rows(cat, idx)
             wide = concat_cols([picked, ad.mul(picked, 0.5)])
             cols = slice_cols(wide, 1, d + 1)
-            back = transpose2d(ad.reshape(cols, (d, n + 1)))
+            back = transpose2d(reshape(cols, (d, n + 1)))
             return _scalarize(back)
         return f, [a, b]
 
@@ -365,10 +378,11 @@ def pair_step_reference(pos, neg, params, rngs, config, neg_first=False):
 
 def pad_to(bag: InstanceBag, target_n: int) -> InstanceBag:
     """Append zero rows up to target_n; the mask marks them invalid."""
-    if target_n < bag.n_rows:
-        raise ValueError(f"cannot pad bag {bag.bag_id} of {bag.n_rows} rows "
+    n_rows = bag.features.shape[0]
+    if target_n < n_rows:
+        raise ValueError(f"cannot pad bag {bag.bag_id} of {n_rows} rows "
                          f"down to {target_n}")
-    extra = target_n - bag.n_rows
+    extra = target_n - n_rows
     feats = np.vstack([bag.features,
                        np.zeros((extra, bag.dim), dtype=np.float32)])
     mask = np.concatenate([bag.mask, np.zeros(extra, dtype=bool)])

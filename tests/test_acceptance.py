@@ -6,6 +6,7 @@ directions, tolerances, oracles, and determinism instead. Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import math
 import time
 
 import numpy as np
@@ -30,7 +31,7 @@ from frmil.baseline import (
 from frmil.cli import main as cli_main
 from frmil.model import bag_forward, init_params, pmsa_forward, recalibrate
 from frmil.objectives import magnitude_term
-from frmil.selftest import _naive_conv, gradient_checks
+from frmil.selftest import gradient_checks
 from frmil.training import (
     TrainConfig,
     auc,
@@ -186,17 +187,19 @@ def test_criterion_3_oracle_equivalence():
         auc_diff = max(auc_diff,
                        abs(auc(scores, labels) - pairwise_auc(scores, labels)))
 
-    # (c) depthwise convolution vs the direct 9-term loop
+    # (c) the fused positional filter vs the plain depthwise convolution
     conv_diff = 0.0
     for _ in range(5):
-        x = rng.normal(size=(2, int(rng.integers(1, 9)),
-                             int(rng.integers(1, 8)), int(rng.integers(1, 8))))
-        w = rng.normal(size=(x.shape[1], 3, 3))
-        b = rng.normal(size=x.shape[1])
-        fast = depthwise_conv2d_3x3(Tensor(x, dtype=np.float64),
-                                    Tensor(w, dtype=np.float64),
-                                    Tensor(b, dtype=np.float64)).data
-        conv_diff = max(conv_diff, float(np.abs(fast - _naive_conv(x, w, b)).max()))
+        n, d = int(rng.integers(1, 50)), int(rng.integers(2, 9))
+        x, w, b = (rng.normal(size=s) for s in ((n, d), (d, 3, 3), (d,)))
+        fast = ad.grid_positional(Tensor(x), np.ones(n, bool), Tensor(w),
+                                  Tensor(b), Tensor(np.zeros((1, d))),
+                                  residual=False).data[1:]
+        g = math.isqrt(n - 1) + 1
+        grid = np.vstack([x, np.zeros((g * g - n, d))]).T.reshape(1, d, g, g)
+        conv = depthwise_conv2d_3x3(Tensor(grid), Tensor(w), Tensor(b)).data
+        conv_diff = max(conv_diff, float(np.abs(
+            fast - conv.reshape(d, g * g).T[:n]).max()))
     ok = mismatches == 0 and auc_diff == 0.0 and conv_diff == 0.0
     verdict(ok, f"criterion 3 oracle equivalence: baseline mismatches "
                 f"{mismatches}, auc diff {auc_diff}, conv diff {conv_diff}")
@@ -301,9 +304,9 @@ def test_criterion_7_determinism_and_round_trips(store_and_split,
     rng = np.random.default_rng(STORE_SEED)
     worst = 0.0
     for _ in range(20):
-        bag_id = store.ids()[int(rng.integers(0, len(store)))]
+        bag_id = store.ids()[int(rng.integers(0, len(store.bags)))]
         bag = store.bag(bag_id)
-        padded = pad_to(bag, bag.n_rows + int(rng.integers(1, 30)))
+        padded = pad_to(bag, bag.features.shape[0] + int(rng.integers(1, 30)))
         p0 = bag_forward(bag, result.params).bag_prob.item()
         p1 = bag_forward(padded, result.params).bag_prob.item()
         worst = max(worst, abs(p1 - p0))

@@ -105,7 +105,7 @@ class TestStoreRoundTrip:
     def test_empty_manifest_is_valid(self, tmp_path):
         write_store([], tmp_path)
         store = read_store(tmp_path)
-        assert len(store) == 0
+        assert len(store.bags) == 0
 
     def test_mixed_dims_rejected(self, tmp_path):
         a = make_bag("a", 0, np.zeros((2, 3)))
@@ -132,12 +132,12 @@ class TestPadTo:
     def test_noop_at_same_size(self):
         bag = make_bag("x", 1, np.ones((3, 2)))
         same = pad_to(bag, 3)
-        assert same.n_rows == 3 and same.mask.all()
+        assert same.features.shape[0] == 3 and same.mask.all()
 
     def test_appends_zero_rows_with_false_mask(self):
         bag = make_bag("x", 1, np.ones((3, 2)))
         padded = pad_to(bag, 5)
-        assert padded.n_rows == 5 and padded.mask.sum() == 3
+        assert padded.features.shape[0] == 5 and padded.mask.sum() == 3
         np.testing.assert_array_equal(padded.mask, [True] * 3 + [False] * 2)
         np.testing.assert_array_equal(padded.features[3:], np.zeros((2, 2)))
 
@@ -165,7 +165,7 @@ class TestSyntheticGeneration:
                       for b in bags if b.label == 0)
         for b in bags:
             if b.label == 1:
-                k = witness_count(0.2, b.n_rows)
+                k = witness_count(0.2, b.features.shape[0])
                 norms = np.linalg.norm(b.features.astype(np.float64), axis=1)
                 assert (norms > neg_top).sum() >= max(1, k - 1)
 

@@ -112,8 +112,8 @@ class TestBandedMagnitudes:
     @pytest.mark.parametrize("dim", DIMS)
     def test_bags_over_several_bands(self, dim):
         bags = [banded_bag(dim, seed) for seed in range(2)]
-        assert bags[0].n_rows > 2 * baseline._band(dim)
-        assert bags[0].n_rows % baseline._band(dim)
+        assert bags[0].features.shape[0] > 2 * baseline._band(dim)
+        assert bags[0].features.shape[0] % baseline._band(dim)
         assert_bytes_match_oracle(bags)
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -129,7 +129,7 @@ class TestBandedMagnitudes:
     def test_masked_rows(self, dim, monkeypatch):
         monkeypatch.setattr(baseline, "_MAG_BAND_BYTES", 4 * 8 * dim)
         bag = banded_bag(dim, 3)
-        padded = pad_to(bag, bag.n_rows + 9)
+        padded = pad_to(bag, bag.features.shape[0] + 9)
         padded.mask[:5] = False  # masked rows at the front as well
         assert_bytes_match_oracle([padded])
 

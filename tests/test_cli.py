@@ -25,12 +25,13 @@ from frmil.bagdata import (
     write_store,
 )
 from frmil.cli import MAX_TAU_BINS, main
-from frmil.model import init_params, param_shapes
+from frmil.model import param_shapes
 from frmil.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     TrainConfig,
     evaluate,
     load_checkpoint,
-    save_checkpoint,
 )
 
 CONFIG_FIELDS = [f.name for f in fields(TrainConfig)]
@@ -99,7 +100,7 @@ class TestGen:
         on_disk = sorted(p.relative_to(out).as_posix()
                          for p in (out / "features").iterdir())
         assert on_disk == sorted(e["path"] for e in manifest["bags"])
-        assert len(read_store(out)) == 10
+        assert len(read_store(out).bags) == 10
 
     def test_zero_witness_rate_is_flag_error(self, tmp_path):
         assert run_cli("gen", "--out", str(tmp_path / "x"), "--bags", "10",
@@ -114,7 +115,7 @@ class TestGen:
 
     def test_summary_counts(self, store_dir, capsys):
         store = read_store(store_dir)
-        assert len(store) == 36
+        assert len(store.bags) == 36
         n_pos = sum(lab for _, lab in store.labels())
         assert n_pos == 18  # pos_frac 0.5 of 36
 
@@ -557,9 +558,17 @@ class TestMalformedInputs:
 
     def test_one_channel_checkpoint_header_exits_3(self, one_channel_store,
                                                    tmp_path, capsys):
-        # a header, params list and blob that agree with each other at dim 1
+        # a header, params list and blob that agree with each other at dim 1,
+        # written by hand: save_checkpoint refuses dim 1
+        shapes = param_shapes(1)
+        raw = json.dumps({
+            "config": dict(TrainConfig(heads=1).to_dict(), dim=1),
+            "params": [[name, list(shape)] for name, shape in shapes.items()],
+        }).encode("utf-8")
+        blob = np.ones(sum(int(np.prod(s)) for s in shapes.values()), "<f4")
         ckpt = tmp_path / "d1.ckpt"
-        save_checkpoint(init_params(1, 1, seed=0), TrainConfig(heads=1), ckpt)
+        ckpt.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
+                         + struct.pack("<I", len(raw)) + raw + blob.tobytes())
         assert run_cli("eval", "--data", str(one_channel_store),
                        "--ckpt", str(ckpt)) == 3
         err = capsys.readouterr().err

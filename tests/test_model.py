@@ -23,8 +23,13 @@ from frmil.model import (
     select_max_instance,
 )
 from frmil.objectives import LossWeights, total_loss
-from frmil.selftest import _naive_conv
-from oracles import pad_to, pem_composite, pmsa_composite
+from oracles import (
+    depthwise_conv2d_3x3,
+    pad_to,
+    pem_composite,
+    pmsa_composite,
+    reshape,
+)
 
 
 def random_bag(rng, n=12, dim=8, label=1):
@@ -38,12 +43,14 @@ class TestInitParams:
         for name, t in a.named().items():
             assert t.data.tobytes() == b.named()[name].data.tobytes()
 
-    def test_head_dim(self):
-        assert init_params(64, 8, seed=0).head_dim == 8
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             init_params(10, 3, seed=0)
+
+    def test_one_channel_rejected(self):
+        with pytest.raises(ShapeError, match="dim 1 is below the model's "
+                                             "floor of 2 channels"):
+            init_params(1, 1, seed=0)
 
     def test_biases_zero_gain_one(self):
         p = init_params(8, 2, seed=1)
@@ -52,7 +59,7 @@ class TestInitParams:
             assert (p.named()[name].data == 0).all(), name
         assert (p.ln_gain.data == 1).all()
 
-    @pytest.mark.parametrize("dim, heads", [(1, 1), (6, 3), (8, 2), (64, 8)])
+    @pytest.mark.parametrize("dim, heads", [(2, 1), (6, 3), (8, 2), (64, 8)])
     def test_param_shapes_is_the_layout(self, dim, heads):
         named = init_params(dim, heads, seed=0).named()
         assert [(k, t.data.shape) for k, t in named.items()] \
@@ -273,7 +280,7 @@ def _grads_of(out, weights, tensors):
     """Gradients of sum(out * weights) with respect to tensors."""
     for t in tensors:
         t.grad = None
-    flat = ad.reshape(ad.mul(out, Tensor(weights)), (out.data.size,))
+    flat = reshape(ad.mul(out, Tensor(weights)), (out.data.size,))
     backward(ad.masked_reduce("sum", flat, np.ones(out.data.size, bool)))
     return [t.grad.copy() for t in tensors]
 
@@ -363,7 +370,7 @@ class TestFusedOpsMatchComposite:
             def f():
                 out = ad.mul(pem_forward(h, mask, params, residual=trial < 3),
                              weights)
-                return ad.masked_reduce("sum", ad.reshape(out, (out.data.size,)),
+                return ad.masked_reduce("sum", reshape(out, (out.data.size,)),
                                         np.ones(out.data.size, bool))
             wrt = [h, params.conv_w, params.conv_b, params.class_token]
             assert ad.grad_check(f, wrt) <= 1e-6
@@ -494,11 +501,11 @@ class TestGridPositionalSumOrder:
             g = math.isqrt(n - 1) + 1
             cells = np.vstack([x[mask], np.zeros((g * g - n, d), dtype)])
             grid = cells.T.reshape(1, d, g, g)
-            naive = _naive_conv(grid, w, b)
+            conv = depthwise_conv2d_3x3(Tensor(grid), Tensor(w), Tensor(b)).data
             if residual:
-                naive = naive + grid
+                conv = conv + grid
             expect = np.zeros_like(x)
-            expect[mask] = naive.reshape(d, g * g).T[:n]
+            expect[mask] = conv.reshape(d, g * g).T[:n]
             np.testing.assert_array_equal(fast, expect)
 
     def test_wsi_forward_sums_taps_in_order(self):

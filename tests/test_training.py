@@ -295,6 +295,18 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12)
 
+    def test_tie_heavy_matches_pairwise_oracle(self):
+        # a handful of distinct scores, -0.0 and 0.0 among them, so most
+        # scores share their midrank with many others
+        rng = np.random.default_rng(2)
+        levels = np.array([-0.0, 0.0, 0.25, 0.5, 1.0])
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scores = rng.choice(levels, size=n)
+            labels = (rng.random(n) < 0.5).astype(int)
+            labels[0], labels[-1] = 1, 0
+            assert auc(scores, labels) == pairwise_auc(scores, labels)
+
     def test_single_class_raises(self):
         with pytest.raises(SingleClassError):
             auc([0.1, 0.2], [1, 1])
@@ -1137,6 +1149,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="disagree"):
             save_checkpoint(params, tiny_config(dim=dim, heads=heads),
                             tmp_path / "m.ckpt")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", -1.0, "tau must be finite and positive"),
+        ("lr", 0.0, "lr must be finite and positive"),
+        ("epochs", 0, "epochs must be >= 1")])
+    def test_save_rejects_an_invalid_config(self, tiny_store, tmp_path,
+                                            field, value, message):
+        store, _ = tiny_store
+        params = init_params(store.dim, 2, seed=0)
+        with pytest.raises(ConfigError, match=message):
+            save_checkpoint(params, tiny_config(**{field: value}),
+                            tmp_path / "m.ckpt")
+        assert not any(tmp_path.iterdir())
+
+    def test_save_rejects_one_channel_params(self, tmp_path):
+        # built by hand: init_params refuses dim 1
+        params = model.ModelParams(dim=1, heads=1, **{
+            name: Tensor(np.ones(shape, np.float32))
+            for name, shape in model.param_shapes(1).items()})
+        with pytest.raises(ConfigError, match="dim must be >= 2, got 1"):
+            save_checkpoint(params, tiny_config(heads=1), tmp_path / "m.ckpt")
         assert not any(tmp_path.iterdir())
 
     def test_load_then_evaluate_identical(self, tiny_store, tmp_path):
