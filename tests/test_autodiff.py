@@ -302,10 +302,14 @@ class TestDepthwiseConv:
             fast = depthwise_conv2d_3x3(t64(x), t64(w), t64(b)).data
             xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
             naive = np.empty_like(x)
+            # the nine taps from 0 in (dy, dx) order, then the bias
             for bi, c, y, xx in np.ndindex(x.shape):
-                naive[bi, c, y, xx] = ((w[c] * xp[bi, c, y:y + 3, xx:xx + 3]).sum()
-                                       + b[c])
-            np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-12)
+                acc = 0.0
+                for dy in range(3):
+                    for dx in range(3):
+                        acc += w[c, dy, dx] * xp[bi, c, y + dy, xx + dx]
+                naive[bi, c, y, xx] = acc + b[c]
+            np.testing.assert_array_equal(fast, naive)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
