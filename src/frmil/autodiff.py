@@ -30,6 +30,12 @@ each one graph node with a hand-written backward:
   That costs n x D x heads instead of the n x D x D of projecting every
   token.
 
+The numeric cores of the sigmoid, the layer norm, the attention forward
+and the grid fill are module-level helpers (``_sigmoid``, ``_layer_norm``,
+``_attention``, ``_fill``) that the ops and ``model.score_bags``, the
+graph-free chunk scorer, both call, so each stage's arithmetic is written
+once.
+
 Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
 a backward closure), so there is no global tape and read-only tensors are
@@ -233,14 +239,19 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of x, stable at either extreme."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Numerically stable logistic function."""
+    out = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * out * (1.0 - out))
@@ -288,17 +299,23 @@ def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization followed by an affine map."""
-    x = a.data
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ShapeError(f"layer_norm expects (rows, D >= 2), got {x.shape}")
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                eps: float = 1e-5) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of x standardized, times gain plus bias; with the
+    standardized rows and the inverse standard deviations."""
     mean = x.mean(axis=1, keepdims=True)
     centered = x - mean
     var = (centered ** 2).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv_std
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row standardization followed by an affine map."""
+    if a.data.ndim != 2 or a.data.shape[1] < 2:
+        raise ShapeError(f"layer_norm expects (rows, D >= 2), got {a.data.shape}")
+    out, xhat, inv_std = _layer_norm(a.data, gain.data, bias.data, eps)
 
     def backward(g):
         _accumulate(gain, (g * xhat).sum(axis=0))
@@ -357,12 +374,47 @@ def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool,
     return out
 
 
+def _fill(pad: np.ndarray, rows: np.ndarray, real: Optional[np.ndarray],
+          n: int, lo: int, hi: int, shift: Optional[np.ndarray] = None) -> None:
+    """Grid rows lo..hi of a (g + 2, g + 2, D) zero-ringed pad: the n
+    rows ``rows[real]`` (all of rows when real is None) in grid order, less
+    shift and rectified when given, trailing cells and the ring's side cells
+    zero. A shifted fill runs in bands of ``_PEM_BAND_BYTES``, so that each
+    band is still in cache for its second pass; a plain copy is one pass."""
+    g, d = pad.shape[1] - 2, pad.shape[2]
+    pad[lo + 1:hi + 1, 0] = pad[lo + 1:hi + 1, g + 1] = 0
+    step = g if shift is None else max(
+        1, _PEM_BAND_BYTES // (g * d * pad.itemsize))
+    for top in range(lo, hi, step):
+        cells = pad[top + 1:min(top + step, hi) + 1, 1:g + 1]
+        first = top * g
+        take = slice(first, first + min(max(n - first, 0), len(cells) * g))
+        src = rows[take] if real is None else rows[real[take]]
+        full, part = divmod(len(src), g)
+        pairs = [(cells[:full], src[:full * g].reshape(full, g, d))]
+        if full < len(cells):
+            pairs.append((cells[full, :part], src[full * g:]))
+            cells[full, part:] = 0
+            cells[full + 1:] = 0
+        for dst, val in pairs:
+            if shift is None:
+                dst[...] = val
+            else:
+                np.maximum(np.subtract(val, shift, out=dst), 0, out=dst)
+
+
 def _tap_gradient(gpad: np.ndarray, pad: np.ndarray) -> np.ndarray:
     """(3, 3, D) sums of the interior cells of gpad times the nine full
     (g, g) windows of pad, one einsum over the window view: each sum runs
     from 0 over the cells in row-major order."""
     g = pad.shape[0] - 2
     return np.einsum("yxijc,yxc->ijc", _windows(pad), gpad[1:g + 1, 1:g + 1])
+
+
+def _grid_side(n: int) -> int:
+    """ceil(sqrt(n)): the side of the square grid that holds n rows."""
+    g = math.isqrt(n)
+    return g + 1 if g * g < n else g
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
@@ -427,41 +479,13 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     n = n_rows if real is None else len(real)
     if n == 0:
         raise MaskError("empty bag: no unmasked instances")
-    g = math.isqrt(n)
-    if g * g < n:
-        g += 1
-    band = max(1, _PEM_BAND_BYTES // (g * d * x.itemsize))
+    g = _grid_side(n)
 
     def ringed() -> np.ndarray:
         """A (g + 2, g + 2, D) buffer whose top and bottom rows are zero."""
         pad = np.empty((g + 2, g + 2, d), dtype=x.dtype)
         pad[0] = pad[g + 1] = 0
         return pad
-
-    def fill(pad: np.ndarray, rows: np.ndarray, lo: int, hi: int,
-             shift: Optional[np.ndarray] = None) -> None:
-        """Grid rows lo..hi of pad: the unmasked rows' cells in grid order,
-        less shift and rectified when given, trailing cells and the ring's
-        side cells zero. A shifted fill runs in bands, so that each band is
-        still in cache for its second pass; a plain copy is one pass."""
-        pad[lo + 1:hi + 1, 0] = pad[lo + 1:hi + 1, g + 1] = 0
-        step = g if shift is None else band
-        for top in range(lo, hi, step):
-            cells = pad[top + 1:min(top + step, hi) + 1, 1:g + 1]
-            first = top * g
-            take = slice(first, first + min(max(n - first, 0), len(cells) * g))
-            src = rows[take] if real is None else rows[real[take]]
-            full, part = divmod(len(src), g)
-            pairs = [(cells[:full], src[:full * g].reshape(full, g, d))]
-            if full < len(cells):
-                pairs.append((cells[full, :part], src[full * g:]))
-                cells[full, part:] = 0
-                cells[full + 1:] = 0
-            for dst, val in pairs:
-                if shift is None:
-                    dst[...] = val
-                else:
-                    np.maximum(np.subtract(val, shift, out=dst), 0, out=dst)
 
     def to_rows(cells: np.ndarray) -> np.ndarray:
         """The first n cells back on the unmasked rows, masked rows zero."""
@@ -485,7 +509,7 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     def work(i: int) -> None:
         lo, hi = cuts[i], cuts[i + 1]
-        fill(pad, x, lo, hi, shift)
+        _fill(pad, x, real, n, lo, hi, shift)
         if barrier is not None:
             barrier.wait()  # both halves are filled
         _filter(pad[lo:hi + 2], taps, conv_b.data, residual, out=grid[lo:hi])
@@ -504,7 +528,7 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
     def backward(grad):
         _accumulate(class_token, grad[:1])
         gpad = ringed()
-        fill(gpad, grad[1:], 0, g)
+        _fill(gpad, grad[1:], real, n, 0, g)
         _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:
             _accumulate(conv_w, _tap_gradient(gpad, pad).transpose(2, 0, 1))
@@ -517,6 +541,25 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     parents = (h, conv_w, conv_b, class_token) + (() if h_q is None else (h_q,))
     return _result(tokens, parents, backward)
+
+
+def _attention(q: np.ndarray, x: np.ndarray, k_w: np.ndarray,
+               k_b: np.ndarray, v_w: np.ndarray, v_b: np.ndarray,
+               mask: np.ndarray, heads: int) -> Tuple[np.ndarray, ...]:
+    """``query_attention``'s forward over arrays of checked shapes: the
+    (1, D) output, the (heads, n) weights, the (heads, D) weighted token
+    sums and the (D, heads) key-side query u."""
+    d = x.shape[1]
+    dh = d // heads
+    qh = q.reshape(heads, dh)
+    u = np.einsum("dhc,hc->dh", k_w.reshape(d, heads, dh), qh)  # (D, heads)
+    logits = ((x @ u).T + np.einsum("hc,hc->h", k_b.reshape(heads, dh),
+                                    qh)[:, None]) * (1.0 / math.sqrt(dh))
+    attn = _masked_softmax(logits, mask)                # (heads, n)
+    pooled = attn @ x                                    # (heads, D)
+    out = np.einsum("hd,dhc->hc", pooled,
+                    v_w.reshape(d, heads, dh)).reshape(1, d) + v_b
+    return out, attn, pooled, u
 
 
 def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
@@ -547,17 +590,14 @@ def query_attention(q: Tensor, tokens: Tensor, k_w: Tensor, k_b: Tensor,
                          f"D = {d}")
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"feature dim {d} is not divisible by {heads} heads")
+    out, attn, pooled, u = _attention(q.data, x, k_w.data, k_b.data,
+                                      v_w.data, v_b.data, mask, heads)
     dh = d // heads
     inv_sqrt = 1.0 / math.sqrt(dh)
     qh = q.data.reshape(heads, dh)
     kw = k_w.data.reshape(d, heads, dh)
     vw = v_w.data.reshape(d, heads, dh)
     kb = k_b.data.reshape(heads, dh)
-    u = np.einsum("dhc,hc->dh", kw, qh)                  # (D, heads)
-    logits = ((x @ u).T + np.einsum("hc,hc->h", kb, qh)[:, None]) * inv_sqrt
-    attn = _masked_softmax(logits, mask)                # (heads, n)
-    pooled = attn @ x                                    # (heads, D)
-    out = np.einsum("hd,dhc->hc", pooled, vw).reshape(1, d) + v_b.data
 
     def backward(g):
         gh = g.reshape(heads, dh)

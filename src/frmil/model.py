@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,6 +278,88 @@ def bag_forward(bag: InstanceBag, params: ModelParams,
                         h_q=h_q, h_recal=h_recal, tokens=tokens,
                         attention=attention, z=z, bag_logit=bag_logit,
                         bag_prob=bag_prob, mask=np.asarray(mask, bool).copy())
+
+
+def score_bags(bags: Sequence[InstanceBag], params: ModelParams,
+               pem_residual: bool = True) -> List[float]:
+    """Eval-mode probabilities of the bags, in order: for each, the bytes of
+    ``bag_forward(bag, params).bag_prob``, with no graph.
+
+    Made for a chunk of small bags, whose forwards are mostly per-call
+    overhead. The row-wise and (B, D) stages run once over the chunk: the
+    scorer's bias and sigmoid, ``phi + q``, the feed-forward's bias and
+    ReLU, the layer norm and the head's bias and sigmoid. Every matrix
+    product runs once per bag, on the bag's own rows, into the chunk's
+    arrays: BLAS rounds a product of stacked bags' rows differently from
+    one bag's. The argmax and the attention's masked softmax also run per
+    bag. The positional filter is one ``autodiff._filter`` call over a
+    tall zero buffer holding each bag's zero-ringed g x g grid, g + 2 rows
+    tall, in the chunk's widest g + 2 columns: every output cell reads the
+    nine taps a one-bag filter reads, in the same order, and the output
+    rows between two bags are dropped. Masked rows are handled as in
+    ``bag_forward``: the real rows fill the grid, masked token rows are
+    zero, and the softmax runs over the bag's n_rows + 1 tokens.
+    """
+    p = {name: t.data for name, t in params.named().items()}
+    dtype, d = p["scorer_w"].dtype, params.dim
+    hs = [np.asarray(bag.features, dtype=dtype) for bag in bags]
+    ends = np.cumsum([len(h) for h in hs]).tolist()
+    starts = [0] + ends[:-1]
+    probs = np.empty((ends[-1], 1), dtype)
+    for h, lo, hi in zip(hs, starts, ends):
+        np.matmul(h, p["scorer_w"], out=probs[lo:hi])
+    probs += p["scorer_b"]
+    probs = ad._sigmoid(probs)[:, 0]
+
+    # per bag: the critical row, its query projection and its grid's place
+    n_bags = len(bags)
+    h_q, q = np.empty((n_bags, d), dtype), np.empty((n_bags, d), dtype)
+    reals, counts, sides, tops = [], [], [], [0]
+    for i, (bag, h, lo, hi) in enumerate(zip(bags, hs, starts, ends)):
+        mask = np.asarray(bag.mask, dtype=bool)
+        real = None if mask.all() else np.flatnonzero(mask)
+        n = len(h) if real is None else len(real)
+        if n == 0:
+            raise MaskError("empty bag: no unmasked instances")
+        ranked = probs[lo:hi] if real is None else np.where(
+            mask, probs[lo:hi], -np.inf)
+        h_q[i] = h[int(np.argmax(ranked))]  # the first maximum
+        np.matmul(h_q[i:i + 1], p["q_w"], out=q[i:i + 1])
+        reals.append(real)
+        counts.append(n)
+        sides.append(ad._grid_side(n))
+        tops.append(tops[-1] + sides[-1] + 2)
+    q += p["q_b"]
+
+    pad = np.zeros((tops[-1], max(sides) + 2, d), dtype)
+    for h, real, n, g, top, shift in zip(hs, reals, counts, sides, tops, h_q):
+        ad._fill(pad[top:top + g + 2, :g + 2], h, real, n, 0, g, shift)
+    taps = np.ascontiguousarray(p["conv_w"].transpose(1, 2, 0))  # (3, 3, D)
+    cells = ad._filter(pad, taps, p["conv_b"], pem_residual)
+
+    phi = np.empty((n_bags, d), dtype)
+    for i, (bag, h, real, n, g, top) in enumerate(zip(bags, hs, reals, counts,
+                                                      sides, tops)):
+        tokens = np.zeros((len(h) + 1, d), dtype)  # masked rows stay zero
+        tokens[0] = p["class_token"][0]
+        tokens[1:][slice(None) if real is None else real] = \
+            cells[top:top + g, :g].reshape(g * g, d)[:n]
+        phi[i] = ad._attention(q[i:i + 1], tokens, p["k_w"], p["k_b"],
+                               p["v_w"], p["v_b"],
+                               np.concatenate([[True], bag.mask]),
+                               params.heads)[0][0]
+    phi_hat = phi + q
+    ff = np.empty((n_bags, d), dtype)
+    for i in range(n_bags):
+        np.matmul(phi_hat[i:i + 1], p["o_w"], out=ff[i:i + 1])
+    ff += p["o_b"]
+    z = ad._layer_norm(phi_hat + np.maximum(ff, 0), p["ln_gain"],
+                       p["ln_bias"])[0]
+    logits = np.empty((n_bags, 1), dtype)
+    for i in range(n_bags):
+        np.matmul(z[i:i + 1], p["clf_w"], out=logits[i:i + 1])
+    logits += p["clf_b"]
+    return ad._sigmoid(logits)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def bce_loss(p: Union[Tensor, float], y: int) -> Tensor:
     return ad.mul(ad.log(pt), -1.0)
 
 
+def bce_values(probs, labels) -> np.ndarray:
+    """``bce_loss`` of each probability against its label, as one float64
+    vector with the same bytes, built with no graph."""
+    if not set(labels) <= {0, 1}:
+        raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels))}")
+    pt = np.clip(np.array(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    neg = np.equal(labels, 0)
+    pt[neg] = (pt[neg] - 1.0) * -1.0  # 1 - p
+    return np.log(pt) * -1.0
+
+
 def magnitude_term(h: Tensor, mask: np.ndarray, label: int, tau: float,
                    squared: bool = False) -> Tensor:
     """One bag's share of the margin loss: the mean over its real rows of

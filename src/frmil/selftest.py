@@ -1,7 +1,8 @@
 """Built-in verification of the model path: finite-difference gradient
 checks of every op the model and its loss run, plus the fused positional
 encoder against a naive convolution loop, its re-calibrating fill against
-``recalibrate`` then the encoder, and the sigmoid at extreme inputs. All
+``recalibrate`` then the encoder, chunked scoring (``score_bags``) against
+each bag's own forward, and the sigmoid at extreme inputs. All
 gradient checks run in float64 with h = 1e-5 against a 1e-4 relative-error
 budget. The test suite checks everything else; the general ops no product
 path runs (``reshape``, concat, transpose, softmax, the plain depthwise
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .bagdata import make_bag
-from .model import bag_forward, init_params, recalibrate
+from .bagdata import InstanceBag, make_bag
+from .model import bag_forward, init_params, recalibrate, score_bags
 from .objectives import LossWeights, total_loss
 
 GRAD_TOL = 1e-4
@@ -234,7 +235,10 @@ def _naive_conv(x, w, b):
 
 def oracle_checks() -> List[CheckResult]:
     """The fused positional encoder against a naive loop and its shifted fill
-    against the two-step path; sigmoid stability."""
+    against the two-step path; chunked scoring against per-bag forwards,
+    exact, so that a numpy or BLAS whose products are not batch-invariant
+    fails here instead of scoring otherwise than training's forward;
+    sigmoid stability."""
     results = []
 
     rng = np.random.default_rng(4)
@@ -266,6 +270,19 @@ def oracle_checks() -> List[CheckResult]:
                                    k % 4 < 2)
         differ += fused.data.tobytes() != steps.data.tobytes()
     results.append(CheckResult("grid_positional shifted fill (bytes)",
+                               differ, 0.0))
+
+    params = init_params(64, 8, seed=11)
+    bags = []
+    for k in range(20):  # 1-60 rows, every fourth bag with masked rows
+        n = int(rng.integers(1, 61))
+        mask = rng.random(n) < 0.7 if k % 4 == 1 else np.ones(n, bool)
+        mask[-1] = True
+        bags.append(InstanceBag(f"b{k}", k % 2, rng.normal(
+            size=(n, 64)).astype(np.float32), mask))
+    differ = sum(p.hex() != bag_forward(bag, params).bag_prob.item().hex()
+                 for bag, p in zip(bags, score_bags(bags, params)))
+    results.append(CheckResult("score_bags vs bag_forward (bytes)",
                                differ, 0.0))
 
     with np.errstate(over="raise"):

@@ -55,8 +55,9 @@ from .model import (
     init_comparator,
     init_params,
     param_shapes,
+    score_bags,
 )
-from .objectives import LossWeights, bag_loss, bce_loss, pair_parts
+from .objectives import LossWeights, bag_loss, bce_loss, bce_values, pair_parts
 
 CHECKPOINT_MAGIC = b"FRML"
 CHECKPOINT_VERSION = 2
@@ -505,24 +506,55 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
     return probs
 
 
+def _chunks(bags) -> List[List[int]]:
+    """The indices of the bags below ``PARALLEL_MIN_VALUES`` feature values,
+    in order, packed into runs of at most that many values."""
+    chunks: List[List[int]] = []
+    held = PARALLEL_MIN_VALUES
+    for i, bag in enumerate(bags):
+        size = bag.features.size
+        if size >= PARALLEL_MIN_VALUES:
+            continue
+        if held + size > PARALLEL_MIN_VALUES:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(i)
+        held += size
+    return chunks
+
+
 def evaluate(store: BagStore, ids: Sequence[str],
              params: ModelParams | ComparatorParams, threshold: float = 0.5,
              pem_residual: bool = True, split: str = "") -> EvalReport:
     """Evaluation-mode forwards over the given bags, through detached
-    parameters and, for large bags, on every usable CPU (``_bag_probs``)."""
+    parameters. The model scores its bags below ``PARALLEL_MIN_VALUES``
+    feature values a chunk at a time (``_chunks``, ``model.score_bags``);
+    every other bag, and every bag of a pooling head, goes to
+    ``_bag_probs``. Either way a bag's probability has the bytes of its
+    own ``bag_forward``."""
     if not ids:
         raise ValueError("evaluate needs at least one bag id")
     bags = [store.bag(bag_id) for bag_id in ids]
-    probs = _bag_probs(bags, _detached(params), pem_residual)
+    params = _detached(params)
+    probs: List[Optional[float]] = [None] * len(bags)
+    for chunk in (_chunks(bags) if isinstance(params, ModelParams) else []):
+        scored = score_bags([bags[i] for i in chunk], params, pem_residual)
+        for i, p in zip(chunk, scored):
+            probs[i] = p
+    rest = [i for i, p in enumerate(probs) if p is None]
+    for i, p in zip(rest, _bag_probs([bags[i] for i in rest], params,
+                                     pem_residual)):
+        probs[i] = p
     rows = [(bag_id, bag.label, p) for bag_id, bag, p in zip(ids, bags, probs)]
-    bces = [bce_loss(p, label).item() for _, label, p in rows]
+    labels = [label for _, label, _ in rows]
     correct = sum(int((p >= threshold) == (lab == 1)) for _, lab, p in rows)
     try:
-        area = auc([r[2] for r in rows], [r[1] for r in rows])
+        area = auc(probs, labels)
     except SingleClassError:
         area = None
     return EvalReport(split=split, accuracy=correct / len(rows), auc=area,
-                      rows=rows, mean_bce=float(np.mean(bces)))
+                      rows=rows,
+                      mean_bce=float(np.mean(bce_values(probs, labels))))
 
 
 def metric_text(value: Optional[float], digits: int = 6) -> str:
@@ -783,8 +815,10 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
                     f"for dim {config.dim}")
     values = np.frombuffer(blob, dtype="<f4")
     _, views = arena(shapes)
+    at = 0
     for name, view in views.items():
-        view.flat, values = values[:view.size], values[view.size:]
+        view[...] = values[at:at + view.size].reshape(view.shape)
+        at += view.size
         if not np.isfinite(view).all():
             raise CheckpointValueError(f"{path}: non-finite values in {name}")
     return ModelParams(dim=config.dim, heads=config.heads, **{

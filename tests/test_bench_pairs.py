@@ -100,6 +100,21 @@ def test_unknown_workload_is_a_usage_error_before_any_run(tmp_path,
     assert code == 2 and "--workload" in err and "'bogus'" in err
 
 
+@pytest.mark.parametrize("seconds", ["0", "-5", "inf", "nan"])
+def test_seconds_not_finite_and_positive_is_a_usage_error_before_any_run(
+        tmp_path, monkeypatch, capsys, seconds):
+    code, err = usage_error(tmp_path, monkeypatch, capsys,
+                            "--workload", "w", "--seconds", seconds)
+    assert code == 2 and "--seconds" in err
+
+
+def test_backward_seed_range_is_a_usage_error_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    code, err = usage_error(tmp_path, monkeypatch, capsys,
+                            "--workload", "w", "--seeds", "5-3,7-9")
+    assert code == 2 and "--seeds" in err and "'5-3,7-9'" in err
+
+
 def test_out_writes_runs_and_summary_and_keeps_other_workloads(
         tmp_path, monkeypatch, capsys):
     sides = {}

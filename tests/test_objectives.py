@@ -14,6 +14,7 @@ from frmil.objectives import (
     LossWeights,
     bag_loss,
     bce_loss,
+    bce_values,
     magnitude_term,
     total_loss,
 )
@@ -44,6 +45,24 @@ class TestBceLoss:
     def test_bad_label(self):
         with pytest.raises(ValueError):
             bce_loss(0.5, 2)
+
+    def test_vector_equals_the_graph_bytes(self):
+        rng = np.random.default_rng(4)
+        edges = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 1e-7, 1.0 - 1e-7, 0.5]
+        probs = edges + rng.uniform(0, 1, 500).tolist() \
+            + rng.uniform(0, 1, 500).astype(np.float32).tolist()
+        labels = [i % 2 for i in range(len(probs))] + [1 - i % 2 for i in
+                                                       range(len(probs))]
+        probs = probs * 2
+        graph = [bce_loss(p, y).item() for p, y in zip(probs, labels)]
+        vector = bce_values(probs, labels)
+        assert vector.dtype == np.float64
+        assert [v.hex() for v in vector.tolist()] == [g.hex() for g in graph]
+        assert float(np.mean(vector)).hex() == float(np.mean(graph)).hex()
+        assert bce_values([probs[3]], [0])[0].hex() == bce_loss(
+            probs[3], 0).item().hex()
+        with pytest.raises(ValueError):
+            bce_values([0.5, 0.5], [1, 2])
 
 
 class TestMaxInstanceLoss:

@@ -487,6 +487,19 @@ def spy_forward(monkeypatch, kind, on_call):
     monkeypatch.setattr(training, name, forward)
 
 
+def spy_chunks(monkeypatch, on_bag):
+    """Route evaluate's chunks through on_bag(bag), once per bag scored."""
+    real = training.score_bags
+
+    def score(bags, *args, **kwargs):
+        out = real(bags, *args, **kwargs)
+        for bag in bags:
+            on_bag(bag)
+        return out
+
+    monkeypatch.setattr(training, "score_bags", score)
+
+
 def spy_on_cpus(monkeypatch):
     """Every ``_on_cpus`` call from here on, as (name, the threads that ran
     its workers)."""
@@ -607,9 +620,13 @@ class TestEvaluateParallel:
         params = wide_params(kind)
         outs = []
         spy_forward(monkeypatch, kind, outs.append)
+        chunked = []
+        spy_chunks(monkeypatch, chunked.append)
         evaluate(wide_store, wide_store.ids(), params)
         probs = [o.bag_prob if kind == "frmil" else o for o in outs]
-        assert len(probs) == len(WIDE_SIZES)
+        # the model scores its one bag below the gate, graph-free, in a chunk
+        assert len(chunked) == (kind == "frmil")
+        assert len(probs) + len(chunked) == len(WIDE_SIZES)
         assert all(p._parents == () and not p.requires_grad for p in probs)
         assert all(t.grad is None for t in params.named().values())
 
@@ -674,9 +691,11 @@ class TestEvaluateParallel:
         caller = threading.current_thread()
         threads = threading.active_count()
         seen = []
-        spy_forward(monkeypatch, "frmil",
-                    lambda _: seen.append((threading.current_thread(),
-                                           threading.active_count())))
+        def on_call(_):
+            seen.append((threading.current_thread(), threading.active_count()))
+
+        spy_forward(monkeypatch, "frmil", on_call)
+        spy_chunks(monkeypatch, on_call)
         rows = evaluate(wide_store, ids, params).rows
         assert seen == [(caller, threads)] * len(ids)
         assert [p.hex() for _, _, p in rows] == [
@@ -691,8 +710,9 @@ class TestEvaluateParallel:
     def test_lone_bag_above_the_gate_splits_its_grid(self, two_cpus,
                                                      monkeypatch, n, d, heads,
                                                      masked, gate):
-        if gate is not None:
-            monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", gate)
+        if gate is not None:  # a bag below the chunk gate is never split
+            for name in ("GRID_SPLIT_MIN_VALUES", "PARALLEL_MIN_VALUES"):
+                monkeypatch.setattr(training, name, gate)
         store = lone_store(n, d, masked)
         bag = store.bag("b")
         assert bag.features.size >= training.GRID_SPLIT_MIN_VALUES
@@ -724,7 +744,8 @@ class TestEvaluateParallel:
         assert [name for name, _ in calls] == ["evaluate"]
 
     def test_one_cpu_splits_no_grid(self, monkeypatch):
-        monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", 1)
+        for name in ("GRID_SPLIT_MIN_VALUES", "PARALLEL_MIN_VALUES"):
+            monkeypatch.setattr(training, name, 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         store = lone_store(50, 4, True)
@@ -740,7 +761,8 @@ class TestEvaluateParallel:
 
     def test_failing_helper_band_is_raised_and_cpus_restored(self, two_cpus,
                                                              monkeypatch):
-        monkeypatch.setattr(training, "GRID_SPLIT_MIN_VALUES", 1)
+        for name in ("GRID_SPLIT_MIN_VALUES", "PARALLEL_MIN_VALUES"):
+            monkeypatch.setattr(training, name, 1)
         store = lone_store(60, 8, True)
         params = init_params(8, 2, seed=5)
         caller = threading.current_thread()
@@ -761,6 +783,59 @@ class TestEvaluateParallel:
         assert threading.active_count() == threads
         if START_CPUS is not None:
             assert os.sched_getaffinity(0) == START_CPUS
+
+
+class TestEvaluateChunks:
+    """The model scores bags below ``PARALLEL_MIN_VALUES`` in graph-free
+    chunks (``model.score_bags``) with the bytes of their own forwards."""
+
+    @pytest.mark.parametrize("d, heads, dtype", [
+        (2, 1, np.float32), (3, 1, np.float32), (64, 8, np.float32),
+        (64, 8, np.float64)])
+    def test_mixed_list_equals_per_bag_forwards(self, two_cpus, monkeypatch,
+                                                d, heads, dtype):
+        # a gate of 300 rows: 1-60 row bags span chunk boundaries, and the
+        # two 300- and 420-row bags take the two-CPU pool
+        monkeypatch.setattr(training, "PARALLEL_MIN_VALUES", 300 * d)
+        params = init_params(d, heads, seed=7, dtype=dtype)
+        rng = np.random.default_rng(d)
+        sizes = [int(n) for n in rng.integers(1, 61, size=24)]
+        sizes[0], sizes[-1] = 1, 60
+        bags = [make_bag(f"s{i}", i % 2, rng.standard_normal(
+                    (n, d)).astype(np.float32)) for i, n in enumerate(sizes)]
+        # in every other bag the rows are large and near-orthogonal to the
+        # scorer, so each row's score is mostly rounding: a scorer product
+        # that rounds otherwise than the bag's own moves its critical row
+        w = params.scorer_w.data[:, 0].astype(np.float64)
+        for i in range(1, len(bags), 2):
+            r = bags[i].features.astype(np.float64)
+            r -= np.outer(r @ w, w) / (w @ w)
+            bags[i] = make_bag(bags[i].bag_id, bags[i].label,
+                               (1e3 * r).astype(np.float32))
+        bags[5] = pad_to(bags[5], sizes[5] + 7)
+        bags.insert(3, make_bag("big0", 1, rng.standard_normal(
+            (300, d)).astype(np.float32)))
+        bags.insert(17, make_bag("big1", 0, rng.standard_normal(
+            (420, d)).astype(np.float32)))
+        store = BagStore(root=Path("mixed"), dim=d,
+                         bags={bag.bag_id: bag for bag in bags})
+        ids = [bag.bag_id for bag in bags]
+        chunks = []
+        real = training.score_bags
+        monkeypatch.setattr(training, "score_bags", lambda chunk, *a, **k: (
+            chunks.append([b.bag_id for b in chunk]) or real(chunk, *a, **k)))
+        rows = evaluate(store, ids, params).rows
+        assert [r[:2] for r in rows] == [(bag.bag_id, bag.label)
+                                         for bag in bags]
+        assert len(chunks) >= 2
+        assert sorted(i for c in chunks for i in c) == sorted(
+            i for i in ids if not i.startswith("big"))
+        direct = [model.bag_forward(bag, params).bag_prob.item()
+                  for bag in bags]
+        alone = [evaluate(store, [i], params).rows[0][2] for i in ids]
+        hexes = [p.hex() for _, _, p in rows]
+        assert hexes == [p.hex() for p in direct]
+        assert hexes == [p.hex() for p in alone]
 
 
 def param_digest(params):

@@ -45,7 +45,9 @@ the parent's spread and the bound check.
 
 Exits 1 when any run exits non-zero or reports ``"correct": false``,
 2 on bad arguments, before any run: among them a ``--workload`` that is
-not one of the parent's BENCHMARK.json ``workloads``.
+not one of the parent's BENCHMARK.json ``workloads``, a ``--seconds``
+that is not finite and positive, and a ``--seeds`` range that runs
+backwards.
 """
 
 import argparse
@@ -61,11 +63,15 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list:
-    """'71-75' or '71,73,80-81' to a list of seeds."""
+    """'71-75' or '71,73,80-81' to a list of seeds; ValueError for a range
+    whose end is below its start."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ValueError("no seeds")
     return seeds
@@ -242,6 +248,9 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError:
         parser.error(f"--seeds must look like 71-75 or 71,72, got {args.seeds!r}")
+    if not 0 < args.seconds < math.inf:
+        parser.error(f"--seconds must be finite and positive, got "
+                     f"{args.seconds:g}")
     for side in (args.parent, args.change):
         if not (side / "perfbench" / "run.py").is_file():
             parser.error(f"{side} has no perfbench/run.py")
