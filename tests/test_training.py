@@ -801,11 +801,13 @@ class TestEvaluateChunks:
         rng = np.random.default_rng(d)
         sizes = [int(n) for n in rng.integers(1, 61, size=24)]
         sizes[0], sizes[-1] = 1, 60
+        sizes[1::6] = [3, 2, 3, 2]
         bags = [make_bag(f"s{i}", i % 2, rng.standard_normal(
                     (n, d)).astype(np.float32)) for i, n in enumerate(sizes)]
         # in every other bag the rows are large and near-orthogonal to the
         # scorer, so each row's score is mostly rounding: a scorer product
-        # that rounds otherwise than the bag's own moves its critical row
+        # that rounds otherwise than the bag's own moves its critical row.
+        # Four of them hold only 2 or 3 rows
         w = params.scorer_w.data[:, 0].astype(np.float64)
         for i in range(1, len(bags), 2):
             r = bags[i].features.astype(np.float64)
