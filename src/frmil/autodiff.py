@@ -12,17 +12,11 @@ each one graph node with a hand-written backward:
 - ``grid_positional`` builds the attention tokens: the class token, then
   the depthwise 3x3 filter run channels-last. The (n, D) instance rows
   already are a row-major (g, g, D) grid, so they are copied, with no
-  transpose, into a buffer with a zero ring. Given a shift h_q, each cell
-  is re-calibrated as it is copied, ``max(row - h_q, 0)``, so a forward
-  that needs no (n, D) ``ReLU(H - h_q)`` array never builds one; its
-  backward gives h the input gradient where ``row - h_q > 0`` and h_q
-  minus that gradient's row sum, as ``sub`` then ``relu`` do. The forward
-  and the input gradient run one einsum per L2-sized band of grid rows
-  over a strided view of the 3x3 windows, the gradient with the taps
-  flipped; the bias is added after the taps. The filter writes into the
-  token buffer. A caller may hand the forward a two-thread runner: the
-  fill and the filter then run in halves of grid rows on two threads,
-  with the same bytes. Below D = 2 channels it raises ``ShapeError``.
+  transpose, into a buffer with a zero ring. The forward and the input
+  gradient run one einsum per L2-sized band of grid rows over a strided
+  view of the 3x3 windows, the gradient with the taps flipped; the bias
+  is added after the taps. The filter writes into the token buffer.
+  Below D = 2 channels it raises ``ShapeError``.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -30,11 +24,13 @@ each one graph node with a hand-written backward:
   That costs n x D x heads instead of the n x D x D of projecting every
   token.
 
-The numeric cores of the sigmoid, the layer norm, the attention forward
-and the grid fill are module-level helpers (``_sigmoid``, ``_layer_norm``,
-``_attention``, ``_fill``) that the ops and ``model.score_bags``, the
-graph-free chunk scorer, both call, so each stage's arithmetic is written
-once.
+The numeric cores of the sigmoid, the layer norm, the attention forward,
+the grid fill and the filter are module-level helpers (``_sigmoid``,
+``_layer_norm``, ``_attention``, ``_fill``, ``_filter``) that the ops and
+``model.score_bags``, the graph-free eval forward, both call, so each
+stage's arithmetic is written once. ``_fill`` also re-calibrates as it
+copies, ``max(row - h_q, 0)``, for ``score_bags``, which never builds the
+(n, D) ``ReLU(H - h_q)`` array.
 
 Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
@@ -60,7 +56,6 @@ with another tensor's.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -418,18 +413,14 @@ def _grid_side(n: int) -> int:
 
 
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
-                    conv_b: Tensor, class_token: Tensor, residual: bool,
-                    h_q: Optional[Tensor] = None,
-                    run: Optional[Callable] = None) -> Tensor:
+                    conv_b: Tensor, class_token: Tensor,
+                    residual: bool) -> Tensor:
     """The class token, then a depthwise 3x3 filter over the unmasked rows
     of h laid out on a grid: the (n_rows + 1, D) attention tokens.
 
     The n unmasked rows of h (n_rows, D >= 2; ``ShapeError`` below two
     channels, see ``_filter``), in order, fill a g x g grid row-major
-    with g = ceil(sqrt(n)) and zero trailing cells. With a shift
-    h_q (1, D) each cell is ``max(row - h_q, 0)`` instead, the bytes of
-    ``relu(sub(h, h_q))``: the rows are re-calibrated straight into the
-    grid, and no (n_rows, D) copy of them is made. Each channel is
+    with g = ceil(sqrt(n)) and zero trailing cells. Each channel is
     filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
     then conv_b (D,) is added and, when residual, the grid itself. Row 0
     of the output is class_token (1, D); the rows 1 + i for the unmasked
@@ -438,28 +429,18 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
 
     Rows 1.. equal ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over
     the transposed grid, computed channels-last by ``_filter``: the rows are
-    written, in bands of grid rows, into the interior of a (g + 2, g + 2, D)
-    buffer with a zero ring, and each band of output rows is one einsum
-    over a strided view of the 3x3 windows. With no masked row the filter
-    writes straight into the token buffer, which has room for all g x g
-    cells after row 0.
-
-    ``run(work, stop)``, when given, must run ``work(0)`` on the caller and
-    ``work(1)`` on a second thread at once, and call ``stop()`` on a
-    failure (``training._on_cpus`` over two CPUs). Each then fills and
-    filters half of the grid rows, with a barrier between the two stages
-    because the filter reads a row beyond each edge of its half. Every
-    cell is computed as on one thread, so the bytes do not change.
+    copied into the interior of a (g + 2, g + 2, D) buffer with a zero
+    ring, and each band of output rows is one einsum over a strided view
+    of the 3x3 windows. With no masked row the filter writes straight into
+    the token buffer, which has room for all g x g cells after row 0.
 
     The input gradient is ``_filter`` of the zero-ringed output gradient
     with the taps flipped, ``taps[::-1, ::-1]``, no bias and the same
     residual: out[y, x] takes w[dy, dx] in[y+dy-1, x+dx-1], so in[y, x]
     gets w[dy, dx] g[y-dy+1, x-dx+1], which is w[2-dy, 2-dx]
-    g[y+dy-1, x+dx-1]. With a shift, as in ``sub`` then ``relu``, h gets
-    that gradient where ``h - h_q > 0`` and zero elsewhere, and h_q gets
-    minus its sum over the rows. The conv_w gradient sums the output
-    gradient against the nine full (g, g) windows of the padded grid. No
-    backward reads the output, so it may be overwritten in place.
+    g[y+dy-1, x+dx-1]. The conv_w gradient sums the output gradient
+    against the nine full (g, g) windows of the padded grid. No backward
+    reads the output, so it may be overwritten in place.
     """
     x = h.data
     m = np.asarray(mask, dtype=bool)
@@ -468,13 +449,11 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
                          f"(n,) mask, got {x.shape} and {m.shape}")
     n_rows, d = x.shape
     if (conv_w.data.shape != (d, 3, 3) or conv_b.data.shape != (d,)
-            or class_token.data.shape != (1, d)
-            or (h_q is not None and h_q.data.shape != (1, d))):
+            or class_token.data.shape != (1, d)):
         raise ShapeError(f"conv parameters {conv_w.data.shape} and "
-                         f"{conv_b.data.shape}, class token "
-                         f"{class_token.data.shape} and shift "
-                         f"{None if h_q is None else h_q.data.shape} do not "
-                         f"match {d} channels")
+                         f"{conv_b.data.shape} and class token "
+                         f"{class_token.data.shape} do not match {d} "
+                         f"channels")
     real = None if m.all() else np.flatnonzero(m)
     n = n_rows if real is None else len(real)
     if n == 0:
@@ -496,33 +475,18 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         rows[real] = cells
         return rows
 
-    shift = None if h_q is None else h_q.data
     pad = ringed()
+    _fill(pad, x, real, n, 0, g)
     taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
     if real is None:
-        buf = np.empty((1 + g * g, d), dtype=x.dtype)
-        grid = buf[1:].reshape(g, g, d)
-    else:
-        grid = np.empty((g, g, d), dtype=x.dtype)
-    cuts = (0, g) if run is None else (0, (g + 1) // 2, g)
-    barrier = None if run is None else threading.Barrier(2)
-
-    def work(i: int) -> None:
-        lo, hi = cuts[i], cuts[i + 1]
-        _fill(pad, x, real, n, lo, hi, shift)
-        if barrier is not None:
-            barrier.wait()  # both halves are filled
-        _filter(pad[lo:hi + 2], taps, conv_b.data, residual, out=grid[lo:hi])
-
-    if run is None:
-        work(0)
-    else:
-        run(work, barrier.abort)
-    if real is None:
-        tokens = buf[:n + 1]
+        tokens = np.empty((1 + g * g, d), dtype=x.dtype)
+        _filter(pad, taps, conv_b.data, residual,
+                out=tokens[1:].reshape(g, g, d))
+        tokens = tokens[:n + 1]
     else:
         tokens = np.zeros((n_rows + 1, d), dtype=x.dtype)
-        tokens[1 + real] = grid.reshape(g * g, d)[:n]
+        tokens[1 + real] = _filter(pad, taps, conv_b.data, residual
+                                   ).reshape(g * g, d)[:n]
     tokens[0] = class_token.data[0]
 
     def backward(grad):
@@ -532,15 +496,11 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:
             _accumulate(conv_w, _tap_gradient(gpad, pad).transpose(2, 0, 1))
-        if h.requires_grad or (h_q is not None and h_q.requires_grad):
-            g_in = to_rows(_filter(gpad, taps[::-1, ::-1], 0, residual))
-            if h_q is not None:
-                g_in = g_in * (x - shift > 0)
-                _accumulate(h_q, -g_in.sum(axis=0, keepdims=True))
-            _accumulate(h, g_in)
+        if h.requires_grad:
+            _accumulate(h, to_rows(_filter(gpad, taps[::-1, ::-1], 0,
+                                           residual)))
 
-    parents = (h, conv_w, conv_b, class_token) + (() if h_q is None else (h_q,))
-    return _result(tokens, parents, backward)
+    return _result(tokens, (h, conv_w, conv_b, class_token), backward)
 
 
 def _attention(q: np.ndarray, x: np.ndarray, k_w: np.ndarray,

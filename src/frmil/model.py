@@ -13,7 +13,8 @@ that into the bag probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,9 +65,6 @@ class ModelParams:
     ln_bias: Tensor
     clf_w: Tensor      # bag classifier
     clf_b: Tensor
-    # the same arrays as tensors that need no gradient (training._detached)
-    detached_view: Optional[ModelParams] = field(default=None, init=False,
-                                                 repr=False, compare=False)
 
     def named(self) -> Dict[str, Tensor]:
         return {k: getattr(self, k) for k in param_shapes(self.dim)}
@@ -150,8 +148,7 @@ class ForwardTrace:
     max_index: int
     a_max: Tensor             # (1, 1) probability of the critical instance
     h_q: Tensor               # (1, D) raw critical feature
-    h_recal: Optional[Tensor]  # (n, D) rectified shifted features; None
-    #                            when re-calibrated into the grid only
+    h_recal: Tensor           # (n, D) rectified shifted features
     tokens: Tensor            # (n+1, D) class token + positional output
     attention: np.ndarray     # (heads, 1, n+1) weights (detached)
     z: Tensor                 # (1, D) bag feature
@@ -203,9 +200,7 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 dropout: float = 0.0,
-                residual: bool = True,
-                h_q: Optional[Tensor] = None,
-                run: Optional[Callable] = None) -> Tensor:
+                residual: bool = True) -> Tensor:
     """Positional encoding over the real instances, class token prepended.
 
     The n real rows are zero-padded up to a ceil(sqrt(n))-square grid laid
@@ -214,13 +209,10 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
     back, and cut to the first n rows. Padding rows of the input stay
     zero. Output is (n_rows + 1, D) with the class token at row 0, built
     in one buffer by ``grid_positional``; training dropout overwrites that
-    buffer, since no backward reads it. With h_q given, the first argument
-    is the raw rows, re-calibrated against h_q as the grid is filled;
-    ``run`` spreads the grid over two threads (``grid_positional``).
+    buffer, since no backward reads it.
     """
     tokens = ad.grid_positional(h_recal, mask, params.conv_w, params.conv_b,
-                                params.class_token, residual=residual,
-                                h_q=h_q, run=run)
+                                params.class_token, residual=residual)
     return ad.dropout(tokens, dropout, training=training, rng=rng,
                       inplace=True)
 
@@ -251,24 +243,16 @@ def bag_forward(bag: InstanceBag, params: ModelParams,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 dropout: float = 0.0,
-                pem_residual: bool = True,
-                keep_recal: bool = True,
-                run: Optional[Callable] = None) -> ForwardTrace:
-    """Full forward pass over one bag, in the parameters' precision.
-
-    With ``keep_recal`` false the rows are re-calibrated straight into the
-    positional grid, with the same bytes, and the trace's ``h_recal`` is
-    None: for a caller that reads only the probability. ``run`` spreads
-    the grid over two threads (``autodiff.grid_positional``).
-    """
+                pem_residual: bool = True) -> ForwardTrace:
+    """Full forward pass over one bag, in the parameters' precision: the
+    graph that training differentiates. ``score_bags`` gives the same
+    probability with no graph."""
     h = Tensor(np.asarray(bag.features, dtype=params.scorer_w.dtype))
     mask = bag.mask
     scores, max_index, h_q, a_max = select_max_instance(h, mask, params)
-    h_recal = recalibrate(h, h_q, mask) if keep_recal else None
-    rows, shift = (h_recal, None) if keep_recal else (h, h_q)
-    tokens = pem_forward(rows, mask, params, training=training, rng=rng,
-                         dropout=dropout, residual=pem_residual, h_q=shift,
-                         run=run)
+    h_recal = recalibrate(h, h_q, mask)
+    tokens = pem_forward(h_recal, mask, params, training=training, rng=rng,
+                         dropout=dropout, residual=pem_residual)
     token_mask = np.concatenate([[True], mask])
     z, attention = pmsa_forward(h_q, tokens, token_mask, params,
                                 training=training, rng=rng, dropout=dropout)
@@ -281,24 +265,40 @@ def bag_forward(bag: InstanceBag, params: ModelParams,
 
 
 def score_bags(bags: Sequence[InstanceBag], params: ModelParams,
-               pem_residual: bool = True) -> List[float]:
+               pem_residual: bool = True,
+               run: Optional[Callable] = None) -> List[float]:
     """Eval-mode probabilities of the bags, in order: for each, the bytes of
-    ``bag_forward(bag, params).bag_prob``, with no graph.
+    ``bag_forward(bag, params).bag_prob``, with no graph. ``evaluate`` scores
+    every model bag here: a chunk of small bags at a time, or one large bag.
 
-    Made for a chunk of small bags, whose forwards are mostly per-call
-    overhead. The row-wise and (B, D) stages run once over the chunk: the
-    scorer's bias and sigmoid, ``phi + q``, the feed-forward's bias and
-    ReLU, the layer norm and the head's bias and sigmoid. Every matrix
-    product runs once per bag, on the bag's own rows, into the chunk's
-    arrays: BLAS rounds a product of stacked bags' rows differently from
-    one bag's. The argmax and the attention's masked softmax also run per
-    bag. The positional filter is one ``autodiff._filter`` call over a
-    tall zero buffer holding each bag's zero-ringed g x g grid, g + 2 rows
-    tall, in the chunk's widest g + 2 columns: every output cell reads the
-    nine taps a one-bag filter reads, in the same order, and the output
-    rows between two bags are dropped. Masked rows are handled as in
+    A small bag's forward is mostly per-call overhead, so the row-wise and
+    (B, D) stages run once over the call's bags: the scorer's bias and
+    sigmoid, ``phi + q``, the feed-forward's bias and ReLU, the layer norm
+    and the head's bias and sigmoid. Every matrix product runs once per
+    bag, on the bag's own rows, into the call's arrays: BLAS rounds a
+    product of stacked bags' rows differently from one bag's. The argmax
+    and the attention's masked softmax also run per bag.
+
+    Each bag's rows are re-calibrated, ``max(row - h_q, 0)``, straight into
+    its zero-ringed g x g grid (``autodiff._fill``), the bytes of
+    ``recalibrate`` then the grid fill, so no (n, D) ``ReLU(H - h_q)``
+    array is built. The grids stand in one zeroed tall buffer, g + 2 rows
+    each, in the widest g + 2 columns; a lone bag's buffer has only its
+    top and bottom rows zeroed, since ``_fill`` zeroes the side and
+    trailing cells. The positional filter is one ``autodiff._filter`` over
+    that buffer: every output cell reads the nine taps a one-bag filter
+    reads, in the same order, and the output rows between two bags are
+    dropped. A lone unmasked bag is filtered straight into its token
+    buffer. Masked rows are handled as in
     ``bag_forward``: the real rows fill the grid, masked token rows are
     zero, and the softmax runs over the bag's n_rows + 1 tokens.
+
+    ``run(work, stop)``, when given, must run ``work(0)`` on the caller and
+    ``work(1)`` on a second thread at once, and call ``stop()`` on a
+    failure (``training._on_cpus`` over two CPUs). Each then fills and
+    filters half of the buffer's grid rows, with a barrier between the two
+    stages because the filter reads a row beyond each edge of its half.
+    Every cell is computed as on one thread, so the bytes do not change.
     """
     p = {name: t.data for name, t in params.named().items()}
     dtype, d = p["scorer_w"].dtype, params.dim
@@ -331,19 +331,50 @@ def score_bags(bags: Sequence[InstanceBag], params: ModelParams,
         tops.append(tops[-1] + sides[-1] + 2)
     q += p["q_b"]
 
-    pad = np.zeros((tops[-1], max(sides) + 2, d), dtype)
-    for h, real, n, g, top, shift in zip(hs, reals, counts, sides, tops, h_q):
-        ad._fill(pad[top:top + g + 2, :g + 2], h, real, n, 0, g, shift)
+    width, rows = max(sides) + 2, tops[-1] - 2  # rows: the filter's output
+    if n_bags == 1:
+        pad = np.empty((tops[-1], width, d), dtype)
+        pad[0] = pad[-1] = 0
+    else:  # for small grids, cheaper than zeroing each ring and margin
+        pad = np.zeros((tops[-1], width, d), dtype)
+    direct = n_bags == 1 and reals[0] is None
+    if direct:  # the filter writes the token rows after the class token
+        buf = np.empty((1 + rows * rows, d), dtype)
+        cells = buf[1:].reshape(rows, rows, d)
+    else:
+        cells = np.empty((rows, width - 2, d), dtype)
     taps = np.ascontiguousarray(p["conv_w"].transpose(1, 2, 0))  # (3, 3, D)
-    cells = ad._filter(pad, taps, p["conv_b"], pem_residual)
+    cuts = (0, rows) if run is None else (0, (rows + 1) // 2, rows)
+    barrier = None if run is None else threading.Barrier(2)
+
+    def work(i: int) -> None:
+        lo, hi = cuts[i], cuts[i + 1]
+        for h, real, n, g, top, shift in zip(hs, reals, counts, sides, tops,
+                                             h_q):
+            first, end = max(lo - top, 0), min(hi - top, g)  # in lo..hi
+            if first < end:
+                ad._fill(pad[top:top + g + 2, :g + 2], h, real, n, first, end,
+                         shift)
+        if barrier is not None:
+            barrier.wait()  # both halves are filled
+        ad._filter(pad[lo:hi + 2], taps, p["conv_b"], pem_residual,
+                   out=cells[lo:hi])
+
+    if run is None:
+        work(0)
+    else:
+        run(work, barrier.abort)
 
     phi = np.empty((n_bags, d), dtype)
     for i, (bag, h, real, n, g, top) in enumerate(zip(bags, hs, reals, counts,
                                                       sides, tops)):
-        tokens = np.zeros((len(h) + 1, d), dtype)  # masked rows stay zero
+        if direct:
+            tokens = buf[:n + 1]
+        else:
+            tokens = np.zeros((len(h) + 1, d), dtype)  # masked rows stay zero
+            tokens[1:][slice(None) if real is None else real] = \
+                cells[top:top + g, :g].reshape(g * g, d)[:n]
         tokens[0] = p["class_token"][0]
-        tokens[1:][slice(None) if real is None else real] = \
-            cells[top:top + g, :g].reshape(g * g, d)[:n]
         phi[i] = ad._attention(q[i:i + 1], tokens, p["k_w"], p["k_b"],
                                p["v_w"], p["v_b"],
                                np.concatenate([[True], bag.mask]),
@@ -378,8 +409,6 @@ class ComparatorParams:
     dim: int
     scorer_w: Tensor  # (D, 1)
     scorer_b: Tensor  # (1,)
-    detached_view: Optional[ComparatorParams] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def named(self) -> Dict[str, Tensor]:
         return {k: getattr(self, k) for k in SCORER}

@@ -1,8 +1,8 @@
 """Built-in verification of the model path: finite-difference gradient
 checks of every op the model and its loss run, plus the fused positional
-encoder against a naive convolution loop, its re-calibrating fill against
-``recalibrate`` then the encoder, chunked scoring (``score_bags``) against
-each bag's own forward, and the sigmoid at extreme inputs. All
+encoder against a naive convolution loop, graph-free scoring
+(``score_bags``), chunked and one bag per call, against each bag's own
+forward, and the sigmoid at extreme inputs. All
 gradient checks run in float64 with h = 1e-5 against a 1e-4 relative-error
 budget. The test suite checks everything else; the general ops no product
 path runs (``reshape``, concat, transpose, softmax, the plain depthwise
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .bagdata import InstanceBag, make_bag
-from .model import bag_forward, init_params, recalibrate, score_bags
+from .model import bag_forward, init_params, score_bags
 from .objectives import LossWeights, total_loss
 
 GRAD_TOL = 1e-4
@@ -128,19 +128,6 @@ def gradient_checks() -> List[CheckResult]:
                 [a, w, b, token])
     results.append(_check("grid_positional (masked)", b_grid_positional))
 
-    def b_grid_shifted(rng):
-        n, d = _dims(rng)
-        mask = rng.random(n) < 0.7
-        mask[0] = True
-        a, shift = _t(rng, (n, d)), _t(rng, (1, d), shift=-0.5)
-        w, b, token = _t(rng, (d, 3, 3)), _t(rng, (d,)), _t(rng, (1, d))
-        residual = bool(rng.integers(0, 2))
-        return (lambda: _scalarize(ad.grid_positional(a, mask, w, b, token,
-                                                      residual, h_q=shift)),
-                [a, shift, w, b, token])
-    results.append(_check("grid_positional (shifted, masked)",
-                          b_grid_shifted))
-
     def b_query_attention(rng):
         heads = int(rng.integers(1, 4))
         d = heads * int(rng.integers(1, 4))
@@ -234,11 +221,11 @@ def _naive_conv(x, w, b):
 
 
 def oracle_checks() -> List[CheckResult]:
-    """The fused positional encoder against a naive loop and its shifted fill
-    against the two-step path; chunked scoring against per-bag forwards,
-    exact, so that a numpy or BLAS whose products are not batch-invariant
-    fails here instead of scoring otherwise than training's forward;
-    sigmoid stability."""
+    """The fused positional encoder against a naive loop; graph-free scoring,
+    chunked and one bag per call, against per-bag forwards, exact, so that
+    a numpy or BLAS whose products are not batch-invariant fails here
+    instead of scoring otherwise than training's forward; sigmoid
+    stability."""
     results = []
 
     rng = np.random.default_rng(4)
@@ -256,22 +243,6 @@ def oracle_checks() -> List[CheckResult]:
     results.append(CheckResult("grid_positional vs naive conv (exact)",
                                worst, 0.0))
 
-    differ = 0
-    for k in range(40):  # count the cases whose bytes differ
-        n, d = int(rng.integers(1, 30)), int(rng.integers(2, 6))
-        x = rng.normal(size=(n, d)).astype(np.float32)
-        mask = rng.random(n) < 0.8 if k % 2 else np.ones(n, bool)
-        mask[-1] = True
-        conv = [Tensor(rng.normal(size=s).astype(np.float32))
-                for s in ((d, 3, 3), (d,), (1, d))]
-        h, h_q = Tensor(x), Tensor(x[[int(np.flatnonzero(mask)[0])]])
-        fused = ad.grid_positional(h, mask, *conv, k % 4 < 2, h_q=h_q)
-        steps = ad.grid_positional(recalibrate(h, h_q, mask), mask, *conv,
-                                   k % 4 < 2)
-        differ += fused.data.tobytes() != steps.data.tobytes()
-    results.append(CheckResult("grid_positional shifted fill (bytes)",
-                               differ, 0.0))
-
     params = init_params(64, 8, seed=11)
     bags = []
     for k in range(20):  # 1-60 rows, every fourth bag with masked rows
@@ -280,8 +251,10 @@ def oracle_checks() -> List[CheckResult]:
         mask[-1] = True
         bags.append(InstanceBag(f"b{k}", k % 2, rng.normal(
             size=(n, 64)).astype(np.float32), mask))
-    differ = sum(p.hex() != bag_forward(bag, params).bag_prob.item().hex()
-                 for bag, p in zip(bags, score_bags(bags, params)))
+    expect = [bag_forward(bag, params).bag_prob.item().hex() for bag in bags]
+    differ = sum(p.hex() != e for p, e in zip(score_bags(bags, params), expect))
+    differ += sum(score_bags([bag], params)[0].hex() != e  # one bag per call
+                  for bag, e in zip(bags, expect))
     results.append(CheckResult("score_bags vs bag_forward (bytes)",
                                differ, 0.0))
 

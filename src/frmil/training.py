@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, backward, mul
+from .autodiff import ShapeError, Tensor, _grid_side, backward, mul
 from .bagdata import (
     BagStore,
     SingleClassError,
@@ -339,7 +339,7 @@ PARALLEL_MIN_VALUES = 1 << 17
 
 # A bag scored with no large partner (``_worker_cpus`` gives no helper) is
 # spread over two CPUs, its grid fill and filter split in halves of grid
-# rows (``autodiff.grid_positional``), when it holds this many feature
+# rows (``model.score_bags``), when it holds this many feature
 # values or more. Measured with one BLAS thread on a 2-core VM at D=512,
 # 100-150 alternating eval-mode forwards of one bag, median ms on one CPU
 # against two: 1.74 vs 2.12 at 512 rows, 2.97 vs 2.92 at 1024, 3.81 vs
@@ -429,37 +429,10 @@ def _wrap(params: ModelParams | ComparatorParams, requires_grad: bool,
                               for name, a in arrays.items()})
 
 
-def _detached(params: ModelParams | ComparatorParams):
-    """The same parameter arrays as tensors that need no gradient, so a
-    forward through them records no graph and frees each intermediate
-    once it has been used.
-
-    Built once per parameter set and kept in ``params.detached_view``. In
-    place updates (``adam_step``) reach it through the shared arrays; a
-    parameter whose ``data`` was rebound to another array gets a new view.
-    """
-    view = params.detached_view
-    if view is None or any(v.data is not t.data for v, t in
-                           zip(view.named().values(), params.named().values())):
-        view = params.detached_view = _wrap(params, False)
-    return view
-
-
-def _bag_prob(bag, params: ModelParams | ComparatorParams,
-              pem_residual: bool, run: Optional[Callable] = None) -> float:
-    """Eval-mode probability of one bag under the model or a pooling head.
-    The model re-calibrates the rows straight into its positional grid, and
-    ``run`` spreads that grid over two threads (``bag_forward``)."""
-    if isinstance(params, ComparatorParams):
-        return comparator_forward(params, bag).item()
-    return bag_forward(bag, params, training=False, pem_residual=pem_residual,
-                       keep_recal=False, run=run).bag_prob.item()
-
-
 def _grid_run(bag) -> Optional[Callable]:
-    """``_on_cpus`` over the first two usable CPUs, as the ``run`` of a bag
-    of at least ``GRID_SPLIT_MIN_VALUES`` feature values; None for a
-    smaller bag or on one CPU."""
+    """``_on_cpus`` over the first two usable CPUs, as the ``score_bags``
+    run of a bag of at least ``GRID_SPLIT_MIN_VALUES`` feature values; None
+    for a smaller bag or on one CPU."""
     if bag.features.size < GRID_SPLIT_MIN_VALUES:
         return None
     cpus = _usable_cpus()[:2]
@@ -467,9 +440,9 @@ def _grid_run(bag) -> Optional[Callable]:
         if len(cpus) == 2 else None
 
 
-def _bag_probs(bags, params: ModelParams | ComparatorParams,
-               pem_residual: bool) -> List[float]:
-    """Probabilities of the bags, in order.
+def _bag_probs(bags, score: Callable) -> List[float]:
+    """Probabilities of the bags, in order; ``score(bags, run)`` gives those
+    of a list of bags, with ``run`` as in ``model.score_bags``.
 
     With two or more large bags and more than one usable CPU, the caller
     and one helper thread per further CPU (at most one per further large
@@ -484,8 +457,7 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
     """
     cpus = _worker_cpus(bags)
     if len(cpus) < 2:
-        return [_bag_prob(b, params, pem_residual, _grid_run(b))
-                for b in bags]
+        return [score([b], _grid_run(b))[0] for b in bags]
     probs: List[Optional[float]] = [None] * len(bags)
     pending = sorted(range(len(bags)), key=lambda i: bags[i].features.size)
     lock = threading.Lock()
@@ -496,7 +468,7 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
                 if not pending:
                     return
                 i = pending.pop()
-            probs[i] = _bag_prob(bags[i], params, pem_residual)
+            probs[i] = score([bags[i]], None)[0]
 
     def stop() -> None:
         with lock:
@@ -506,44 +478,68 @@ def _bag_probs(bags, params: ModelParams | ComparatorParams,
     return probs
 
 
+# A chunk's tall filter buffer (``model.score_bags``) holds at most this
+# many grid cells per feature row: the 3 x 3 zero-ringed grid of a one-row
+# bag, the most any lone bag needs. Packed by feature values alone, 15,360
+# one-row D=8 bags after a 1,024-row bag (g = 32) shared a buffer 34 cells
+# wide, 96 cells per row, and their evaluate's peak memory rose by 102 MB
+# instead of 15 MB.
+CHUNK_CELLS_PER_ROW = 9
+
+
 def _chunks(bags) -> List[List[int]]:
     """The indices of the bags below ``PARALLEL_MIN_VALUES`` feature values,
-    in order, packed into runs of at most that many values."""
+    in order, packed into runs of at most that many values whose tall
+    filter buffer, the sum of the grids' g + 2 rows times the widest
+    g + 2 (taking g from every row, masked or not), holds at most
+    ``CHUNK_CELLS_PER_ROW`` cells per feature row."""
     chunks: List[List[int]] = []
-    held = PARALLEL_MIN_VALUES
+    held, rows, tall, wide = PARALLEL_MIN_VALUES, 0, 0, 0  # full: open one
     for i, bag in enumerate(bags):
         size = bag.features.size
         if size >= PARALLEL_MIN_VALUES:
             continue
-        if held + size > PARALLEL_MIN_VALUES:
+        n = len(bag.features)
+        side = _grid_side(n) + 2
+        held, rows, tall, wide = (held + size, rows + n, tall + side,
+                                  max(wide, side))
+        if (held > PARALLEL_MIN_VALUES
+                or tall * wide > CHUNK_CELLS_PER_ROW * rows):
             chunks.append([])
-            held = 0
+            held, rows, tall, wide = size, n, side, side
         chunks[-1].append(i)
-        held += size
     return chunks
 
 
 def evaluate(store: BagStore, ids: Sequence[str],
              params: ModelParams | ComparatorParams, threshold: float = 0.5,
              pem_residual: bool = True, split: str = "") -> EvalReport:
-    """Evaluation-mode forwards over the given bags, through detached
-    parameters. The model scores its bags below ``PARALLEL_MIN_VALUES``
-    feature values a chunk at a time (``_chunks``, ``model.score_bags``);
-    every other bag, and every bag of a pooling head, goes to
-    ``_bag_probs``. Either way a bag's probability has the bytes of its
-    own ``bag_forward``."""
+    """Evaluation-mode scores of the given bags, with no graph. The model
+    scores every bag with ``model.score_bags``: its bags below
+    ``PARALLEL_MIN_VALUES`` feature values a chunk at a time
+    (``_chunks``), every other bag alone (``_bag_probs``). A pooling head
+    runs ``comparator_forward`` on each bag (``_bag_probs``) over tensors
+    that need no gradient. Either way a bag's probability has the bytes of
+    its own graph forward."""
     if not ids:
         raise ValueError("evaluate needs at least one bag id")
     bags = [store.bag(bag_id) for bag_id in ids]
-    params = _detached(params)
     probs: List[Optional[float]] = [None] * len(bags)
-    for chunk in (_chunks(bags) if isinstance(params, ModelParams) else []):
-        scored = score_bags([bags[i] for i in chunk], params, pem_residual)
-        for i, p in zip(chunk, scored):
+    if isinstance(params, ModelParams):
+        def score(chunk, run=None):
+            return score_bags(chunk, params, pem_residual, run)
+        chunks = _chunks(bags)
+    else:
+        heads = _wrap(params, False)
+
+        def score(chunk, run=None):
+            return [comparator_forward(heads, bag).item() for bag in chunk]
+        chunks = []
+    for chunk in chunks:
+        for i, p in zip(chunk, score([bags[i] for i in chunk])):
             probs[i] = p
     rest = [i for i, p in enumerate(probs) if p is None]
-    for i, p in zip(rest, _bag_probs([bags[i] for i in rest], params,
-                                     pem_residual)):
+    for i, p in zip(rest, _bag_probs([bags[i] for i in rest], score)):
         probs[i] = p
     rows = [(bag_id, bag.label, p) for bag_id, bag, p in zip(ids, bags, probs)]
     labels = [label for _, label, _ in rows]

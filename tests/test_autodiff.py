@@ -4,9 +4,11 @@ Every derivative claim is checked against central finite differences
 computed here in float64, independent of the backward implementations.
 """
 
+import functools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from frmil.autodiff import (
     sub,
     take_rows,
 )
-from frmil.model import recalibrate
+from frmil.bagdata import InstanceBag, make_bag
+from frmil.model import bag_forward, init_params, score_bags
 from oracles import (
     concat_cols,
     concat_rows,
@@ -553,12 +556,14 @@ class TestBackward:
             backward(Tensor(np.ones(1)))
 
 
-def two_threads(work, stop):
-    """A ``grid_positional`` run: work(0) on the caller, work(1) on a
-    second thread, the first failure re-raised after the join."""
+def two_threads(work, stop, delay=0.0):
+    """A ``score_bags`` run: work(0) on the caller, work(1) on a second
+    thread after ``delay`` seconds, the first failure re-raised after the
+    join."""
     failures = []
 
     def helper():
+        time.sleep(delay)
         try:
             work(1)
         except BaseException as exc:
@@ -578,46 +583,84 @@ def two_threads(work, stop):
         raise failures[0]
 
 
+# the helper starts when the caller has long filled its half: a filter that
+# did not wait for the other half would read its rows unfilled
+late_helper = functools.partial(two_threads, delay=0.05)
+
+
 # (rows, D): one row, square and non-square row counts, and D = 2, the
 # fewest channels grid_positional takes
 SHIFT_CASES = [(1, 3), (1, 2), (9, 4), (7, 4), (10, 2), (16, 2), (23, 5),
                (40, 2)]
 
 
-def shift_case(rng, n_rows, d, dtype, masked):
-    """Rows, a mask (scattered padding when masked and n_rows > 1), the
-    critical row of an unmasked index as the shift, and conv parameters."""
-    x = rng.normal(size=(n_rows, d)).astype(dtype)
+def shift_case(rng, n_rows, d, masked):
+    """A float32 bag (scattered padding when masked and n_rows > 1) and
+    one-head model parameters with a random conv bias."""
     mask = np.ones(n_rows, bool)
     if masked and n_rows > 1:
         mask[rng.choice(n_rows, size=max(1, n_rows // 3), replace=False)] = False
-    q = x[[int(rng.choice(np.flatnonzero(mask)))]]
-    w, b, token = (rng.normal(size=s).astype(dtype)
-                   for s in ((d, 3, 3), (d,), (1, d)))
-    return x, mask, q, w, b, token
+    bag = InstanceBag("b", 1, rng.normal(size=(n_rows, d)).astype(np.float32),
+                      mask)
+    params = init_params(d, 1, seed=int(rng.integers(1000)))
+    params.conv_b.data[...] = rng.normal(size=d)
+    return bag, params
+
+
+def pooled_tokens(monkeypatch):
+    """The bytes of the tokens of every attention forward from here on."""
+    seen = []
+    real = ad._attention
+
+    def attention(q, x, *args):
+        seen.append(x.tobytes())
+        return real(q, x, *args)
+
+    monkeypatch.setattr(ad, "_attention", attention)
+    return seen
+
+
+def poison_empty(monkeypatch):
+    """From here on ``np.empty`` hands out float arrays filled with NaN, so
+    a cell read before anything wrote it shows in the bytes."""
+    real = np.empty
+
+    def empty(shape, dtype=float, **kwargs):
+        out = real(shape, dtype, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+def assert_scored_as_forward(bag, params, residual, run, seen):
+    """``score_bags([bag], ..., run)`` pools the tokens of ``bag_forward``
+    and gives its probability, byte for byte."""
+    seen.clear()
+    expect = bag_forward(bag, params, pem_residual=residual).bag_prob.item()
+    prob = score_bags([bag], params, residual, run)[0]
+    assert len(seen) == 2 and seen[1] == seen[0], bag.features.shape
+    assert prob.hex() == expect.hex(), bag.features.shape
 
 
 class TestGridPositionalShift:
-    """Re-calibrating straight into the grid: the bytes of
-    ``grid_positional(recalibrate(h, h_q, mask), ...)`` and the gradient
-    of ``sub`` then ``relu``."""
+    """Re-calibrating straight into the grid (``_fill`` with a shift) as
+    ``model.score_bags`` does, on one thread or with the fill and filter
+    split over two: the tokens it pools have the bytes of
+    ``grid_positional(recalibrate(h, h_q, mask), ...)`` in ``bag_forward``."""
 
     @pytest.mark.parametrize("run", [None, two_threads])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("residual", [False, True])
-    def test_tokens_equal_recalibrate_then_grid(self, run, masked, residual):
+    def test_tokens_equal_recalibrate_then_grid(self, monkeypatch, run,
+                                                masked, residual):
         rng = np.random.default_rng(60 + 2 * masked + residual)
+        poison_empty(monkeypatch)
+        seen = pooled_tokens(monkeypatch)
         for n_rows, d in SHIFT_CASES:
-            x, mask, q, w, b, token = shift_case(rng, n_rows, d, np.float32,
-                                                 masked)
-            params = (Tensor(w), Tensor(b), Tensor(token))
-            expect = ad.grid_positional(
-                recalibrate(Tensor(x), Tensor(q), mask), mask, *params,
-                residual).data
-            fused = ad.grid_positional(Tensor(x), mask, *params, residual,
-                                       h_q=Tensor(q), run=run).data
-            assert fused.dtype == np.float32
-            assert fused.tobytes() == expect.tobytes(), (n_rows, d)
+            bag, params = shift_case(rng, n_rows, d, masked)
+            assert_scored_as_forward(bag, params, residual, run, seen)
 
     @pytest.mark.parametrize("band_bytes", [1, 100])
     def test_banded_fill_gives_the_same_tokens(self, monkeypatch, band_bytes):
@@ -625,80 +668,23 @@ class TestGridPositionalShift:
         # threads switching every microsecond
         monkeypatch.setattr(ad, "_PEM_BAND_BYTES", band_bytes)
         rng = np.random.default_rng(90 + band_bytes)
+        poison_empty(monkeypatch)
+        seen = pooled_tokens(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for k, (n_rows, d) in enumerate(SHIFT_CASES):
-                x, mask, q, w, b, token = shift_case(rng, n_rows, d,
-                                                     np.float32, k % 2 == 1)
-                params = (Tensor(w), Tensor(b), Tensor(token))
-                expect = ad.grid_positional(
-                    recalibrate(Tensor(x), Tensor(q), mask), mask, *params,
-                    True).data.tobytes()
-                for run in (None, two_threads):
-                    assert ad.grid_positional(
-                        Tensor(x), mask, *params, True, h_q=Tensor(q),
-                        run=run).data.tobytes() == expect, (n_rows, d)
+                bag, params = shift_case(rng, n_rows, d, k % 2 == 1)
+                for run in (None, two_threads, late_helper):
+                    assert_scored_as_forward(bag, params, True, run, seen)
         finally:
             sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_gradients_equal_sub_then_relu(self, masked):
-        rng = np.random.default_rng(70 + masked)
-        for n_rows, d in SHIFT_CASES:
-            x, mask, q, w, b, token = shift_case(rng, n_rows, d, np.float32,
-                                                 masked)
-            upstream = rng.normal(size=(n_rows + 1, d)).astype(np.float32)
-
-            def grads(fused):
-                h, h_q = Tensor(x, True), Tensor(q, True)
-                params = [Tensor(a, True) for a in (w, b, token)]
-                if fused:
-                    out = ad.grid_positional(h, mask, *params, True, h_q=h_q)
-                else:
-                    out = ad.grid_positional(recalibrate(h, h_q, mask), mask,
-                                             *params, True)
-                out.grad = upstream
-                backward(out)
-                return [t.grad.tobytes() for t in [h, h_q] + params]
-
-            assert grads(True) == grads(False), (n_rows, d)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_gradient_matches_finite_differences(self, seed):
-        rng = np.random.default_rng(80 + seed)
-        n_rows, d = [(1, 2), (5, 2), (9, 3), (7, 2), (12, 2), (10, 3)][seed]
-        x, mask, _, w, b, token = shift_case(rng, n_rows, d, np.float64,
-                                             seed % 2 == 1)
-        q = x.mean(axis=0, keepdims=True) + 0.5 * rng.normal(size=(1, d))
-        q[0, 0] = x[mask, 0].min() - 0.5  # channel 0 passes every row
-        x[np.abs(x - q) < 0.01] += 0.05  # stay clear of the kink
-        params = [t64(a, True) for a in (x, q, w, b, token)]
-        h, h_q, conv_w, conv_b, class_token = params
-
-        def f():
-            out = ad.grid_positional(h, mask, conv_w, conv_b, class_token,
-                                     seed % 3 == 0, h_q=h_q)
-            return masked_reduce("sum", l2_norm_rows(out, squared=True),
-                                 np.ones(n_rows + 1, bool))
-
-        assert grad_check(f, params, h=1e-5) <= 1e-4
-        assert np.abs(h_q.grad).max() > 0
-
-    def test_shift_of_another_width_raises(self):
-        x = t64(np.ones((4, 3)))
-        conv = (t64(np.ones((3, 3, 3))), t64(np.ones(3)), t64(np.ones((1, 3))))
-        with pytest.raises(ShapeError, match="shift"):
-            ad.grid_positional(x, np.ones(4, bool), *conv, True,
-                               h_q=t64(np.ones((1, 2))))
 
     def test_failing_half_is_raised_without_a_hang(self, monkeypatch):
         # the helper's fill fails before the barrier: the caller's wait is
         # broken, not left waiting, and the helper's error comes out
-        x = np.ones((16, 2), np.float32)
-        conv = (Tensor(np.ones((2, 3, 3), np.float32)),
-                Tensor(np.ones(2, np.float32)),
-                Tensor(np.ones((1, 2), np.float32)))
+        bag = make_bag("b", 1, np.ones((16, 2), np.float32))
+        params = init_params(2, 1, seed=0)
         caller = threading.current_thread()
         real = np.maximum
 
@@ -710,6 +696,5 @@ class TestGridPositionalShift:
         monkeypatch.setattr(ad.np, "maximum", maximum)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="helper half"):
-            ad.grid_positional(Tensor(x), np.ones(16, bool), *conv, True,
-                               h_q=Tensor(x[:1]), run=two_threads)
+            score_bags([bag], params, run=two_threads)
         assert threading.active_count() == threads

@@ -466,10 +466,8 @@ class TestGridPositionalBands:
         x = np.ones((4, d), np.float32)
         conv = [Tensor(np.ones(s, np.float32))
                 for s in ((d, 3, 3), (d,), (1, d))]
-        for h_q in (None, Tensor(x[:1])):
-            with pytest.raises(ShapeError, match="D >= 2"):
-                ad.grid_positional(Tensor(x), np.ones(4, bool), *conv, True,
-                                   h_q=h_q)
+        with pytest.raises(ShapeError, match="D >= 2"):
+            ad.grid_positional(Tensor(x), np.ones(4, bool), *conv, True)
 
     def test_wsi_bag_matches_one_band(self, monkeypatch):
         # 4096 x 512 float32: a 64 x 64 grid in bands of 2 rows
@@ -546,21 +544,6 @@ class TestBagForward:
             trace = bag_forward(random_bag(rng, n=int(rng.integers(1, 20)),
                                            dim=8), params)
             assert 0.0 < trace.bag_prob.item() < 1.0
-
-    @pytest.mark.parametrize("training", [False, True])
-    def test_forward_without_h_recal_gives_the_same_bytes(self, training):
-        rng = np.random.default_rng(16)
-        params = init_params(8, 2, seed=10)
-        for n in (1, 7, 16, 30):
-            bag = random_bag(rng, n=n, dim=8)
-            traces = [bag_forward(bag, params, training=training,
-                                  rng=np.random.default_rng(n), dropout=0.3,
-                                  keep_recal=keep)
-                      for keep in (True, False)]
-            assert traces[0].h_recal is not None and traces[1].h_recal is None
-            for name in ("tokens", "z", "bag_prob"):
-                assert (getattr(traces[0], name).data.tobytes()
-                        == getattr(traces[1], name).data.tobytes())
 
     def test_degenerate_single_instance_bag(self):
         rng = np.random.default_rng(15)

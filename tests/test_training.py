@@ -5,8 +5,10 @@ import functools
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -487,14 +489,18 @@ def spy_forward(monkeypatch, kind, on_call):
     monkeypatch.setattr(training, name, forward)
 
 
-def spy_chunks(monkeypatch, on_bag):
-    """Route evaluate's chunks through on_bag(bag), once per bag scored."""
+def spy_scores(monkeypatch, kind, on_call):
+    """Route evaluate's scoring through on_call: for the model once per bag
+    that ``score_bags`` scored, with the bag; for a pooling head with each
+    ``comparator_forward`` output."""
+    if kind != "frmil":
+        return spy_forward(monkeypatch, kind, on_call)
     real = training.score_bags
 
     def score(bags, *args, **kwargs):
         out = real(bags, *args, **kwargs)
         for bag in bags:
-            on_bag(bag)
+            on_call(bag)
         return out
 
     monkeypatch.setattr(training, "score_bags", score)
@@ -535,34 +541,19 @@ KINDS = ("frmil", "mean_pool", "max_pool")
 
 
 class TestDetachedView:
-    """evaluate's detached parameters: built once per parameter set, never
-    stale."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_second_call_builds_no_tensors(self, monkeypatch, kind):
-        params = wide_params(kind)
-        first = training._detached(params)
-        built = []
-        monkeypatch.setattr(training, "Tensor",
-                            lambda *a, **k: built.append(a) or Tensor(*a, **k))
-        assert training._detached(params) is first
-        assert built == []
-        for name, t in params.named().items():
-            view = first.named()[name]
-            assert view.data is t.data and not view.requires_grad
+    """evaluate reads the parameters' arrays as they are at the call: never
+    stale, never another copy's."""
 
     def test_in_place_adam_updates_are_seen(self, tiny_store):
         store, split = tiny_store
         params = init_params(store.dim, 2, seed=0)
         before = evaluate(store, split["test"], params).rows
-        view = training._detached(params)
         named = params.named()
         rng = np.random.default_rng(3)
         adam_step(named, {k: rng.normal(size=t.shape).astype(np.float32)
                           for k, t in named.items()},
                   AdamState.for_params(named), lr=0.1)
         after = evaluate(store, split["test"], params).rows
-        assert training._detached(params) is view
         assert after != before
         assert after == evaluate(store, split["test"],
                                  copy.deepcopy(params)).rows
@@ -571,10 +562,7 @@ class TestDetachedView:
         store, split = tiny_store
         params = init_params(store.dim, 2, seed=0)
         evaluate(store, split["test"], params)
-        old = training._detached(params)
         params.clf_b.data = params.clf_b.data + np.float32(3.0)
-        view = training._detached(params)
-        assert view is not old and view.clf_b.data is params.clf_b.data
         fresh = init_params(store.dim, 2, seed=0)
         fresh.clf_b.data += np.float32(3.0)
         assert (evaluate(store, split["test"], params).rows
@@ -586,9 +574,7 @@ class TestDetachedView:
         before = evaluate(store, split["test"], params).rows
         twin = copy.deepcopy(params)
         twin.clf_b.data += np.float32(3.0)  # in place: only the copy moves
-        view = training._detached(twin)
         for name, t in twin.named().items():
-            assert view.named()[name].data is t.data
             assert not np.shares_memory(t.data, params.named()[name].data)
         assert evaluate(store, split["test"], params).rows == before
         assert evaluate(store, split["test"], twin).rows != before
@@ -603,8 +589,8 @@ class TestEvaluateParallel:
         ids = wide_store.ids()
         before = threading.active_count()
         counts = []
-        spy_forward(monkeypatch, kind,
-                    lambda _: counts.append(threading.active_count()))
+        spy_scores(monkeypatch, kind,
+                   lambda _: counts.append(threading.active_count()))
         batched = evaluate(wide_store, ids, params).rows
         assert max(counts) > before  # a helper thread ran alongside
         single = [evaluate(wide_store, [i], params).rows[0] for i in ids]
@@ -618,16 +604,19 @@ class TestEvaluateParallel:
     @pytest.mark.parametrize("kind", KINDS)
     def test_builds_no_graph(self, wide_store, two_cpus, monkeypatch, kind):
         params = wide_params(kind)
-        outs = []
-        spy_forward(monkeypatch, kind, outs.append)
-        chunked = []
-        spy_chunks(monkeypatch, chunked.append)
+        scored, ops = [], []
+        spy_scores(monkeypatch, kind, scored.append)
+        real = ad._result
+        monkeypatch.setattr(ad, "_result", lambda data, parents, bw: (
+            ops.append(parents) or real(data, parents, bw)))
         evaluate(wide_store, wide_store.ids(), params)
-        probs = [o.bag_prob if kind == "frmil" else o for o in outs]
-        # the model scores its one bag below the gate, graph-free, in a chunk
-        assert len(chunked) == (kind == "frmil")
-        assert len(probs) + len(chunked) == len(WIDE_SIZES)
-        assert all(p._parents == () and not p.requires_grad for p in probs)
+        assert len(scored) == len(WIDE_SIZES)
+        # the model runs no tensor op at all; a head's ops have no parent
+        # that needs a gradient
+        if kind == "frmil":
+            assert ops == []
+        else:
+            assert ops and not any(p.requires_grad for ps in ops for p in ps)
         assert all(t.grad is None for t in params.named().values())
 
     def test_helper_failure_is_raised_and_threads_joined(self, wide_store,
@@ -641,16 +630,17 @@ class TestEvaluateParallel:
         evaluate(wide_store, ids, params)
         assert threading.active_count() == threads
         helper_failed = threading.Event()
-        real = training.bag_forward
+        real = training.score_bags
 
-        def forward(bag, *args, **kwargs):
-            if threading.current_thread() is caller:
+        def score(bags, *args, **kwargs):
+            if threading.current_thread() is not caller:
+                helper_failed.set()
+                raise MaskError("empty bag: no unmasked instances")
+            if bags[0].features.size >= training.PARALLEL_MIN_VALUES:
                 helper_failed.wait(timeout=5)  # a helper takes a bag first
-                return real(bag, *args, **kwargs)
-            helper_failed.set()
-            raise MaskError("empty bag: no unmasked instances")
+            return real(bags, *args, **kwargs)
 
-        monkeypatch.setattr(training, "bag_forward", forward)
+        monkeypatch.setattr(training, "score_bags", score)
         with pytest.raises(MaskError):
             evaluate(wide_store, ids, params)
         assert helper_failed.is_set()
@@ -668,12 +658,13 @@ class TestEvaluateParallel:
             i: make_bag(i, 0, features) for i in ids})
         calls = []
 
-        def prob(bag, params, pem_residual):
+        def forward(params, bag):
             calls.append(bag.bag_id)
-            return int(bag.bag_id[1:]) % 100 / 100
+            return types.SimpleNamespace(
+                item=lambda: int(bag.bag_id[1:]) % 100 / 100)
 
         monkeypatch.setattr(training, "_usable_cpus", lambda: [None] * 8)
-        monkeypatch.setattr(training, "_bag_prob", prob)
+        monkeypatch.setattr(training, "comparator_forward", forward)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -694,8 +685,7 @@ class TestEvaluateParallel:
         def on_call(_):
             seen.append((threading.current_thread(), threading.active_count()))
 
-        spy_forward(monkeypatch, "frmil", on_call)
-        spy_chunks(monkeypatch, on_call)
+        spy_scores(monkeypatch, "frmil", on_call)
         rows = evaluate(wide_store, ids, params).rows
         assert seen == [(caller, threads)] * len(ids)
         assert [p.hex() for _, _, p in rows] == [
@@ -717,7 +707,7 @@ class TestEvaluateParallel:
         bag = store.bag("b")
         assert bag.features.size >= training.GRID_SPLIT_MIN_VALUES
         params = init_params(d, heads, seed=5)
-        one_cpu = training._bag_prob(bag, training._detached(params), True)
+        one_cpu = model.score_bags([bag], params)[0]
         calls = spy_on_cpus(monkeypatch)
         prob = evaluate(store, ["b"], params).rows[0][2]
         assert [name for name, _ in calls] == ["grid"]
@@ -731,8 +721,8 @@ class TestEvaluateParallel:
         calls = spy_on_cpus(monkeypatch)
         threads = threading.active_count()
         seen = []
-        spy_forward(monkeypatch, "frmil",
-                    lambda _: seen.append(threading.active_count()))
+        spy_scores(monkeypatch, "frmil",
+                   lambda _: seen.append(threading.active_count()))
         big = max(wide_store.ids(),
                   key=lambda i: wide_store.bag(i).features.size)
         assert wide_store.bag(big).features.size < \
@@ -753,8 +743,8 @@ class TestEvaluateParallel:
         calls = spy_on_cpus(monkeypatch)
         threads = threading.active_count()
         seen = []
-        spy_forward(monkeypatch, "frmil",
-                    lambda _: seen.append(threading.active_count()))
+        spy_scores(monkeypatch, "frmil",
+                   lambda _: seen.append(threading.active_count()))
         prob = evaluate(store, ["b"], params).rows[0][2]
         assert calls == [] and seen == [threads]
         assert prob.hex() == direct_prob("frmil", store.bag("b"), params).hex()
@@ -787,7 +777,8 @@ class TestEvaluateParallel:
 
 class TestEvaluateChunks:
     """The model scores bags below ``PARALLEL_MIN_VALUES`` in graph-free
-    chunks (``model.score_bags``) with the bytes of their own forwards."""
+    chunks, and every other bag alone, with ``model.score_bags``, with the
+    bytes of their own forwards."""
 
     @pytest.mark.parametrize("d, heads, dtype", [
         (2, 1, np.float32), (3, 1, np.float32), (64, 8, np.float32),
@@ -829,15 +820,57 @@ class TestEvaluateChunks:
         rows = evaluate(store, ids, params).rows
         assert [r[:2] for r in rows] == [(bag.bag_id, bag.label)
                                          for bag in bags]
-        assert len(chunks) >= 2
-        assert sorted(i for c in chunks for i in c) == sorted(
-            i for i in ids if not i.startswith("big"))
+        assert sorted(i for c in chunks for i in c) == sorted(ids)
+        assert ["big0"] in chunks and ["big1"] in chunks  # alone
+        assert len(chunks) >= 4  # the small bags fill two chunks or more
         direct = [model.bag_forward(bag, params).bag_prob.item()
                   for bag in bags]
         alone = [evaluate(store, [i], params).rows[0][2] for i in ids]
         hexes = [p.hex() for _, _, p in rows]
         assert hexes == [p.hex() for p in direct]
         assert hexes == [p.hex() for p in alone]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak resident set from /proc")
+    def test_one_row_bags_beside_a_wide_grid_keep_a_small_buffer(self):
+        """15,360 one-row D=8 bags after one of 1,024 rows (g = 32): 2^17
+        feature values, one chunk by values alone, whose filter buffer
+        would be 34 cells wide, 96 cells per feature row. Packed
+        by the buffer's cells too, the evaluate peaks as the one-row bags
+        alone do. Each run is a child process that reports the rise of its
+        peak resident set, ``VmHWM``, over the evaluate, as in
+        ``test_cli.py::TestTau``."""
+        child = ("import re, sys\n"
+                 "from pathlib import Path\n"
+                 "import numpy as np\n"
+                 "from frmil.bagdata import BagStore, make_bag\n"
+                 "from frmil.model import init_params\n"
+                 "from frmil.training import evaluate\n"
+                 "def peak():\n"
+                 "    status = open('/proc/self/status').read()\n"
+                 "    return int(re.search(r'VmHWM:\\s*(\\d+)', status)[1])\n"
+                 "rng = np.random.default_rng(0)\n"
+                 "bags = {f'b{i}': make_bag(f'b{i}', i % 2, rng.standard_normal("
+                 "(n, 8)).astype(np.float32))\n"
+                 "        for i, n in enumerate([1024] + [1] * 15360)}\n"
+                 "store = BagStore(root=Path('one-row'), dim=8, bags=bags)\n"
+                 "ids = list(bags)[int(sys.argv[1]):]\n"
+                 "params = init_params(8, 2, seed=0)\n"
+                 "before = peak()\n"
+                 "evaluate(store, ids, params)\n"
+                 "print(peak() - before)\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(training.__file__).resolve().parents[1]))
+
+        def rise_kb(skip):
+            proc = subprocess.run([sys.executable, "-c", child, str(skip)],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        alone = rise_kb(1)
+        assert rise_kb(0) < 1.5 * alone
 
 
 def param_digest(params):
