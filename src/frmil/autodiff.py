@@ -10,13 +10,11 @@ Two fused ops carry the model's positional encoder and attention pooling,
 each one graph node with a hand-written backward:
 
 - ``grid_positional`` builds the attention tokens: the class token, then
-  the depthwise 3x3 filter run channels-last. The (n, D) instance rows
-  already are a row-major (g, g, D) grid, so they are copied, with no
-  transpose, into a buffer with a zero ring. The forward and the input
-  gradient run one einsum per L2-sized band of grid rows over a strided
-  view of the 3x3 windows, the gradient with the taps flipped; the bias
-  is added after the taps. The filter writes into the token buffer.
-  Below D = 2 channels it raises ``ShapeError``.
+  the depthwise 3x3 filter run channels-last over the rows laid out on a
+  square grid (``_tokens``). The forward and the input gradient run one
+  einsum per L2-sized band of grid rows over a strided view of the 3x3
+  windows, the gradient with the taps flipped. Below D = 2 channels it
+  raises ``ShapeError``.
 - ``query_attention`` pools the tokens with a single query row. With one
   query the K and V projections regroup: per head h,
   ``logits_h = tokens @ (W_k,h q_h^T) + b_k,h . q_h`` and
@@ -24,13 +22,14 @@ each one graph node with a hand-written backward:
   That costs n x D x heads instead of the n x D x D of projecting every
   token.
 
-The numeric cores of the sigmoid, the layer norm, the attention forward,
-the grid fill and the filter are module-level helpers (``_sigmoid``,
-``_layer_norm``, ``_attention``, ``_fill``, ``_filter``) that the ops and
-``model.score_bags``, the graph-free eval forward, both call, so each
-stage's arithmetic is written once. ``_fill`` also re-calibrates as it
-copies, ``max(row - h_q, 0)``, for ``score_bags``, which never builds the
-(n, D) ``ReLU(H - h_q)`` array.
+The numeric cores of the sigmoid, the layer norm, the attention forward
+and the positional encoder's forward are module-level helpers
+(``_sigmoid``, ``_layer_norm``, ``_attention``, ``_tokens``) that the ops
+and ``model.score_bags``, the graph-free eval forward, both call, so each
+stage's arithmetic is written once. ``_tokens`` builds the tokens of one
+bag or of a chunk of bags in one grid buffer, and can re-calibrate as it
+fills, ``max(row - h_q, 0)``, so ``score_bags`` never builds the (n, D)
+``ReLU(H - h_q)`` array.
 
 Convention: training runs in float32, gradient checks in float64. The
 graph is carried by the tensors themselves (each records its parents and
@@ -56,7 +55,8 @@ with another tensor's.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,11 +336,16 @@ _PEM_BAND_BYTES = 256 * 1024
 
 def _windows(pad: np.ndarray) -> np.ndarray:
     """Read-only (r, c, 3, 3, D) view of the 3x3 neighbourhood of every cell
-    of the (r, c, D) interior of a zero-ringed (r + 2, c + 2, D) grid."""
+    of the (r, c, D) interior of a zero-ringed (r + 2, c + 2, D) grid, which
+    must be C-contiguous: the ndarray constructor checks the view's bounds
+    at under a third of ``as_strided``'s cost (1.3 against 4.5 us for a
+    D=64 grid on a 2-core x86 VM)."""
     r, c = pad.shape[0] - 2, pad.shape[1] - 2
     s0, s1, s2 = pad.strides
-    return np.lib.stride_tricks.as_strided(
-        pad, (r, c, 3, 3, pad.shape[2]), (s0, s1, s0, s1, s2), writeable=False)
+    win = np.ndarray((r, c, 3, 3, pad.shape[2]), pad.dtype, pad, 0,
+                     (s0, s1, s0, s1, s2))
+    win.flags.writeable = False
+    return win
 
 
 def _filter(pad: np.ndarray, taps: np.ndarray, bias, residual: bool,
@@ -412,27 +417,105 @@ def _grid_side(n: int) -> int:
     return g + 1 if g * g < n else g
 
 
+def _tokens(rows: Sequence[np.ndarray],
+            reals: Sequence[Optional[np.ndarray]],
+            shifts: Sequence[Optional[np.ndarray]], taps: np.ndarray, bias,
+            class_token: np.ndarray, residual: bool,
+            run: Optional[Callable] = None
+            ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The positional tokens of one bag or of a chunk of bags: the grid
+    buffer and each bag's (n_rows + 1, D) tokens.
+
+    Bag i's n real rows, ``rows[i][reals[i]]`` (all of them when
+    ``reals[i]`` is None), less ``shifts[i]`` and rectified when that (D,)
+    row is given (the bytes of ``recalibrate``), fill a g x g grid
+    row-major, g = ceil(sqrt(n)), with zero trailing cells. Each channel is
+    filtered by its taps (3, 3, D >= 2; see ``_filter``) with a ring of
+    zero padding, then bias (D,) is added and, when residual, the grid
+    itself. Token row 0 is class_token (1, D); the rows 1 + j of the real
+    rows j take the first n cells in order, and masked rows are zero. A bag
+    with no real row raises ``MaskError``.
+
+    Rows 1.. equal ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over
+    the transposed grid. The zero-ringed grids stand in one tall buffer,
+    g + 2 rows each, in the widest g + 2 columns, and one ``_filter`` runs
+    over it: every output cell reads the taps a one-bag filter reads, in
+    the same order, and the output rows between bags are dropped. A
+    chunk's buffer is ``np.zeros``, cheaper for small grids than zeroing
+    each ring; a lone bag's has only its top and bottom rows zeroed
+    (``_fill`` writes the sides), and a lone unmasked bag is filtered
+    straight into its token buffer.
+
+    ``run(work, stop)``, when given, must run ``work(0)`` on the caller and
+    ``work(1)`` on a second thread at once, and call ``stop()`` on a
+    failure (``training._on_cpus`` over two CPUs). Each then fills and
+    filters half of the grid rows, with a barrier between the two stages
+    because the filter reads a row beyond each edge of its half. Every
+    cell is computed as on one thread, so the bytes do not change.
+    """
+    d, dtype = rows[0].shape[1], rows[0].dtype
+    counts, sides, tops = [], [], [0]
+    for h, real in zip(rows, reals):
+        n = len(h) if real is None else len(real)
+        if n == 0:
+            raise MaskError("empty bag: no unmasked instances")
+        g = _grid_side(n)
+        counts.append(n)
+        sides.append(g)
+        tops.append(tops[-1] + g + 2)
+    height, width = tops[-1] - 2, max(sides) + 2  # height: the output rows
+    lone = len(rows) == 1
+    if lone:
+        pad = np.empty((height + 2, width, d), dtype)
+        pad[0] = pad[-1] = 0
+    else:
+        pad = np.zeros((height + 2, width, d), dtype)
+    direct = lone and reals[0] is None
+    if direct:  # the filter writes the token rows after the class token
+        buf = np.empty((1 + height * height, d), dtype)
+        cells = buf[1:].reshape(height, height, d)
+    else:
+        cells = np.empty((height, width - 2, d), dtype)
+    cuts = (0, height) if run is None else (0, (height + 1) // 2, height)
+    barrier = None if run is None else threading.Barrier(2)
+
+    def work(i: int) -> None:
+        lo, hi = cuts[i], cuts[i + 1]
+        for h, real, n, g, top, shift in zip(rows, reals, counts, sides,
+                                             tops, shifts):
+            first, end = max(lo - top, 0), min(hi - top, g)  # in lo..hi
+            if first < end:
+                _fill(pad[top:top + g + 2, :g + 2], h, real, n, first, end,
+                      shift)
+        if barrier is not None:
+            barrier.wait()  # both halves are filled
+        _filter(pad[lo:hi + 2], taps, bias, residual, out=cells[lo:hi])
+
+    if run is None:
+        work(0)
+    else:
+        run(work, barrier.abort)
+    tokens = []
+    for h, real, n, g, top in zip(rows, reals, counts, sides, tops):
+        if direct:
+            bag = buf[:n + 1]
+        else:
+            bag = np.zeros((len(h) + 1, d), dtype)  # masked rows stay zero
+            bag[1:][slice(None) if real is None else real] = \
+                cells[top:top + g, :g].reshape(g * g, d)[:n]
+        bag[0] = class_token[0]
+        tokens.append(bag)
+    return pad, tokens
+
+
 def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
                     conv_b: Tensor, class_token: Tensor,
                     residual: bool) -> Tensor:
     """The class token, then a depthwise 3x3 filter over the unmasked rows
-    of h laid out on a grid: the (n_rows + 1, D) attention tokens.
-
-    The n unmasked rows of h (n_rows, D >= 2; ``ShapeError`` below two
-    channels, see ``_filter``), in order, fill a g x g grid row-major
-    with g = ceil(sqrt(n)) and zero trailing cells. Each channel is
-    filtered by its kernel conv_w (D, 3, 3) with a ring of zero padding,
-    then conv_b (D,) is added and, when residual, the grid itself. Row 0
-    of the output is class_token (1, D); the rows 1 + i for the unmasked
-    rows i of h take the first n cells in order, and those for masked rows
-    are zero.
-
-    Rows 1.. equal ``depthwise_conv2d_3x3`` of ``tests/oracles.py`` over
-    the transposed grid, computed channels-last by ``_filter``: the rows are
-    copied into the interior of a (g + 2, g + 2, D) buffer with a zero
-    ring, and each band of output rows is one einsum over a strided view
-    of the 3x3 windows. With no masked row the filter writes straight into
-    the token buffer, which has room for all g x g cells after row 0.
+    of h laid out on a grid: the (n_rows + 1, D) attention tokens of one
+    bag, ``_tokens`` over h (n_rows, D >= 2; ``ShapeError`` below two
+    channels) with no shift, the taps of conv_w (D, 3, 3) and the bias
+    conv_b (D,).
 
     The input gradient is ``_filter`` of the zero-ringed output gradient
     with the taps flipped, ``taps[::-1, ::-1]``, no bias and the same
@@ -455,16 +538,11 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
                          f"{class_token.data.shape} do not match {d} "
                          f"channels")
     real = None if m.all() else np.flatnonzero(m)
+    taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
+    pad, (tokens,) = _tokens((x,), (real,), (None,), taps, conv_b.data,
+                             class_token.data, residual)
+    g = pad.shape[0] - 2
     n = n_rows if real is None else len(real)
-    if n == 0:
-        raise MaskError("empty bag: no unmasked instances")
-    g = _grid_side(n)
-
-    def ringed() -> np.ndarray:
-        """A (g + 2, g + 2, D) buffer whose top and bottom rows are zero."""
-        pad = np.empty((g + 2, g + 2, d), dtype=x.dtype)
-        pad[0] = pad[g + 1] = 0
-        return pad
 
     def to_rows(cells: np.ndarray) -> np.ndarray:
         """The first n cells back on the unmasked rows, masked rows zero."""
@@ -475,23 +553,10 @@ def grid_positional(h: Tensor, mask: np.ndarray, conv_w: Tensor,
         rows[real] = cells
         return rows
 
-    pad = ringed()
-    _fill(pad, x, real, n, 0, g)
-    taps = np.ascontiguousarray(conv_w.data.transpose(1, 2, 0))  # (3, 3, D)
-    if real is None:
-        tokens = np.empty((1 + g * g, d), dtype=x.dtype)
-        _filter(pad, taps, conv_b.data, residual,
-                out=tokens[1:].reshape(g, g, d))
-        tokens = tokens[:n + 1]
-    else:
-        tokens = np.zeros((n_rows + 1, d), dtype=x.dtype)
-        tokens[1 + real] = _filter(pad, taps, conv_b.data, residual
-                                   ).reshape(g * g, d)[:n]
-    tokens[0] = class_token.data[0]
-
     def backward(grad):
         _accumulate(class_token, grad[:1])
-        gpad = ringed()
+        gpad = np.empty_like(pad)
+        gpad[0] = gpad[g + 1] = 0
         _fill(gpad, grad[1:], real, n, 0, g)
         _accumulate(conv_b, gpad[1:g + 1, 1:g + 1].sum(axis=(0, 1)))
         if conv_w.requires_grad:

@@ -13,7 +13,6 @@ that into the bag probability.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -201,16 +200,9 @@ def pem_forward(h_recal: Tensor, mask: np.ndarray, params: ModelParams,
                 rng: Optional[np.random.Generator] = None,
                 dropout: float = 0.0,
                 residual: bool = True) -> Tensor:
-    """Positional encoding over the real instances, class token prepended.
-
-    The n real rows are zero-padded up to a ceil(sqrt(n))-square grid laid
-    out row-major with features as channels, filtered depthwise 3x3 with a
-    ring of zero padding (optionally plus an identity residual), flattened
-    back, and cut to the first n rows. Padding rows of the input stay
-    zero. Output is (n_rows + 1, D) with the class token at row 0, built
-    in one buffer by ``grid_positional``; training dropout overwrites that
-    buffer, since no backward reads it.
-    """
+    """Positional encoding over the real instances, class token prepended:
+    the (n_rows + 1, D) tokens of ``grid_positional``, which training
+    dropout overwrites in place, since no backward reads them."""
     tokens = ad.grid_positional(h_recal, mask, params.conv_w, params.conv_b,
                                 params.class_token, residual=residual)
     return ad.dropout(tokens, dropout, training=training, rng=rng,
@@ -279,26 +271,14 @@ def score_bags(bags: Sequence[InstanceBag], params: ModelParams,
     product of stacked bags' rows differently from one bag's. The argmax
     and the attention's masked softmax also run per bag.
 
-    Each bag's rows are re-calibrated, ``max(row - h_q, 0)``, straight into
-    its zero-ringed g x g grid (``autodiff._fill``), the bytes of
-    ``recalibrate`` then the grid fill, so no (n, D) ``ReLU(H - h_q)``
-    array is built. The grids stand in one zeroed tall buffer, g + 2 rows
-    each, in the widest g + 2 columns; a lone bag's buffer has only its
-    top and bottom rows zeroed, since ``_fill`` zeroes the side and
-    trailing cells. The positional filter is one ``autodiff._filter`` over
-    that buffer: every output cell reads the nine taps a one-bag filter
-    reads, in the same order, and the output rows between two bags are
-    dropped. A lone unmasked bag is filtered straight into its token
-    buffer. Masked rows are handled as in
-    ``bag_forward``: the real rows fill the grid, masked token rows are
-    zero, and the softmax runs over the bag's n_rows + 1 tokens.
-
-    ``run(work, stop)``, when given, must run ``work(0)`` on the caller and
-    ``work(1)`` on a second thread at once, and call ``stop()`` on a
-    failure (``training._on_cpus`` over two CPUs). Each then fills and
-    filters half of the buffer's grid rows, with a barrier between the two
-    stages because the filter reads a row beyond each edge of its half.
-    Every cell is computed as on one thread, so the bytes do not change.
+    The positional encoder is one ``autodiff._tokens`` call over the
+    call's bags: each bag's rows are re-calibrated, ``max(row - h_q, 0)``,
+    straight into its grid, the bytes of ``recalibrate`` then
+    ``grid_positional``, so no (n, D) ``ReLU(H - h_q)`` array is built.
+    ``run`` is ``_tokens``' two-CPU split of the fill and the filter.
+    Masked rows are handled as in ``bag_forward``: the real rows fill the
+    grid, masked token rows are zero, and the softmax runs over the bag's
+    n_rows + 1 tokens.
     """
     p = {name: t.data for name, t in params.named().items()}
     dtype, d = p["scorer_w"].dtype, params.dim
@@ -311,73 +291,27 @@ def score_bags(bags: Sequence[InstanceBag], params: ModelParams,
     probs += p["scorer_b"]
     probs = ad._sigmoid(probs)[:, 0]
 
-    # per bag: the critical row, its query projection and its grid's place
+    # per bag: the critical row, its query projection and its real rows
     n_bags = len(bags)
     h_q, q = np.empty((n_bags, d), dtype), np.empty((n_bags, d), dtype)
-    reals, counts, sides, tops = [], [], [], [0]
+    reals = []
     for i, (bag, h, lo, hi) in enumerate(zip(bags, hs, starts, ends)):
         mask = np.asarray(bag.mask, dtype=bool)
         real = None if mask.all() else np.flatnonzero(mask)
-        n = len(h) if real is None else len(real)
-        if n == 0:
-            raise MaskError("empty bag: no unmasked instances")
         ranked = probs[lo:hi] if real is None else np.where(
             mask, probs[lo:hi], -np.inf)
         h_q[i] = h[int(np.argmax(ranked))]  # the first maximum
         np.matmul(h_q[i:i + 1], p["q_w"], out=q[i:i + 1])
         reals.append(real)
-        counts.append(n)
-        sides.append(ad._grid_side(n))
-        tops.append(tops[-1] + sides[-1] + 2)
     q += p["q_b"]
 
-    width, rows = max(sides) + 2, tops[-1] - 2  # rows: the filter's output
-    if n_bags == 1:
-        pad = np.empty((tops[-1], width, d), dtype)
-        pad[0] = pad[-1] = 0
-    else:  # for small grids, cheaper than zeroing each ring and margin
-        pad = np.zeros((tops[-1], width, d), dtype)
-    direct = n_bags == 1 and reals[0] is None
-    if direct:  # the filter writes the token rows after the class token
-        buf = np.empty((1 + rows * rows, d), dtype)
-        cells = buf[1:].reshape(rows, rows, d)
-    else:
-        cells = np.empty((rows, width - 2, d), dtype)
     taps = np.ascontiguousarray(p["conv_w"].transpose(1, 2, 0))  # (3, 3, D)
-    cuts = (0, rows) if run is None else (0, (rows + 1) // 2, rows)
-    barrier = None if run is None else threading.Barrier(2)
-
-    def work(i: int) -> None:
-        lo, hi = cuts[i], cuts[i + 1]
-        for h, real, n, g, top, shift in zip(hs, reals, counts, sides, tops,
-                                             h_q):
-            first, end = max(lo - top, 0), min(hi - top, g)  # in lo..hi
-            if first < end:
-                ad._fill(pad[top:top + g + 2, :g + 2], h, real, n, first, end,
-                         shift)
-        if barrier is not None:
-            barrier.wait()  # both halves are filled
-        ad._filter(pad[lo:hi + 2], taps, p["conv_b"], pem_residual,
-                   out=cells[lo:hi])
-
-    if run is None:
-        work(0)
-    else:
-        run(work, barrier.abort)
-
+    tokens = ad._tokens(hs, reals, h_q, taps, p["conv_b"], p["class_token"],
+                        pem_residual, run)[1]
     phi = np.empty((n_bags, d), dtype)
-    for i, (bag, h, real, n, g, top) in enumerate(zip(bags, hs, reals, counts,
-                                                      sides, tops)):
-        if direct:
-            tokens = buf[:n + 1]
-        else:
-            tokens = np.zeros((len(h) + 1, d), dtype)  # masked rows stay zero
-            tokens[1:][slice(None) if real is None else real] = \
-                cells[top:top + g, :g].reshape(g * g, d)[:n]
-        tokens[0] = p["class_token"][0]
-        phi[i] = ad._attention(q[i:i + 1], tokens, p["k_w"], p["k_b"],
-                               p["v_w"], p["v_b"],
-                               np.concatenate([[True], bag.mask]),
+    for i, (bag, x) in enumerate(zip(bags, tokens)):
+        phi[i] = ad._attention(q[i:i + 1], x, p["k_w"], p["k_b"], p["v_w"],
+                               p["v_b"], np.concatenate([[True], bag.mask]),
                                params.heads)[0][0]
     phi_hat = phi + q
     ff = np.empty((n_bags, d), dtype)

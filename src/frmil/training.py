@@ -339,7 +339,7 @@ PARALLEL_MIN_VALUES = 1 << 17
 
 # A bag scored with no large partner (``_worker_cpus`` gives no helper) is
 # spread over two CPUs, its grid fill and filter split in halves of grid
-# rows (``model.score_bags``), when it holds this many feature
+# rows (``autodiff._tokens``), when it holds this many feature
 # values or more. Measured with one BLAS thread on a 2-core VM at D=512,
 # 100-150 alternating eval-mode forwards of one bag, median ms on one CPU
 # against two: 1.74 vs 2.12 at 512 rows, 2.97 vs 2.92 at 1024, 3.81 vs
@@ -478,7 +478,7 @@ def _bag_probs(bags, score: Callable) -> List[float]:
     return probs
 
 
-# A chunk's tall filter buffer (``model.score_bags``) holds at most this
+# A chunk's tall filter buffer (``autodiff._tokens``) holds at most this
 # many grid cells per feature row: the 3 x 3 zero-ringed grid of a one-row
 # bag, the most any lone bag needs. Packed by feature values alone, 15,360
 # one-row D=8 bags after a 1,024-row bag (g = 32) shared a buffer 34 cells

@@ -644,6 +644,57 @@ def assert_scored_as_forward(bag, params, residual, run, seen):
     assert prob.hex() == expect.hex(), bag.features.shape
 
 
+class TestTokens:
+    """``_tokens``, the one grid builder of ``grid_positional`` and
+    ``score_bags``, against the naive convolution of ``tests/oracles.py``,
+    exactly in float64."""
+
+    @pytest.mark.parametrize("run", [None, two_threads, late_helper])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_every_bag_matches_the_conv_oracle(self, monkeypatch, run,
+                                               residual):
+        # grid sides 1, 2, 3, 4 (17 rows, 6 masked) and 7, in one chunk
+        # and each alone; every bag but the 5-row one is shifted and
+        # rectified as score_bags re-calibrates
+        rng = np.random.default_rng(70 + residual)
+        d = 4
+        w, bias, token = (rng.normal(size=s) for s in ((d, 3, 3), (d,),
+                                                        (1, d)))
+        rows, reals, shifts, expect = [], [], [], []
+        for n_rows in (1, 2, 5, 17, 40):
+            h = rng.normal(size=(n_rows, d))
+            mask = np.ones(n_rows, bool)
+            if n_rows == 17:
+                mask[rng.choice(n_rows, size=6, replace=False)] = False
+            shift = None if n_rows == 5 else h[rng.integers(n_rows)]
+            x = h[mask] if shift is None else np.maximum(h[mask] - shift, 0)
+            n = len(x)
+            g = math.isqrt(n - 1) + 1
+            grid = np.vstack([x, np.zeros((g * g - n, d))]).T.reshape(
+                1, d, g, g)
+            conv = depthwise_conv2d_3x3(t64(grid), t64(w), t64(bias)).data
+            if residual:
+                conv = conv + grid
+            tokens = np.zeros((n_rows + 1, d))
+            tokens[0] = token[0]
+            tokens[1:][mask] = conv.reshape(d, g * g).T[:n]
+            rows.append(h)
+            reals.append(None if mask.all() else np.flatnonzero(mask))
+            shifts.append(shift)
+            expect.append(tokens)
+        taps = np.ascontiguousarray(w.transpose(1, 2, 0))
+        poison_empty(monkeypatch)
+        for bags in [range(5)] + [[i] for i in range(5)]:
+            _, tokens = ad._tokens([rows[i] for i in bags],
+                                   [reals[i] for i in bags],
+                                   [shifts[i] for i in bags], taps, bias,
+                                   token, residual, run)
+            assert len(tokens) == len(bags)
+            for i, got in zip(bags, tokens):
+                np.testing.assert_array_equal(got, expect[i], err_msg=str(
+                    (list(bags), len(rows[i]))))
+
+
 class TestGridPositionalShift:
     """Re-calibrating straight into the grid (``_fill`` with a shift) as
     ``model.score_bags`` does, on one thread or with the fill and filter

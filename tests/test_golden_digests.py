@@ -30,3 +30,19 @@ def test_outputs_equal_the_golden_digests():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == golden
+
+
+def test_a_tree_without_frmil_exits_2_before_any_command(tmp_path,
+                                                         monkeypatch, capsys):
+    # with frmil installed, a wrong path would digest the installed package
+    (tmp_path / "src" / "frmil").mkdir(parents=True)  # no __init__.py
+
+    def run(*args, **kwargs):
+        raise AssertionError(f"a command started: {args}")
+
+    monkeypatch.setattr(output_digest.subprocess, "run", run)
+    for argv in (["--help"], [str(tmp_path)], [str(tmp_path / "src")],
+                 [str(tmp_path / "missing")]):
+        assert output_digest.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("Usage: "), argv

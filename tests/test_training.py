@@ -920,6 +920,27 @@ def helper_threads(calls):
         threading.current_thread()}
 
 
+class TestMagnitudeLoss:
+    """The feature-magnitude term must train the parameters: with it on
+    and off, two epochs end in different weights, on one CPU (a D=16 pair)
+    and on the two-CPU step (a D=512 pair above its gate)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the term reads ReLU(H - h_q), which no parameter "
+        "reaches, so use_fm_loss changes only the logged loss_fm"))
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_magnitude_term_changes_the_trained_parameters(self, pair_store,
+                                                           wide):
+        store = pair_store if wide else BagStore(
+            root=Path("small"), dim=16, bags=small_pair(5))
+        runs = {on: train(store, PAIR_SPLIT, TrainConfig(
+                    tau=30.0, lr=1e-3, epochs=2, heads=4, seed=3,
+                    use_fm_loss=on)) for on in (True, False)}
+        assert runs[True].history[0]["loss_fm"] > 0
+        assert param_digest(runs[True].params) != param_digest(
+            runs[False].params)
+
+
 class TestSplitStep:
     """A pair of large bags steps on two CPUs, and any pair on one, with
     the bytes of one graph over both bags on one CPU."""

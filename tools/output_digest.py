@@ -27,7 +27,8 @@ training and scoring arithmetic agree print identical lines, so
     diff <(python tools/output_digest.py old/src) \\
          <(python tools/output_digest.py src)
 
-is the byte-identity check of a refactor.
+is the byte-identity check of a refactor. Exits 2, before any command
+runs, unless ``<src-dir>/frmil/__init__.py`` exists.
 """
 
 import contextlib
@@ -110,7 +111,9 @@ def environment() -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
+    # a tree without frmil/ would digest whichever frmil is installed
+    if len(argv) != 1 or not (Path(argv[0]) / "frmil" / "__init__.py"
+                              ).is_file():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=str(Path(argv[0]).resolve()))
